@@ -27,20 +27,16 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/ckpt"
+	"repro/cmd/internal/boot"
 	"repro/internal/costmodel"
 	"repro/internal/datasets"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/fw"
-	"repro/internal/fw/dglb"
-	"repro/internal/fw/pygeo"
 	"repro/internal/loader"
 	"repro/internal/models"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -69,11 +65,11 @@ func main() {
 		fatal(errors.New("-checkpoint and -checkpoint-dir are mutually exclusive"))
 	}
 
-	be, err := pickBackend(*framework)
+	be, err := boot.Backend(*framework)
 	if err != nil {
 		fatal(err)
 	}
-	d, err := pickDataset(*dataset, *scale)
+	d, err := boot.Dataset(*dataset, *scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -83,43 +79,18 @@ func main() {
 		return
 	}
 
-	newModel := func() models.Model {
-		return models.New(*modelName, be, models.Config{
-			Task: models.GraphClassification, In: d.NumFeatures, Hidden: 64, Out: 64,
-			Classes: d.NumClasses, Layers: 4, Heads: 8, Kernels: 2, LearnEps: true, Seed: 1,
-		})
-	}
-	// loadWeights fills m from the configured checkpoint source. On a
-	// mismatch, nn.Load and ckpt.Read both name the offending parameter and
-	// its expected-vs-found shape; the source path is added here so the
-	// operator can tell which file disagreed with the -model flag.
-	loadWeights := func(m models.Model) error {
-		switch {
-		case *checkpointDir != "":
-			dir, err := ckpt.Open(*checkpointDir, 0)
-			if err != nil {
-				return err
-			}
-			path, err := dir.Load(&ckpt.State{Params: m.Params()})
-			if err != nil {
-				return fmt.Errorf("load checkpoint directory %s: %w", *checkpointDir, err)
-			}
+	// loadModel builds a fresh model and fills it from the configured
+	// checkpoint source; start-up and every reload go through it.
+	loadModel := func() (models.Model, error) {
+		m := boot.NewModel(*modelName, be, d)
+		path, err := boot.LoadWeights(m, *checkpoint, *checkpointDir)
+		if path != "" {
 			fmt.Printf("gnnserve: loaded weights from %s\n", path)
-		case *checkpoint != "":
-			f, err := os.Open(*checkpoint)
-			if err != nil {
-				return err
-			}
-			err = nn.Load(f, m.Params())
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("load checkpoint %s: %w", *checkpoint, err)
-			}
 		}
-		return nil
+		return m, err
 	}
-	m := newModel()
-	if err := loadWeights(m); err != nil {
+	m, err := loadModel()
+	if err != nil {
 		fatal(err)
 	}
 
@@ -225,39 +196,21 @@ func main() {
 		modeDesc = fmt.Sprintf("coordinator over %d workers (%d pods, model hash %s)",
 			len(strings.Split(*workers, ",")), mgr.TotalPods(), fleet.HashString(hash))
 	} else {
-		var wdt tensor.DType
-		if *dtype != "" {
-			wdt, err = tensor.ParseDType(*dtype)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		reps := make([]serve.Replica, *replicas)
-		devs := make([]*device.Device, *replicas)
-		for i := range reps {
-			devs[i] = device.New(fmt.Sprintf("cuda:%d", i), device.RTX2080Ti())
-			if *dtype != "" {
-				// Compiled replicas record each batch shape's forward tape once
-				// and replay it allocation-free, with weights held at wdt.
-				reps[i] = serve.NewCompiledModelReplica(m, devs[i], wdt)
-			} else {
-				reps[i] = serve.NewModelReplica(m, devs[i])
-			}
+		reps, devs, mode, err := boot.Replicas(m, *replicas, *dtype)
+		if err != nil {
+			fatal(err)
 		}
 		obs.RegisterDeviceMetrics(reg, devs...)
 		srv = serve.New(reps, opt)
-		modeDesc = fmt.Sprintf("%d replicas (eager f64)", *replicas)
-		if *dtype != "" {
-			modeDesc = fmt.Sprintf("%d replicas (compiled %s)", *replicas, wdt)
-		}
+		modeDesc = fmt.Sprintf("%d replicas (%s)", *replicas, mode)
 	}
 
 	// reload builds a fresh model, fills it from the checkpoint source, and
 	// swaps it behind every replica — zero downtime: in-flight batches finish
 	// on the old weights, later batches see the new ones.
 	reload := func() error {
-		fresh := newModel()
-		if err := loadWeights(fresh); err != nil {
+		fresh, err := loadModel()
+		if err != nil {
 			return err
 		}
 		return srv.SwapModel(fresh)
@@ -309,29 +262,6 @@ func main() {
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
-}
-
-func pickBackend(name string) (fw.Backend, error) {
-	switch name {
-	case "PyG":
-		return pygeo.New(), nil
-	case "DGL":
-		return dglb.New(), nil
-	}
-	return nil, fmt.Errorf("unknown framework %q (want PyG or DGL)", name)
-}
-
-func pickDataset(name string, scale float64) (*datasets.Dataset, error) {
-	opt := datasets.Options{Seed: 1, Scale: scale}
-	switch name {
-	case "ENZYMES":
-		return datasets.Enzymes(opt), nil
-	case "DD":
-		return datasets.DD(opt), nil
-	case "MNIST":
-		return datasets.MNISTSuperpixels(opt), nil
-	}
-	return nil, fmt.Errorf("unknown dataset %q (want ENZYMES, DD or MNIST)", name)
 }
 
 // runCollateBench measures the framework's batch-collation path in

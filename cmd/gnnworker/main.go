@@ -25,18 +25,10 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/ckpt"
-	"repro/internal/datasets"
-	"repro/internal/device"
+	"repro/cmd/internal/boot"
 	"repro/internal/fleet"
-	"repro/internal/fw"
-	"repro/internal/fw/dglb"
-	"repro/internal/fw/pygeo"
-	"repro/internal/models"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -58,40 +50,21 @@ func main() {
 		fatal(errors.New("-checkpoint and -checkpoint-dir are mutually exclusive"))
 	}
 
-	be, err := pickBackend(*framework)
+	be, err := boot.Backend(*framework)
 	if err != nil {
 		fatal(err)
 	}
-	d, err := pickDataset(*dataset, *scale)
+	d, err := boot.Dataset(*dataset, *scale)
 	if err != nil {
 		fatal(err)
 	}
-
-	m := models.New(*modelName, be, models.Config{
-		Task: models.GraphClassification, In: d.NumFeatures, Hidden: 64, Out: 64,
-		Classes: d.NumClasses, Layers: 4, Heads: 8, Kernels: 2, LearnEps: true, Seed: 1,
-	})
-	switch {
-	case *checkpointDir != "":
-		dir, err := ckpt.Open(*checkpointDir, 0)
-		if err != nil {
-			fatal(err)
-		}
-		path, err := dir.Load(&ckpt.State{Params: m.Params()})
-		if err != nil {
-			fatal(fmt.Errorf("load checkpoint directory %s: %w", *checkpointDir, err))
-		}
+	m := boot.NewModel(*modelName, be, d)
+	path, err := boot.LoadWeights(m, *checkpoint, *checkpointDir)
+	if err != nil {
+		fatal(err)
+	}
+	if path != "" {
 		fmt.Printf("gnnworker: loaded weights from %s\n", path)
-	case *checkpoint != "":
-		f, err := os.Open(*checkpoint)
-		if err != nil {
-			fatal(err)
-		}
-		err = nn.Load(f, m.Params())
-		f.Close()
-		if err != nil {
-			fatal(fmt.Errorf("load checkpoint %s: %w", *checkpoint, err))
-		}
 	}
 
 	// The fleet identity is the f64 checkpoint: hash before any dtype
@@ -104,22 +77,9 @@ func main() {
 	reg := obs.Default()
 	obs.RegisterRuntimeMetrics(reg)
 	obs.RegisterTensorPoolMetrics(reg)
-	var wdt tensor.DType
-	if *dtype != "" {
-		wdt, err = tensor.ParseDType(*dtype)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	reps := make([]serve.Replica, *replicas)
-	devs := make([]*device.Device, *replicas)
-	for i := range reps {
-		devs[i] = device.New(fmt.Sprintf("cuda:%d", i), device.RTX2080Ti())
-		if *dtype != "" {
-			reps[i] = serve.NewCompiledModelReplica(m, devs[i], wdt)
-		} else {
-			reps[i] = serve.NewModelReplica(m, devs[i])
-		}
+	reps, devs, mode, err := boot.Replicas(m, *replicas, *dtype)
+	if err != nil {
+		fatal(err)
 	}
 	obs.RegisterDeviceMetrics(reg, devs...)
 
@@ -170,38 +130,11 @@ func main() {
 		w.Close()
 	}()
 
-	mode := "eager f64"
-	if *dtype != "" {
-		mode = "compiled " + wdt.String()
-	}
 	fmt.Printf("gnnworker: %s/%s (%s widths) on %s — %d replicas (%s), pods<=%d, model hash %s\n",
 		*modelName, be.Name(), d.Name, ln.Addr(), *replicas, mode, max(*pods, *replicas), fleet.HashString(hash))
 	if err := w.Serve(ln); err != nil {
 		fatal(err)
 	}
-}
-
-func pickBackend(name string) (fw.Backend, error) {
-	switch name {
-	case "PyG":
-		return pygeo.New(), nil
-	case "DGL":
-		return dglb.New(), nil
-	}
-	return nil, fmt.Errorf("unknown framework %q (want PyG or DGL)", name)
-}
-
-func pickDataset(name string, scale float64) (*datasets.Dataset, error) {
-	opt := datasets.Options{Seed: 1, Scale: scale}
-	switch name {
-	case "ENZYMES":
-		return datasets.Enzymes(opt), nil
-	case "DD":
-		return datasets.DD(opt), nil
-	case "MNIST":
-		return datasets.MNISTSuperpixels(opt), nil
-	}
-	return nil, fmt.Errorf("unknown dataset %q (want ENZYMES, DD or MNIST)", name)
 }
 
 func fatal(err error) {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 )
@@ -279,5 +280,50 @@ func TestSummaryCache(t *testing.T) {
 	if render(t, got.Diagnostics) != render(t, want.Diagnostics) {
 		t.Errorf("cached run drifted\n--- cold ---\n%s--- warm ---\n%s",
 			render(t, want.Diagnostics), render(t, got.Diagnostics))
+	}
+}
+
+// TestSummarizeTerminatesOnDecorator pins the fixpoint's convergence on a
+// type that implements a load-owned interface and calls the same method on a
+// wrapped value of it. The decorator is one of its own callees, so a lock
+// site whose via chain took one more hop per pass never settled and
+// Summarize (hence gnnvet ./...) hung; the representative is now the
+// shortest chain.
+func TestSummarizeTerminatesOnDecorator(t *testing.T) {
+	pkgs := loadFixtures(t, "./decorator")
+	prog := analysis.BuildProgram(pkgs)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		prog.Summarize("")
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("Summarize did not reach a fixpoint on the decorator fixture within 20s")
+	}
+	sites := 0
+	for fn := range prog.Funcs {
+		if fn.Name() != "RunBatch" {
+			continue
+		}
+		sites++
+		site, ok := prog.SummaryOf(fn).Acquires["decorator.locked.mu"]
+		if !ok {
+			t.Errorf("%s: summary misses the wrapped value's lock", fn.FullName())
+			continue
+		}
+		// Direct in locked.RunBatch, one hop from either decorator: the
+		// wrapped value may be the base itself.
+		if strings.Contains(fn.FullName(), "locked") {
+			if site.Via != "" {
+				t.Errorf("%s: direct acquisition reported via %q", fn.FullName(), site.Via)
+			}
+		} else if site.Via != "RunBatch" {
+			t.Errorf("%s: lock reached via %q, want the one-hop chain \"RunBatch\"", fn.FullName(), site.Via)
+		}
+	}
+	if sites != 3 {
+		t.Fatalf("fixture declares %d RunBatch methods, want 3", sites)
 	}
 }

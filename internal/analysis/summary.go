@@ -586,7 +586,13 @@ func (prog *Program) lockFacts(fi *FuncInfo) lockFactSet {
 	}
 
 	// Transitive acquisitions via callees (held or not) propagate upward so
-	// callers holding locks see them.
+	// callers holding locks see them. The representative site is the one
+	// with the shortest callee chain (first in source order among equals): a
+	// decorator calling its own interface method on a wrapped value sees
+	// itself among the callees, and taking whichever chain came first would
+	// prepend one more hop every pass and never reach a fixpoint. Hop counts
+	// only shrink from pass to pass and a chain through the function itself
+	// is never the shortest, so this one converges.
 	for _, c := range calls {
 		for _, callee := range c.callees {
 			cs := prog.summaries[callee.Fn]
@@ -594,11 +600,12 @@ func (prog *Program) lockFacts(fi *FuncInfo) lockFactSet {
 				continue
 			}
 			for _, key := range sortedKeys(cs.Acquires) {
-				if _, ok := out.acquires[key]; !ok {
-					via := callee.Fn.Name()
-					if prior := cs.Acquires[key].Via; prior != "" {
-						via += " → " + prior
-					}
+				via := callee.Fn.Name()
+				if prior := cs.Acquires[key].Via; prior != "" {
+					via += viaSep + prior
+				}
+				// A direct acquisition (Via "") always stands.
+				if have, ok := out.acquires[key]; !ok || (have.Via != "" && viaHops(via) < viaHops(have.Via)) {
 					out.acquires[key] = LockSite{Pos: c.pos, Via: via}
 				}
 			}
@@ -622,6 +629,12 @@ func (prog *Program) lockFacts(fi *FuncInfo) lockFactSet {
 	})
 	return out
 }
+
+// viaSep joins the callee names of a LockSite.Via chain.
+const viaSep = " → "
+
+// viaHops counts the calls on a non-empty Via chain.
+func viaHops(via string) int { return strings.Count(via, viaSep) + 1 }
 
 func sortedKeys(m map[string]LockSite) []string {
 	keys := make([]string, 0, len(m))

@@ -78,13 +78,6 @@ func (r *slowReplica) Forward(b *fw.Batch) *tensor.Tensor {
 // reference model, each slowed by delay.
 func startWorker(t *testing.T, addr string, nReplicas int, delay time.Duration, opt WorkerOptions) (*Worker, string) {
 	t.Helper()
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("listen %s: %v", addr, err)
-	}
 	m := testModel()
 	reps := make([]serve.Replica, nReplicas)
 	for i := range reps {
@@ -92,6 +85,20 @@ func startWorker(t *testing.T, addr string, nReplicas int, delay time.Duration, 
 		if delay > 0 {
 			reps[i] = &slowReplica{Replica: reps[i], delay: delay}
 		}
+	}
+	return serveWorker(t, addr, reps, opt)
+}
+
+// serveWorker launches a worker over reps on addr ("" for an ephemeral
+// port), closed with the test.
+func serveWorker(t *testing.T, addr string, reps []serve.Replica, opt WorkerOptions) (*Worker, string) {
+	t.Helper()
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("listen %s: %v", addr, err)
 	}
 	w := NewWorker(reps, opt)
 	go w.Serve(ln)

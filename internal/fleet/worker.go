@@ -8,10 +8,15 @@
 //
 // Topology:
 //
-//	HTTP ─▶ serve.Server (coordinator) ─▶ fleet.Manager ── TCP ──▶ fleet.Worker ─▶ replicas
+//	HTTP ─▶ serve.Server (coordinator) ─▶ fleet.Manager ── TCP ──▶ fleet.Worker ─▶ serve.Pool
 //	                                          │                        │
 //	                                          └── health / evict / ────┘
 //	                                              re-join loop
+//
+// The Manager is the coordinator's serve.Runner; the Worker runs each job
+// through the same serve.Pool a single-process server dispatches to, so the
+// batch itself (collate, forward, row copies, panic isolation) is one piece
+// of code in every deployment.
 //
 // The split preserves the serving contract end to end: predictions are
 // float64 bit patterns on the wire, so a fleet answers bit-identically to
@@ -31,12 +36,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fw"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/serve"
-	"repro/internal/tensor"
 )
 
 // WorkerOptions configures a Worker.
@@ -88,12 +90,12 @@ func (o *WorkerOptions) defaults(replicas int) {
 	}
 }
 
-// Worker hosts a replica pool behind the fleet protocol. One process runs
-// one Worker; the coordinator connects to many.
+// Worker is the fleet protocol's shell around a serve.Pool — the same pool a
+// single-process server dispatches to. One process runs one Worker; the
+// coordinator connects to many.
 type Worker struct {
 	opt  WorkerOptions
-	be   fw.Backend
-	pool chan serve.Replica
+	pool *serve.Pool
 
 	pods   atomic.Int64 // jobs currently admitted (capped at MaxPods)
 	served atomic.Int64 // jobs answered with JobDone since start
@@ -115,30 +117,12 @@ type workerMetrics struct {
 	jobsCancelled *obs.Counter
 }
 
-// NewWorker builds a worker over the given replica pool. All replicas must
-// share one collation backend (the same contract serve.New enforces);
-// panics on an empty pool, mirroring serve.New's constructor contract.
+// NewWorker builds a worker over a serve.Pool of the given replicas, under
+// serve.NewPool's contract: it panics on an empty set or on replicas whose
+// collation backends disagree.
 func NewWorker(replicas []serve.Replica, opt WorkerOptions) *Worker {
-	if len(replicas) == 0 {
-		panic("fleet: NewWorker requires at least one replica")
-	}
-	be := replicas[0].Backend()
-	for _, r := range replicas {
-		if r.Backend() != be {
-			panic("fleet: replicas disagree on collation backend")
-		}
-	}
 	opt.defaults(len(replicas))
-	w := &Worker{
-		opt:   opt,
-		be:    be,
-		pool:  make(chan serve.Replica, len(replicas)),
-		conns: map[net.Conn]struct{}{},
-	}
-	for _, r := range replicas {
-		w.pool <- r
-	}
-	return w
+	return &Worker{opt: opt, pool: serve.NewPool(replicas), conns: map[net.Conn]struct{}{}}
 }
 
 // registerMetrics runs at Serve time, once the worker ID is final.
@@ -390,10 +374,10 @@ func (wc *wconn) cancelAll() {
 	wc.jmu.Unlock()
 }
 
-// runJob executes one job end to end: decode, collate, forward, stream one
-// Row per graph, ship the job's trace spans, JobDone. Any failure — decode
-// error, replica panic, row count mismatch — becomes a JobErr instead of a
-// dead worker.
+// runJob executes one job end to end: decode, run the batch through the
+// pool, stream one Row per prediction, ship the job's trace spans, JobDone.
+// Any failure — decode error, replica panic, row count mismatch — becomes a
+// JobErr instead of a dead worker.
 func (w *Worker) runJob(ctx context.Context, wc *wconn, id uint64, payload []byte) {
 	defer w.wg.Done()
 	defer w.releasePod()
@@ -423,41 +407,32 @@ func (w *Worker) runJob(ctx context.Context, wc *wconn, id uint64, payload []byt
 	}
 	span.Annotate(obs.Int("graphs", len(graphs)))
 
-	// The pod is admitted; now claim a replica. MaxPods defaults to the
-	// replica count, making this a non-blocking take, but a larger cap
-	// oversubscribes the pool and waits here (or gives up on cancel).
-	var rep serve.Replica
-	select {
-	case rep = <-w.pool:
-	case <-ctx.Done():
-		fail(rpc.ErrCodeCancelled, "fleet: job cancelled before execution")
-		return
-	}
-	defer func() { w.pool <- rep }()
-
-	logits, ferr := w.forward(span, rep, graphs)
-	if ferr != nil {
-		fail(rpc.ErrCodeFailed, ferr.Error())
-		return
+	// The pod is admitted; the pool claims a replica. MaxPods defaults to the
+	// replica count, making that a non-blocking take, but a larger cap
+	// oversubscribes the pool and waits there (or gives up on cancel).
+	preds, err := w.pool.RunBatch(obs.ContextWithSpan(ctx, span), graphs)
+	if errors.Is(err, serve.ErrReplicaPanic) {
+		w.opt.Events.Log(slog.LevelError, span.Context().TraceID, "fleet-replica-panic",
+			obs.String("worker", w.opt.ID), obs.String("panic", err.Error()))
+		w.opt.Flight.Dump("replica-panic")
 	}
 	if ctx.Err() != nil {
 		fail(rpc.ErrCodeCancelled, "fleet: job cancelled")
 		return
 	}
+	if err != nil {
+		fail(rpc.ErrCodeFailed, err.Error())
+		return
+	}
 
 	sp := span.Child("stream")
 	defer sp.End()
-	classes := tensor.ArgMaxRows(logits)
-	for i := range graphs {
+	for i, p := range preds {
 		if ctx.Err() != nil {
 			fail(rpc.ErrCodeCancelled, "fleet: job cancelled mid-stream")
 			return
 		}
-		pl, err := rpc.AppendRow(nil, rpc.Row{
-			Index:  i,
-			Class:  classes[i],
-			Logits: logits.Row(i),
-		})
+		pl, err := rpc.AppendRow(nil, rpc.Row{Index: i, Class: p.Class, Logits: p.Logits})
 		if err != nil {
 			fail(rpc.ErrCodeFailed, err.Error())
 			return
@@ -482,42 +457,11 @@ func (w *Worker) runJob(ctx context.Context, wc *wconn, id uint64, payload []byt
 		}
 	}
 
-	if w.send(wc, rpc.Frame{Type: rpc.FrameJobDone, Job: id, Payload: rpc.AppendJobDone(nil, rpc.JobDone{Rows: len(graphs)})}) != nil {
+	if w.send(wc, rpc.Frame{Type: rpc.FrameJobDone, Job: id, Payload: rpc.AppendJobDone(nil, rpc.JobDone{Rows: len(preds)})}) != nil {
 		return
 	}
 	w.met.jobsOK.Inc()
 	w.served.Add(1)
-}
-
-// forward collates and runs one batch with panic isolation, returning the
-// logits tensor (owned by the replica until the next batch — callers must
-// copy rows out before releasing the replica).
-func (w *Worker) forward(span *obs.Span, rep serve.Replica, graphs []*graph.Graph) (logits *tensor.Tensor, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			logits, err = nil, fmt.Errorf("fleet: replica failure: %v", p)
-			w.opt.Events.Log(slog.LevelError, span.Context().TraceID, "fleet-replica-panic",
-				obs.String("worker", w.opt.ID), obs.String("panic", fmt.Sprint(p)))
-			w.opt.Flight.Dump("replica-panic")
-		}
-	}()
-	dev := rep.Device()
-	sp := span.Child("collate")
-	b := w.be.Batch(graphs, dev)
-	sp.End()
-	sp = span.Child("forward")
-	out := rep.Forward(b)
-	sp.End()
-	if out == nil || out.Rows() != b.NumGraphs {
-		rows := -1
-		if out != nil {
-			rows = out.Rows()
-		}
-		b.Release(dev)
-		return nil, fmt.Errorf("fleet: replica produced %d logit rows for %d graphs", rows, b.NumGraphs)
-	}
-	b.Release(dev)
-	return out, nil
 }
 
 func (w *Worker) releasePod() { w.pods.Add(-1) }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -204,6 +205,26 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	t.mu.Unlock()
 	return &Span{t: t, id: id, parent: s.id, name: name, lane: s.lane,
 		traceID: s.traceID, col: s.col, begin: time.Now(), attrs: attrs}
+}
+
+type spanKey struct{}
+
+// ContextWithSpan returns a context carrying s as the parent for spans opened
+// further down the call chain — how a callee behind an interface that takes
+// only a context (serve.Runner) nests its spans under the caller's. A nil
+// span returns ctx unchanged.
+func ContextWithSpan(ctx context.Context, s *Span) context.Context {
+	if s == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, s)
+}
+
+// SpanFromContext returns the span ContextWithSpan stored in ctx, or nil —
+// itself a valid no-op span — when there is none.
+func SpanFromContext(ctx context.Context) *Span {
+	s, _ := ctx.Value(spanKey{}).(*Span)
+	return s
 }
 
 // Context returns the span's place in its distributed trace — what a

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +114,30 @@ func TestNilTracer(t *testing.T) {
 	if !strings.HasPrefix(sb.String(), "[") {
 		t.Errorf("nil tracer trace not JSON array: %s", sb.String())
 	}
+}
+
+// TestSpanInContext: a span rides a context to a callee that takes nothing
+// else, children opened from it nest under it, and the untraced case (no
+// span, nil span) costs the callee nothing but a nil check it never writes.
+func TestSpanInContext(t *testing.T) {
+	tr := NewTracer(0)
+	root := tr.Start("batch")
+	ctx := ContextWithSpan(context.Background(), root)
+	SpanFromContext(ctx).Child("collate").End()
+	root.End()
+	spans := tr.Spans()
+	if len(spans) != 2 || spans[0].Name != "collate" || spans[0].ParentID != spans[1].ID {
+		t.Fatalf("child opened through the context did not nest under its carrier: %+v", spans)
+	}
+
+	bare := context.Background()
+	if SpanFromContext(bare) != nil {
+		t.Error("a context without a span yielded one")
+	}
+	if ContextWithSpan(bare, nil) != bare {
+		t.Error("storing a nil span allocated a new context")
+	}
+	SpanFromContext(bare).Child("nop").End() // must not panic
 }
 
 func TestReset(t *testing.T) {

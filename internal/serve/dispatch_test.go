@@ -263,8 +263,8 @@ func TestDispatchRunnerFailureIsolated(t *testing.T) {
 	}
 
 	run.panics.Store(true)
-	if _, err := s.Predict(context.Background(), ringGraph(4, 2)); err == nil || !strings.Contains(err.Error(), "dispatch failure") {
-		t.Fatalf("panicking runner: err %v, want dispatch failure", err)
+	if _, err := s.Predict(context.Background(), ringGraph(4, 2)); err == nil || !strings.Contains(err.Error(), "runner failure") {
+		t.Fatalf("panicking runner: err %v, want runner failure", err)
 	}
 	run.panics.Store(false)
 	if _, err := s.Predict(context.Background(), ringGraph(4, 2)); err != nil {

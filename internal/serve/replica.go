@@ -9,9 +9,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Replica is one forward-only model instance the server dispatches batches
-// to. Implementations must be safe for the single worker goroutine the
-// server binds each replica to; the production implementation wraps a
+// Replica is one forward-only model instance a Pool runs batches on. The
+// pool hands a replica to one RunBatch call at a time, so implementations
+// need no locking of their own; the production implementation wraps a
 // models.Model, and tests substitute instrumented fakes.
 type Replica interface {
 	// Backend returns the framework whose collation path feeds this replica.
@@ -37,7 +37,7 @@ type Swappable interface {
 }
 
 // modelReplica adapts a models.Model to the Replica interface. The model is
-// held behind an atomic pointer so Swap never blocks the worker: Forward
+// held behind an atomic pointer so Swap never blocks a batch: Forward
 // loads the pointer once per batch, which pins that batch to one model from
 // collation through response.
 type modelReplica struct {
@@ -75,10 +75,10 @@ func (r *modelReplica) Swap(m models.Model) { r.m.Store(&modelBox{m: m}) }
 // forward pass allocates nothing, and weights may be held at reduced
 // precision (float32 or int8) to shrink the replica's memory footprint.
 //
-// The CompiledInfer is not thread-safe; the server's one-worker-per-replica
+// The CompiledInfer is not thread-safe; the pool's one-batch-per-replica
 // contract provides the required serialization. The output tensor a replay
 // returns is owned by the tape and consumed (argmax + row copies) before the
-// worker takes its next batch.
+// replica goes back to the pool.
 type compiledReplica struct {
 	m   atomic.Pointer[compiledBox]
 	dev *device.Device

@@ -4,21 +4,24 @@
 // concatenation vs DGL's heterograph bookkeeping, Figs 1-2) — applies on the
 // request path of an online prediction service just as it does in training.
 //
-// The server is a request coalescer in front of a replica pool:
+// The server is a request coalescer in front of a Runner:
 //
-//	Predict ──▶ bounded queue ──▶ coalescer ──▶ jobs ──▶ replica workers
-//	  ▲                                                        │
-//	  └────────────────── per-request response ◀───────────────┘
+//	Predict ──▶ bounded queue ──▶ coalescer ──▶ jobs ──▶ workers ──▶ Runner.RunBatch
+//	  ▲                                                                   │
+//	  └────────────────────── per-request response ◀──────────────────────┘
 //
 // Single-graph prediction requests enter a bounded queue (overflow is
 // rejected immediately — the caller's backpressure signal, HTTP 429 through
 // the handler). The coalescer gathers up to MaxBatch requests, lingering at
 // most BatchWindow after the first, and hands the group to one of the
-// replica workers. The worker collates the group's graphs into one batch
-// through the framework backend's real batching path (so both frameworks'
-// batching costs are measurable end to end), runs one forward-only pass, and
-// answers every request in the group. Per-request deadlines are honored via
-// context; shutdown stops intake and drains every accepted request.
+// workers, which runs it through the Runner and answers every request in the
+// group. The Runner is either the local replica Pool — which collates the
+// group's graphs into one batch through the framework backend's real
+// batching path (so both frameworks' batching costs are measurable end to
+// end) and runs one forward-only pass — or a fleet manager shipping the
+// group to a worker process that runs the same Pool. Per-request deadlines
+// are honored via context; shutdown stops intake and drains every accepted
+// request.
 package serve
 
 import (
@@ -33,7 +36,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/profile"
-	"repro/internal/tensor"
 )
 
 // Sentinel errors the server reports; the HTTP handler maps them to status
@@ -201,30 +203,30 @@ type serveMetrics struct {
 	cm admissionMetrics
 }
 
-// Runner executes one coalesced dispatch group somewhere other than a local
-// replica — the extension point behind coordinator mode, where groups travel
-// to worker processes over RPC. RunBatch must return exactly one Prediction
-// per graph, in order; ctx carries the group's latest request deadline and is
+// Runner executes one coalesced dispatch group: the local replica Pool in a
+// single-process server, a fleet manager shipping groups to worker processes
+// over RPC in coordinator mode. RunBatch must return exactly one Prediction
+// per graph, in order; ctx carries the group's latest request deadline, is
 // cancelled when the server no longer wants the answer (per-job cancellation
-// propagates to the wire). Implementations are called from up to the
+// propagates to the wire), and holds the batch span to nest under
+// (obs.SpanFromContext). Implementations are called from up to the
 // configured number of concurrent dispatch goroutines and must be safe for
 // that.
 type Runner interface {
 	RunBatch(ctx context.Context, graphs []*graph.Graph) ([]Prediction, error)
 }
 
-// Server coalesces single-graph prediction requests into batched
-// forward-only passes over a replica pool (New) or into dispatch groups for
-// a remote Runner (NewDispatch, the coordinator mode). Create one with New
-// or NewDispatch; it is safe for concurrent use.
+// Server coalesces single-graph prediction requests into dispatch groups and
+// runs each through a Runner: a local replica Pool (New) or a remote fleet
+// (NewDispatch, the coordinator mode). Create one with New or NewDispatch; it
+// is safe for concurrent use.
 type Server struct {
-	replicas []Replica
-	be       fw.Backend
-	runner   Runner
-	opt      Options
-	reg      *obs.Registry
-	met      serveMetrics
-	slo      *obs.SLOTracker
+	runner Runner
+	pool   *Pool // the runner when it is the local pool, else nil
+	opt    Options
+	reg    *obs.Registry
+	met    serveMetrics
+	slo    *obs.SLOTracker
 
 	queue chan *request
 	jobs  chan []*request
@@ -235,38 +237,25 @@ type Server struct {
 	workers sync.WaitGroup
 }
 
-// New starts a server dispatching to the given replicas, whose backends must
-// agree (the coalescer collates through that shared backend). It panics on an
-// empty replica set, mirroring the constructor conventions of this codebase.
+// New starts a single-process server: NewDispatch over a Pool of the given
+// replicas, one dispatch goroutine per replica. It panics on an empty or
+// backend-disagreeing replica set (see NewPool).
 func New(replicas []Replica, opt Options) *Server {
-	if len(replicas) == 0 {
-		panic("serve: need at least one replica")
-	}
-	be := replicas[0].Backend()
-	for _, r := range replicas[1:] {
-		if r.Backend().Name() != be.Name() {
-			panic(fmt.Sprintf("serve: replica backends disagree: %s vs %s", be.Name(), r.Backend().Name()))
-		}
-	}
+	p := NewPool(replicas)
 	s := newServer(opt)
-	s.replicas = replicas
-	s.be = be
-	// The coalescer's unguarded send is the backpressure: it must block while
-	// every worker is busy. It can only block *forever* if all workers die,
-	// which serveGroup's loop-level recover rules out.
-	//gnnvet:allow goroutine-leak -- jobs send is bounded by worker liveness; workers recover all panics
-	go s.coalesce()
-	s.workers.Add(len(replicas))
-	for _, r := range replicas {
-		go s.worker(r)
-	}
+	// The local pool times collation and forward around the backend and
+	// replica calls themselves; a remote runner's whole round trip is
+	// accounted under forward by serveGroup.
+	s.pool = p
+	p.collate, p.forward = s.met.phaseCollate, s.met.phaseForward
+	s.start(p, len(replicas))
 	return s
 }
 
 // NewDispatch starts a server in coordinator mode: the same admission
 // control, bounded queue and coalescer as New, but dispatch groups are handed
 // to run (typically a fleet manager shipping them to worker processes) from
-// concurrency parallel dispatch goroutines instead of local replicas.
+// concurrency parallel dispatch goroutines instead of a local pool.
 // Collation happens wherever the Runner executes, so the coordinator never
 // touches a framework backend; Backend() reports nil and SwapModel fails
 // (reload the workers, not the coordinator). Set Options.NumFeatures so
@@ -279,16 +268,22 @@ func NewDispatch(run Runner, concurrency int, opt Options) *Server {
 		panic(fmt.Sprintf("serve: dispatch needs positive concurrency, got %d", concurrency))
 	}
 	s := newServer(opt)
+	s.start(run, concurrency)
+	return s
+}
+
+// start launches the coalescer and concurrency workers dispatching to run.
+func (s *Server) start(run Runner, concurrency int) {
 	s.runner = run
-	// Same waiver as New: the blocking send is load shedding, not a leak,
-	// as long as dispatch workers cannot die — serveGroup guarantees that.
+	// The coalescer's unguarded send is the backpressure: it must block while
+	// every worker is busy. It can only block *forever* if all workers die,
+	// which serveGroup's recover rules out.
 	//gnnvet:allow goroutine-leak -- jobs send is bounded by worker liveness; workers recover all panics
 	go s.coalesce()
 	s.workers.Add(concurrency)
 	for i := 0; i < concurrency; i++ {
-		go s.dispatchWorker(run)
+		go s.worker()
 	}
-	return s
 }
 
 // newServer builds the shared core: defaulted options, registry-backed
@@ -362,7 +357,12 @@ func (s *Server) Options() Options { return s.opt }
 
 // Backend returns the framework backend requests are collated through, or
 // nil for a dispatch-mode server (collation happens in the workers).
-func (s *Server) Backend() fw.Backend { return s.be }
+func (s *Server) Backend() fw.Backend {
+	if s.pool == nil {
+		return nil
+	}
+	return s.pool.Backend()
+}
 
 // Predict submits one graph for classification and blocks until its batch
 // has been served or ctx expires. The error is ErrQueueFull when the bounded
@@ -463,40 +463,68 @@ func (s *Server) coalesce() {
 	}
 }
 
-// worker serves dispatch groups on one replica until the job stream closes.
-func (s *Server) worker(rep Replica) {
+// worker serves dispatch groups until the job stream closes.
+func (s *Server) worker() {
 	defer s.workers.Done()
 	for group := range s.jobs {
-		s.serveGroup(group, func() { s.runBatch(rep, group) })
+		s.serveGroup(group)
 	}
 }
 
-// dispatchWorker serves dispatch groups through the remote runner until the
-// job stream closes.
-func (s *Server) dispatchWorker(run Runner) {
-	defer s.workers.Done()
-	for group := range s.jobs {
-		s.serveGroup(group, func() { s.runRemote(run, group) })
-	}
-}
-
-// serveGroup runs one dispatch group under a loop-level recover. The batch
-// paths already recover around the replica/runner call, but a panic outside
-// that window (expiry handling, metrics, tracing) would kill the worker —
-// and once every worker is dead the coalescer wedges forever on the
+// serveGroup answers one dispatch group exactly once: expired requests get
+// their context error, the rest travel through the runner under the group's
+// context and batch span and are answered row by row, or all with the
+// runner's error. The runner reports its own failures as errors, but a panic
+// anywhere in here (a custom Runner, expiry handling, tracing) would kill the
+// worker — and once every worker is dead the coalescer wedges forever on the
 // unbuffered jobs channel, hanging all callers and Shutdown with it. Any
-// escaped panic answers the whole group instead (respond is idempotent, so
-// requests the run already answered are untouched) and the worker lives on.
-func (s *Server) serveGroup(group []*request, run func()) {
+// panic answers the whole group instead (respond is idempotent, so requests
+// already answered are untouched) and the worker lives on.
+func (s *Server) serveGroup(group []*request) {
 	defer func() {
 		if p := recover(); p != nil {
-			err := fmt.Errorf("serve: worker failure: %v", p)
+			err := fmt.Errorf("serve: runner failure: %v", p)
 			for _, r := range group {
 				r.respond(result{err: err})
 			}
 		}
 	}()
-	run()
+	// Counted before anything is delivered, so a caller holding its answer
+	// also finds it in Stats; the recover above keeps the count true.
+	s.met.responded.Add(float64(len(group)))
+	live, expired := splitExpired(group)
+	s.met.expired.Add(float64(expired))
+	if len(live) == 0 {
+		return
+	}
+	s.met.batches.Inc()
+	s.met.batchSize.Observe(float64(len(live)))
+	graphs := make([]*graph.Graph, len(live))
+	for i, r := range live {
+		graphs[i] = r.g
+	}
+	span := s.opt.Tracer.Start("serve-batch", obs.Int("graphs", len(live)))
+	defer span.End()
+	ctx, cancel := groupContext(live)
+	defer cancel()
+
+	start := time.Now()
+	preds, err := s.runner.RunBatch(obs.ContextWithSpan(ctx, span), graphs)
+	ran := time.Now()
+	if s.pool == nil {
+		s.met.phaseForward.Add(ran.Sub(start).Seconds())
+	}
+	if err == nil && len(preds) != len(live) {
+		err = fmt.Errorf("serve: runner answered %d of %d graphs", len(preds), len(live))
+	}
+	for i, r := range live {
+		if err != nil {
+			r.respond(result{err: err})
+		} else {
+			r.respond(result{pred: preds[i]})
+		}
+	}
+	s.met.phaseOther.Add(time.Since(ran).Seconds())
 }
 
 // splitExpired answers already-expired requests with their context error and
@@ -532,168 +560,26 @@ func groupContext(live []*request) (context.Context, context.CancelFunc) {
 	return context.WithDeadline(context.Background(), latest)
 }
 
-// runRemote answers one dispatch group through the runner. The runner's
-// round-trip (remote collation + forward + response streaming) is accounted
-// under the forward phase; a panicking or failing runner answers the whole
-// group with an error — the coordinator must survive any fleet failure.
-func (s *Server) runRemote(run Runner, group []*request) {
-	live, expired := splitExpired(group)
-	var bd profile.Breakdown
-	if len(live) > 0 {
-		span := s.opt.Tracer.Start("serve-dispatch", obs.Int("graphs", len(live)))
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					err := fmt.Errorf("serve: dispatch failure: %v", p)
-					for _, r := range live {
-						r.respond(result{err: err})
-					}
-				}
-			}()
-			graphs := make([]*graph.Graph, len(live))
-			for i, r := range live {
-				graphs[i] = r.g
-			}
-			ctx, cancel := groupContext(live)
-			defer cancel()
-			var preds []Prediction
-			var err error
-			bd.Time(profile.PhaseForward, func() { preds, err = run.RunBatch(ctx, graphs) })
-			bd.Time(profile.PhaseOther, func() {
-				if err == nil && len(preds) != len(live) {
-					err = fmt.Errorf("serve: runner answered %d of %d graphs", len(preds), len(live))
-				}
-				if err != nil {
-					for _, r := range live {
-						r.respond(result{err: err})
-					}
-					return
-				}
-				for i, r := range live {
-					r.respond(result{pred: preds[i]})
-				}
-			})
-		}()
-		span.End()
-	}
-	s.met.expired.Add(float64(expired))
-	s.met.responded.Add(float64(len(group)))
-	if len(live) > 0 {
-		s.met.batches.Inc()
-		s.met.batchSize.Observe(float64(len(live)))
-		s.met.phaseForward.Add(bd.Get(profile.PhaseForward).Seconds())
-		s.met.phaseOther.Add(bd.Get(profile.PhaseOther).Seconds())
-	}
-}
-
-// runBatch answers one dispatch group: expired requests get their context
-// error, the rest are collated through the backend, run through the replica,
-// and answered row by row. A panicking replica answers its whole group with
-// an error instead of killing the worker — one poisonous batch must not take
-// the server down.
-func (s *Server) runBatch(rep Replica, group []*request) {
-	live, expired := splitExpired(group)
-	var bd profile.Breakdown
-	if len(live) > 0 {
-		span := s.opt.Tracer.Start("serve-batch", obs.Int("graphs", len(live)))
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					err := fmt.Errorf("serve: replica failure: %v", p)
-					for _, r := range live {
-						r.respond(result{err: err})
-					}
-				}
-			}()
-			dev := rep.Device()
-			graphs := make([]*graph.Graph, len(live))
-			for i, r := range live {
-				graphs[i] = r.g
-			}
-			var b *fw.Batch
-			sp := span.Child("collate")
-			bd.Time(profile.PhaseDataLoad, func() { b = s.be.Batch(graphs, dev) })
-			sp.End()
-			var logits *tensor.Tensor
-			sp = span.Child("forward")
-			bd.Time(profile.PhaseForward, func() { logits = rep.Forward(b) })
-			sp.End()
-			bd.Time(profile.PhaseOther, func() {
-				if logits == nil || logits.Rows() != b.NumGraphs {
-					rows := -1
-					if logits != nil {
-						rows = logits.Rows()
-					}
-					err := fmt.Errorf("serve: replica produced %d logit rows for %d graphs (server requires a graph-classification model)", rows, b.NumGraphs)
-					for _, r := range live {
-						r.respond(result{err: err})
-					}
-				} else {
-					classes := tensor.ArgMaxRows(logits)
-					for i, r := range live {
-						r.respond(result{pred: Prediction{
-							Class:  classes[i],
-							Logits: append([]float64(nil), logits.Row(i)...),
-						}})
-					}
-				}
-				b.Release(dev)
-			})
-		}()
-		span.End()
-	}
-	s.met.expired.Add(float64(expired))
-	s.met.responded.Add(float64(len(group)))
-	if len(live) > 0 {
-		s.met.batches.Inc()
-		s.met.batchSize.Observe(float64(len(live)))
-		s.met.phaseCollate.Add(bd.Get(profile.PhaseDataLoad).Seconds())
-		s.met.phaseForward.Add(bd.Get(profile.PhaseForward).Seconds())
-		s.met.phaseOther.Add(bd.Get(profile.PhaseOther).Seconds())
-	}
-}
-
 // SwapModel atomically replaces the model behind every swappable replica
 // with m — a zero-downtime reload. In-flight batches finish on the weights
 // they started with (each replica loads its model pointer once per batch),
 // queued and future requests see the new model, and no request is dropped.
-// The swap is all-or-nothing: it fails without touching any replica when
-// m's backend disagrees with the server's collation backend or when any
-// replica cannot be swapped (a custom Replica not implementing Swappable).
+// The swap is all-or-nothing (see Pool.Swap), and fails on a dispatch-mode
+// server, which holds no replicas.
 func (s *Server) SwapModel(m models.Model) error {
-	err := s.swapModel(m)
+	var err error
+	if s.pool == nil {
+		err = errors.New("serve: dispatch-mode server holds no local replicas; reload the workers instead")
+	} else {
+		err = s.pool.Swap(m)
+	}
 	if err != nil {
 		s.met.reloadErr.Inc()
 		s.opt.Events.Warn("model-reload-failed", obs.String("error", err.Error()))
 		return err
 	}
 	s.met.reloadOK.Inc()
-	s.opt.Events.Info("model-reload", obs.Int("replicas", len(s.replicas)))
-	return nil
-}
-
-func (s *Server) swapModel(m models.Model) error {
-	if len(s.replicas) == 0 {
-		return errors.New("serve: dispatch-mode server holds no local replicas; reload the workers instead")
-	}
-	if m == nil {
-		return errors.New("serve: reload with nil model")
-	}
-	if m.Backend().Name() != s.be.Name() {
-		return fmt.Errorf("serve: reload model uses backend %s, server collates for %s",
-			m.Backend().Name(), s.be.Name())
-	}
-	swappable := make([]Swappable, len(s.replicas))
-	for i, r := range s.replicas {
-		sw, ok := r.(Swappable)
-		if !ok {
-			return fmt.Errorf("serve: replica %d (%T) does not support model swapping", i, r)
-		}
-		swappable[i] = sw
-	}
-	for _, sw := range swappable {
-		sw.Swap(m)
-	}
+	s.opt.Events.Info("model-reload", obs.Int("replicas", len(s.pool.replicas)))
 	return nil
 }
 

@@ -22,6 +22,7 @@ import (
 // own graph, not a neighbor's row.
 type fakeReplica struct {
 	be      fw.Backend
+	dev     *device.Device // nil = unaccounted
 	classes int
 	delay   time.Duration
 
@@ -30,7 +31,7 @@ type fakeReplica struct {
 }
 
 func (f *fakeReplica) Backend() fw.Backend    { return f.be }
-func (f *fakeReplica) Device() *device.Device { return nil }
+func (f *fakeReplica) Device() *device.Device { return f.dev }
 
 func (f *fakeReplica) Forward(b *fw.Batch) *tensor.Tensor {
 	if f.delay > 0 {
@@ -286,6 +287,32 @@ func TestReplicaRealPanicRecovered(t *testing.T) {
 	}
 }
 
+// TestReplicaPanicReleasesBatch pins the device-accounting fix: collation
+// charges the batch to the replica's device, and a panic inside Forward used
+// to skip the release, so every poisoned request leaked one batch of
+// gnnlab_device_alloc_bytes forever.
+func TestReplicaPanicReleasesBatch(t *testing.T) {
+	dev := device.New("cuda:0", device.RTX2080Ti())
+	rep := &fakeReplica{be: pygeo.New(), dev: dev, classes: 0} // classes 0: Forward divides by zero
+	s := New([]Replica{rep}, Options{})
+	defer s.Shutdown(context.Background())
+	for i := 0; i < 3; i++ {
+		if _, err := s.Predict(context.Background(), ringGraph(4+i, 2)); err == nil || !strings.Contains(err.Error(), "replica failure") {
+			t.Fatalf("poisoned batch %d: got %v, want replica failure", i, err)
+		}
+		if got := dev.Stats().AllocBytes; got != 0 {
+			t.Fatalf("after %d panicking batches the device still accounts %d bytes", i+1, got)
+		}
+	}
+	rep.classes = 3
+	if _, err := s.Predict(context.Background(), ringGraph(4, 2)); err != nil {
+		t.Fatalf("healthy batch after the panics: %v", err)
+	}
+	if got := dev.Stats().AllocBytes; got != 0 {
+		t.Fatalf("healthy batch left %d bytes accounted", got)
+	}
+}
+
 func TestMetricsExposition(t *testing.T) {
 	s, _ := newFakeServer(t, 3, 0, Options{MaxBatch: 4})
 	if _, err := s.Predict(context.Background(), ringGraph(4, 2)); err != nil {
@@ -316,22 +343,22 @@ func TestMetricsExposition(t *testing.T) {
 // error (so callers unblock) without disturbing requests the run already
 // answered, and without killing the calling goroutine.
 func TestServeGroupRecoversPanic(t *testing.T) {
-	var s Server
 	group := []*request{
 		{ctx: context.Background(), done: make(chan result, 1)},
 		{ctx: context.Background(), done: make(chan result, 1)},
 		{ctx: context.Background(), done: make(chan result, 1)},
 	}
 	preAnswered := errors.New("answered before the panic")
-	s.serveGroup(group, func() {
+	s := Server{runner: runnerFunc(func(context.Context, []*graph.Graph) ([]Prediction, error) {
 		group[2].respond(result{err: preAnswered})
 		panic("boom")
-	})
+	})}
+	s.serveGroup(group)
 	for i, r := range group[:2] {
 		select {
 		case res := <-r.done:
-			if res.err == nil || !strings.Contains(res.err.Error(), "worker failure: boom") {
-				t.Errorf("request %d: err = %v, want worker failure", i, res.err)
+			if res.err == nil || !strings.Contains(res.err.Error(), "runner failure: boom") {
+				t.Errorf("request %d: err = %v, want runner failure", i, res.err)
 			}
 		default:
 			t.Errorf("request %d never answered after panic", i)
@@ -343,4 +370,11 @@ func TestServeGroupRecoversPanic(t *testing.T) {
 	if len(group[2].done) != 0 {
 		t.Error("recovery double-sent to an already-answered request")
 	}
+}
+
+// runnerFunc adapts a function to the Runner interface.
+type runnerFunc func(context.Context, []*graph.Graph) ([]Prediction, error)
+
+func (f runnerFunc) RunBatch(ctx context.Context, graphs []*graph.Graph) ([]Prediction, error) {
+	return f(ctx, graphs)
 }
