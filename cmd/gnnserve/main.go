@@ -48,7 +48,7 @@ func main() {
 	replicas := flag.Int("replicas", 2, "forward-only model replicas")
 	batch := flag.Int("batch", 32, "max graphs per forward batch")
 	queueDepth := flag.Int("queue", 256, "bounded request-queue depth")
-	window := flag.Duration("window", 2*time.Millisecond, "coalescing window after a batch's first request")
+	window := flag.Duration("window", 2*time.Millisecond, "longest a request waits in the coalescer for company; spent in full only while the server is saturated, else a 250µs quiet gap (negative: never linger)")
 	timeout := flag.Duration("timeout", time.Second, "default per-request deadline")
 	dtype := flag.String("dtype", "", "compiled serving at this weight precision: f64|f32|q8 (empty = eager reference path)")
 	checkpoint := flag.String("checkpoint", "", "optional parameter checkpoint to load (nn.Save format)")

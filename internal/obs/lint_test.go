@@ -69,6 +69,9 @@ func TestProjectMetricsLint(t *testing.T) {
 	requireFamilies(t, "process", reg,
 		"ckpt_saves_total", "ckpt_saved_bytes_total", "ckpt_save_seconds_total", "ckpt_last_save_age_seconds")
 	requireFamilies(t, "serve", sreg, "gnnserve_reloads_total")
+	// The coalescer's queue-wait, close-reason and utilisation families.
+	requireFamilies(t, "serve", sreg,
+		"gnnserve_queue_wait_seconds", "gnnserve_batch_close_total", "gnnserve_pool_utilization")
 
 	// The PR 8 observability families: flight-recorder dump accounting on
 	// the process registry, SLO burn series on the serving registry.

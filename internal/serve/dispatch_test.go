@@ -184,6 +184,10 @@ func TestWriteMetricsCompatDispatch(t *testing.T) {
 		"gnnserve_batches_total":   "counter",
 		"gnnserve_batch_size":      "histogram",
 		"gnnserve_phase_seconds":   "counter",
+		// The coalescer's own account of itself.
+		"gnnserve_queue_wait_seconds": "histogram",
+		"gnnserve_batch_close_total":  "counter",
+		"gnnserve_pool_utilization":   "gauge",
 	}
 	for name, want := range wantTypes {
 		if got := types[name]; got != want {

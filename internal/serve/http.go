@@ -44,7 +44,7 @@ type PredictResponse struct {
 //	GET  /debug/flightrecorder  live flight-recorder snapshot as JSON
 //
 // Backpressure surfaces as 429, a passed deadline as 504, shutdown as 503,
-// malformed input as 400.
+// malformed input as 400, a body over maxRequestBytes as 413.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /predict", s.handlePredict)
@@ -98,7 +98,12 @@ func MountDebug(mux *http.ServeMux, reg *obs.Registry, tr *obs.Tracer, fr *obs.F
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		http.Error(w, "serve: oversized or unreadable body", http.StatusBadRequest)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("serve: body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
+		http.Error(w, "serve: unreadable body", http.StatusBadRequest)
 		return
 	}
 	var req PredictRequest

@@ -230,21 +230,26 @@ func TestHTTPBadRequests(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	cases := map[string]string{
-		"not json":       "{",
-		"negative nodes": `{"num_nodes":-3,"src":[],"dst":[],"x":[]}`,
-		"edge range":     `{"num_nodes":2,"src":[9],"dst":[0],"x":[[1,2],[3,4]]}`,
-		"ragged x":       `{"num_nodes":2,"src":[0],"dst":[1],"x":[[1,2],[3]]}`,
-		"width mismatch": `{"num_nodes":1,"src":[],"dst":[],"x":[[1,2,3]]}`,
-		"empty graph":    `{"num_nodes":0,"src":[],"dst":[],"x":[]}`,
+	cases := map[string]struct {
+		body string
+		want int
+	}{
+		"not json":       {"{", http.StatusBadRequest},
+		"negative nodes": {`{"num_nodes":-3,"src":[],"dst":[],"x":[]}`, http.StatusBadRequest},
+		"edge range":     {`{"num_nodes":2,"src":[9],"dst":[0],"x":[[1,2],[3,4]]}`, http.StatusBadRequest},
+		"ragged x":       {`{"num_nodes":2,"src":[0],"dst":[1],"x":[[1,2],[3]]}`, http.StatusBadRequest},
+		"width mismatch": {`{"num_nodes":1,"src":[],"dst":[],"x":[[1,2,3]]}`, http.StatusBadRequest},
+		"empty graph":    {`{"num_nodes":0,"src":[],"dst":[],"x":[]}`, http.StatusBadRequest},
+		// One byte over the limit: too large is its own status, not "malformed".
+		"oversized body": {strings.Repeat(" ", maxRequestBytes+1), http.StatusRequestEntityTooLarge},
 	}
-	for name, body := range cases {
-		code, _, err := postPredict(ts, []byte(body))
+	for name, c := range cases {
+		code, _, err := postPredict(ts, []byte(c.body))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, code)
+		if code != c.want {
+			t.Errorf("%s: status %d, want %d", name, code, c.want)
 		}
 	}
 

@@ -64,6 +64,10 @@ func TestWriteMetricsCompat(t *testing.T) {
 		"gnnserve_batches_total":   "counter",
 		"gnnserve_batch_size":      "histogram",
 		"gnnserve_phase_seconds":   "counter",
+		// The coalescer's own account of itself.
+		"gnnserve_queue_wait_seconds": "histogram",
+		"gnnserve_batch_close_total":  "counter",
+		"gnnserve_pool_utilization":   "gauge",
 	}
 	for name, want := range wantTypes {
 		if got := types[name]; got != want {
@@ -105,6 +109,22 @@ func TestWriteMetricsCompat(t *testing.T) {
 	}
 	if samples["gnnserve_responses_total"] != 3 {
 		t.Errorf("responses_total = %g, want 3", samples["gnnserve_responses_total"])
+	}
+	// Every request handed to a worker has a queue wait on record, and every
+	// group has exactly one close reason.
+	if got := samples["gnnserve_queue_wait_seconds_count"]; got != 3 {
+		t.Errorf("queue_wait_seconds_count = %g, want 3", got)
+	}
+	var closed float64
+	for _, reason := range []string{"full", "idle", "window", "drain"} {
+		v, ok := samples[`gnnserve_batch_close_total{reason="`+reason+`"}`]
+		if !ok {
+			t.Errorf("batch_close_total has no %q series", reason)
+		}
+		closed += v
+	}
+	if closed != samples["gnnserve_batches_total"] {
+		t.Errorf("batch_close_total sums to %g over %g batches", closed, samples["gnnserve_batches_total"])
 	}
 }
 

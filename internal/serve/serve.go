@@ -13,12 +13,13 @@
 // Single-graph prediction requests enter a bounded queue (overflow is
 // rejected immediately — the caller's backpressure signal, HTTP 429 through
 // the handler). The coalescer gathers up to MaxBatch requests, lingering at
-// most BatchWindow after the first, and hands the group to one of the
-// workers, which runs it through the Runner and answers every request in the
-// group. The Runner is either the local replica Pool — which collates the
-// group's graphs into one batch through the framework backend's real
-// batching path (so both frameworks' batching costs are measurable end to
-// end) and runs one forward-only pass — or a fleet manager shipping the
+// most BatchWindow; only for a short quiet gap while the pool has spare
+// capacity (see coalesce for the utilisation gate), and hands the group to
+// one of the workers, which runs it through the Runner and answers every
+// request in the group. The Runner is either the local replica Pool — which
+// collates the group's graphs into one batch through the framework backend's
+// real batching path (so both frameworks' batching costs are measurable end
+// to end) and runs one forward-only pass — or a fleet manager shipping the
 // group to a worker process that runs the same Pool. Per-request deadlines
 // are honored via context; shutdown stops intake and drains every accepted
 // request.
@@ -61,9 +62,14 @@ type Options struct {
 	// QueueDepth bounds the number of queued-but-undispatched requests;
 	// arrivals beyond it fail with ErrQueueFull (default 256).
 	QueueDepth int
-	// BatchWindow is how long the coalescer lingers after a batch's first
-	// request waiting for more (default 2ms). Zero or negative means no
-	// lingering: a batch is whatever is already queued, capped at MaxBatch.
+	// BatchWindow is the most a request waits in the coalescer for company
+	// (default 2ms). The whole window is spent only while the dispatch
+	// workers are saturated, where a fuller batch is the one thing that raises
+	// throughput; while they have spare capacity a batch closes once a worker
+	// is idle and the queue has stayed drained for a short quiet gap (a
+	// quarter of a millisecond, never more than the window). Negative means
+	// no lingering under any load: a batch is whatever is already queued,
+	// capped at MaxBatch.
 	BatchWindow time.Duration
 	// Timeout is the per-request deadline applied when the caller's context
 	// carries none (default 1s).
@@ -137,9 +143,10 @@ type result struct {
 }
 
 type request struct {
-	ctx  context.Context
-	g    *graph.Graph
-	done chan result // buffered(1); written exactly once via respond
+	ctx      context.Context
+	g        *graph.Graph
+	enqueued time.Time   // when Predict offered it to the queue
+	done     chan result // buffered(1); written exactly once via respond
 	// answered is touched only by the single goroutine that owns the request
 	// at the time — the worker serving its dispatch group, or the coalescer
 	// for admission rejections (a rejected request never reaches a worker).
@@ -189,6 +196,14 @@ type serveMetrics struct {
 	responded *obs.Counter
 	batches   *obs.Counter
 	batchSize *obs.Histogram
+	// queueWait is the time from Predict offering a request to the queue to
+	// a dispatch worker holding its group: linger, admission and hand-off.
+	queueWait *obs.Histogram
+	// closed counts coalesced groups by why they stopped growing.
+	closed [numCloseReasons]*obs.Counter
+	// utilization is the coalescer's smoothed estimate of how busy the
+	// dispatch workers are (see coalesce).
+	utilization *obs.Gauge
 	// phaseSeconds accumulates serving time by phase: collate (collation
 	// through the backend), forward (replica forward pass), other (response
 	// delivery and bookkeeping).
@@ -234,7 +249,24 @@ type Server struct {
 	mu     sync.RWMutex // guards closed against queue sends
 	closed bool
 
-	workers sync.WaitGroup
+	workers     sync.WaitGroup
+	concurrency int // dispatch workers started
+	// load is the busy-worker accounting behind the coalescer's utilisation
+	// gate: the coalescer counts a worker busy when it hands a group over,
+	// the worker counts itself idle once the group is answered.
+	load struct {
+		mu       sync.Mutex
+		busy     int           // groups handed to a worker and not yet answered
+		integral time.Duration // busy integrated over time, up to since
+		since    time.Time
+	}
+	now func() time.Time // the load accounting's clock; tests substitute it
+	// gap is how long a group waits for further arrivals while the pool has
+	// spare capacity: quietGap, never more than the window. Tests stretch it.
+	gap time.Duration
+	// idle holds a token once a worker has gone idle since the coalescer last
+	// looked: what wakes a group lingering for a free worker.
+	idle chan struct{}
 }
 
 // New starts a single-process server: NewDispatch over a Pool of the given
@@ -275,6 +307,8 @@ func NewDispatch(run Runner, concurrency int, opt Options) *Server {
 // start launches the coalescer and concurrency workers dispatching to run.
 func (s *Server) start(run Runner, concurrency int) {
 	s.runner = run
+	s.concurrency = concurrency
+	s.load.since = s.now()
 	// The coalescer's unguarded send is the backpressure: it must block while
 	// every worker is busy. It can only block *forever* if all workers die,
 	// which serveGroup's recover rules out.
@@ -299,6 +333,9 @@ func newServer(opt Options) *Server {
 		reg:   reg,
 		queue: make(chan *request, opt.QueueDepth),
 		jobs:  make(chan []*request),
+		idle:  make(chan struct{}, 1),
+		now:   time.Now,
+		gap:   min(quietGap, opt.BatchWindow),
 	}
 	requests := reg.CounterVec("gnnserve_requests_total", "Prediction requests by admission outcome.", "outcome")
 	s.met = serveMetrics{
@@ -308,7 +345,17 @@ func newServer(opt Options) *Server {
 		responded: reg.Counter("gnnserve_responses_total", "Requests answered (predictions and errors alike)."),
 		batches:   reg.Counter("gnnserve_batches_total", "Forward batches executed."),
 		batchSize: reg.Histogram("gnnserve_batch_size", "Live graphs per forward batch.", batchBounds(opt.MaxBatch)...),
+		queueWait: reg.Histogram("gnnserve_queue_wait_seconds",
+			"Time from a request's acceptance to a dispatch worker holding its group.",
+			25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 1),
+		utilization: reg.Gauge("gnnserve_pool_utilization",
+			"Smoothed share of dispatch-worker time spent serving groups; the coalescer spends the batch window only while it is high."),
 	}
+	closes := reg.CounterVec("gnnserve_batch_close_total", "Coalesced groups by why they stopped growing (full/idle/window/drain).", "reason")
+	for r := range s.met.closed {
+		s.met.closed[r] = closes.With(closeReason(r).String())
+	}
+	s.met.utilization.Set(1)
 	phases := reg.CounterVec("gnnserve_phase_seconds", "Serving time by phase (collate/forward/other).", "phase")
 	s.met.phaseCollate = phases.With("collate")
 	s.met.phaseForward = phases.With("forward")
@@ -390,8 +437,8 @@ func (s *Server) Predict(ctx context.Context, g *graph.Graph) (Prediction, error
 		ctx, cancel = context.WithTimeout(ctx, s.opt.Timeout)
 		defer cancel()
 	}
-	req := &request{ctx: ctx, g: g, done: make(chan result, 1)}
 	start := time.Now()
+	req := &request{ctx: ctx, g: g, enqueued: start, done: make(chan result, 1)}
 
 	s.mu.RLock()
 	if s.closed {
@@ -421,53 +468,188 @@ func (s *Server) Predict(ctx context.Context, g *graph.Graph) (Prediction, error
 	}
 }
 
-// coalesce gathers queued requests into dispatch groups of at most MaxBatch,
-// lingering at most BatchWindow after a group's first request.
+// closeReason is why a coalesced group stopped growing.
+type closeReason int
+
+const (
+	closeFull   closeReason = iota // reached MaxBatch
+	closeIdle                      // spare capacity: a worker idle and the quiet gap over
+	closeWindow                    // BatchWindow ran out
+	closeDrain                     // lingering is off (BatchWindow < 0) or intake closed
+	numCloseReasons
+)
+
+func (r closeReason) String() string {
+	return [numCloseReasons]string{"full", "idle", "window", "drain"}[r]
+}
+
+const (
+	// saturatedUtilization is the smoothed worker utilisation at or above
+	// which a group lingers for the whole BatchWindow. The measured workloads
+	// sit far to either side (closed-loop and open-loop request traffic
+	// 0.2-0.5, a saturated pool 0.99), so anything in 0.6-0.9 separates them.
+	saturatedUtilization = 0.75
+	// utilizationSmoothing is the weight of the newest group's sample in the
+	// estimate. From the initial 1.0 an idle pool crosses the threshold on its
+	// third sample, and no single odd sample (two groups closed microseconds
+	// apart, say) moves the estimate across it from either side's usual
+	// reading.
+	utilizationSmoothing = 1.0 / 8
+	// quietGap is how long a group waits for further arrivals while the pool
+	// has spare capacity: long enough that callers answered together come
+	// back into one group (they return within tens of microseconds of each
+	// other), an eighth of the default window. An idle process sleeps a
+	// millisecond on it all the same, because the Go netpoller rounds a
+	// shorter sleep up; that sleep, not the processor, then sets the request
+	// rate, which is what keeps it steady on a host whose speed wanders.
+	quietGap = 250 * time.Microsecond
+)
+
+// coalesce gathers queued requests into dispatch groups of at most MaxBatch.
+//
+// The batch window exists to fill batches for a saturated pool: there a
+// fuller batch is the only thing that raises throughput, and the requests
+// would have waited for a worker anyway. Below saturation it only adds its
+// length to every request's latency. So the coalescer measures saturation —
+// per group, the time-integral of busy dispatch workers over workers x wall
+// time since the previous group, exponentially smoothed — and gates the
+// linger on it:
+//
+//   - at or above saturatedUtilization (and on a fresh server, whose estimate
+//     starts at 1.0 until it has evidence) a group fills to MaxBatch or until
+//     BatchWindow has passed;
+//   - below it a group closes once a worker is idle and quietGap has passed
+//     since the queue was first found drained. With every worker busy the
+//     group keeps growing, for at most the window, and a worker going idle
+//     wakes it.
+//
+// The gate is utilisation, not "a worker is idle" and not recent group sizes:
+// a saturated worker is idle for the microseconds between answering one full
+// batch and its callers coming back, and closing on that splits every burst
+// into 1 + 31; and an average of group sizes never decays, because waiting
+// is what produces company. And the gap is a timer, not a yield of the
+// processor: closing at once is faster still (a third of the latency on two
+// closed-loop HTTP clients), but then no part of a request waits on a clock,
+// the loop saturates the host's processors, and the request rate follows
+// their speed from one run to the next. DESIGN.md section 8 has the
+// measurements.
 func (s *Server) coalesce() {
 	defer close(s.jobs)
+	util := 1.0
+	var lastClose time.Time
+	var lastIntegral time.Duration
 	for first := range s.queue {
 		group := make([]*request, 1, s.opt.MaxBatch)
 		group[0] = first
-		if s.opt.BatchWindow > 0 {
-			timer := time.NewTimer(s.opt.BatchWindow)
-		fill:
-			for len(group) < s.opt.MaxBatch {
-				select {
-				case r, ok := <-s.queue:
-					if !ok {
-						break fill
-					}
-					group = append(group, r)
-				case <-timer.C:
-					break fill
-				}
-			}
-			timer.Stop()
-		} else {
-		drain:
-			for len(group) < s.opt.MaxBatch {
-				select {
-				case r, ok := <-s.queue:
-					if !ok {
-						break drain
-					}
-					group = append(group, r)
-				default:
-					break drain
-				}
-			}
+		group, reason := s.fill(group, util < saturatedUtilization)
+		s.met.closed[reason].Inc()
+
+		now, integral := s.shiftBusy(0)
+		if elapsed := now.Sub(lastClose); !lastClose.IsZero() && elapsed > 0 {
+			sample := float64(integral-lastIntegral) / (float64(elapsed) * float64(s.concurrency))
+			util += (min(max(sample, 0), 1) - util) * utilizationSmoothing
+			s.met.utilization.Set(util)
 		}
+		lastClose, lastIntegral = now, integral
+
 		for _, sub := range s.admit(group) {
 			s.jobs <- sub
+			s.shiftBusy(1)
 		}
 	}
 }
 
-// worker serves dispatch groups until the job stream closes.
+// fill grows group from the queue until one of the close reasons holds. early
+// selects the spare-capacity policy (see coalesce).
+func (s *Server) fill(group []*request, early bool) ([]*request, closeReason) {
+	// The timers are created only when the coalescer is about to block; a
+	// group that closes full or drained needs none.
+	var window, gap *time.Timer
+	defer func() {
+		if window != nil {
+			window.Stop()
+		}
+		if gap != nil {
+			gap.Stop()
+		}
+	}()
+	// A nil channel never delivers: only the spare-capacity policy runs a
+	// quiet gap and is woken by a worker going idle.
+	var (
+		quiet <-chan time.Time
+		idle  <-chan struct{}
+	)
+	gapOver := false
+	for len(group) < s.opt.MaxBatch {
+		var r *request
+		ok := true
+		select {
+		case r, ok = <-s.queue:
+		default: // the queue is drained
+			switch {
+			case s.opt.BatchWindow <= 0:
+				return group, closeDrain
+			case gapOver && s.workerIdle():
+				return group, closeIdle
+			}
+			if window == nil {
+				window = time.NewTimer(s.opt.BatchWindow)
+				if early {
+					gap = time.NewTimer(s.gap)
+					quiet, idle = gap.C, s.idle
+				}
+			}
+			select {
+			case r, ok = <-s.queue:
+			case <-window.C:
+				return group, closeWindow
+			case <-quiet:
+				gapOver, quiet = true, nil
+				continue
+			case <-idle:
+				continue
+			}
+		}
+		if !ok {
+			return group, closeDrain
+		}
+		group = append(group, r)
+	}
+	return group, closeFull
+}
+
+// shiftBusy advances the busy-worker integral to now, moves the busy count
+// by delta and returns both. A worker may answer its group before the
+// coalescer has counted the hand-over; the count then dips below zero for
+// that instant and the integral comes out the same.
+func (s *Server) shiftBusy(delta int) (now time.Time, integral time.Duration) {
+	s.load.mu.Lock()
+	defer s.load.mu.Unlock()
+	now = s.now()
+	s.load.integral += time.Duration(s.load.busy) * now.Sub(s.load.since)
+	s.load.since = now
+	s.load.busy += delta
+	return now, s.load.integral
+}
+
+// workerIdle reports whether a dispatch worker is free to take a group now.
+func (s *Server) workerIdle() bool {
+	s.load.mu.Lock()
+	defer s.load.mu.Unlock()
+	return s.load.busy < s.concurrency
+}
+
+// worker serves dispatch groups until the job stream closes, announcing
+// itself idle after each.
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for group := range s.jobs {
 		s.serveGroup(group)
+		s.shiftBusy(-1)
+		select {
+		case s.idle <- struct{}{}:
+		default: // a token is already waiting
+		}
 	}
 }
 
@@ -489,6 +671,10 @@ func (s *Server) serveGroup(group []*request) {
 			}
 		}
 	}()
+	handed := time.Now()
+	for _, r := range group {
+		s.met.queueWait.Observe(handed.Sub(r.enqueued).Seconds())
+	}
 	// Counted before anything is delivered, so a caller holding its answer
 	// also finds it in Stats; the recover above keeps the count true.
 	s.met.responded.Add(float64(len(group)))
