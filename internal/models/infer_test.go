@@ -18,13 +18,11 @@ import (
 func everyModel() []string { return append(AllNames(), "MLP") }
 
 // TestInferPooledBitIdentical pins the eager path's move onto pooled buffers:
-// for every model on both backends, with released buffers poisoned, Infer's
-// logits are bit-for-bit those of an unpooled tape, and the returned tensor
-// is a copy — it keeps its values while later passes reuse the buffers the
-// first one handed back.
+// for every model on both backends, with released buffers poisoned (TestMain),
+// Infer's logits are bit-for-bit those of an unpooled tape, and the returned
+// tensor is a copy — it keeps its values while later passes reuse the buffers
+// the first one handed back.
 func TestInferPooledBitIdentical(t *testing.T) {
-	poison := tensor.SetPoolPoison(true)
-	defer tensor.SetPoolPoison(poison)
 	for _, be := range []fw.Backend{pygeo.New(), dglb.New()} {
 		for _, name := range everyModel() {
 			label := name + "/" + be.Name()

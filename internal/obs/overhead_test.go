@@ -64,9 +64,9 @@ func TestInstrumentationOverhead(t *testing.T) {
 	t.Errorf("instrumentation overhead %.1f%% exceeds 5%% after %d attempts", (ratio-1)*100, attempts)
 }
 
-// The BENCH_obs.json pair: the identical tiny training run with the
-// observability spine off and on, measured in the same process so the ratio
-// is load-comparable. The committed trajectory point records this overhead.
+// The overhead pair: the identical tiny training run with the observability
+// spine off and on, measured in the same process so the ratio is
+// load-comparable.
 func BenchmarkTrainingRunBare(b *testing.B)         { benchOverheadRun(b, false) }
 func BenchmarkTrainingRunInstrumented(b *testing.B) { benchOverheadRun(b, true) }
 

@@ -6,11 +6,10 @@ import (
 	"repro/internal/parallel"
 )
 
-// Into variants of the elementwise kernels write a caller-provided destination
-// instead of allocating, so pooled buffers can be reused across training and
-// serving steps with zero heap traffic. Every Into kernel computes exactly the
-// same floating-point expression as its allocating counterpart in ops.go, in
-// the same element order, so the two paths are bit-identical.
+// The Into kernels write a caller-provided destination instead of allocating,
+// so pooled buffers can be reused across training and serving steps with zero
+// heap traffic. They are the only loop body of each op: the allocating forms
+// in ops.go, rows.go and reduce.go are New + the Into kernel.
 //
 // Two structural rules keep the kernels allocation-free:
 //
@@ -92,8 +91,7 @@ func divRange(dst, a, b []float64, lo, hi int) {
 }
 
 // DivGradBInto computes dst = (-dg / (b*b)) * a elementwise — the gradient of
-// a/b with respect to b, fused from the Zip+Mul pair the eager op uses (same
-// two roundings per element, so bit-identical). dst may alias dg.
+// a/b with respect to b, as one fused pass. dst may alias dg.
 func DivGradBInto(dst, dg, a, b *Tensor) {
 	assertSameShape("DivGradBInto", dg, a)
 	assertSameShape("DivGradBInto", a, b)
@@ -234,7 +232,7 @@ func tanhGradRange(dst, dg, y []float64, lo, hi int) {
 }
 
 // ReLUInto computes dst = max(0, t) elementwise (math.Max, so NaN inputs stay
-// NaN exactly as in the eager kernel). dst may alias t.
+// NaN). dst may alias t.
 func ReLUInto(dst, t *Tensor) {
 	assertSameShape("ReLUInto", dst, t)
 	if parallel.Inline(len(t.Data), mapGrain) {

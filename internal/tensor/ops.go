@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/parallel"
@@ -10,54 +9,20 @@ import (
 // Elementwise kernels partition the flat data slice across the worker pool;
 // every element belongs to exactly one chunk, so parallel results are
 // bit-identical to serial. elemGrain is the serial threshold for one-flop
-// elements; mapGrain charges the per-element closure call of Map/Zip.
+// elements; mapGrain is the lower one of the unary kernels, most of which pay
+// a math call per element.
 const (
 	elemGrain = parallel.MinWork
 	mapGrain  = parallel.MinWork / 8
 )
 
-// Map returns a new tensor with f applied elementwise.
-func Map(t *Tensor, f func(float64) float64) *Tensor {
-	out := New(t.shape...)
-	parallel.For(len(t.Data), mapGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = f(t.Data[i])
-		}
-	})
-	return out
-}
-
-// MapInto applies f elementwise from src into dst (shapes must match).
-func MapInto(dst, src *Tensor, f func(float64) float64) {
-	assertSameShape("MapInto", dst, src)
-	parallel.For(len(src.Data), mapGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst.Data[i] = f(src.Data[i])
-		}
-	})
-}
-
-// Zip returns f applied pairwise over a and b (same shape).
-func Zip(a, b *Tensor, f func(x, y float64) float64) *Tensor {
-	assertSameShape("Zip", a, b)
-	out := New(a.shape...)
-	parallel.For(len(a.Data), mapGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = f(a.Data[i], b.Data[i])
-		}
-	})
-	return out
-}
+// The allocating forms below are New + the Into kernel of the same name
+// (into.go): one loop body per op, and one shape check with one message.
 
 // Add returns a + b elementwise.
 func Add(a, b *Tensor) *Tensor {
-	assertSameShape("Add", a, b)
 	out := New(a.shape...)
-	parallel.For(len(a.Data), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] + b.Data[i]
-		}
-	})
+	AddInto(out, a, b)
 	return out
 }
 
@@ -81,48 +46,29 @@ func addInPlaceRange(a, b []float64, lo, hi int) {
 
 // Sub returns a - b elementwise.
 func Sub(a, b *Tensor) *Tensor {
-	assertSameShape("Sub", a, b)
 	out := New(a.shape...)
-	parallel.For(len(a.Data), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] - b.Data[i]
-		}
-	})
+	SubInto(out, a, b)
 	return out
 }
 
 // Mul returns a * b elementwise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
-	assertSameShape("Mul", a, b)
 	out := New(a.shape...)
-	parallel.For(len(a.Data), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] * b.Data[i]
-		}
-	})
+	MulInto(out, a, b)
 	return out
 }
 
 // Div returns a / b elementwise.
 func Div(a, b *Tensor) *Tensor {
-	assertSameShape("Div", a, b)
 	out := New(a.shape...)
-	parallel.For(len(a.Data), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] / b.Data[i]
-		}
-	})
+	DivInto(out, a, b)
 	return out
 }
 
 // Scale returns s * t.
 func Scale(t *Tensor, s float64) *Tensor {
 	out := New(t.shape...)
-	parallel.For(len(t.Data), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = s * t.Data[i]
-		}
-	})
+	ScaleInto(out, t, s)
 	return out
 }
 
@@ -160,11 +106,7 @@ func addScaledRange(a, b []float64, s float64, lo, hi int) {
 // AddScalar returns t + s elementwise.
 func AddScalar(t *Tensor, s float64) *Tensor {
 	out := New(t.shape...)
-	parallel.For(len(t.Data), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = t.Data[i] + s
-		}
-	})
+	AddScalarInto(out, t, s)
 	return out
 }
 
@@ -172,112 +114,72 @@ func AddScalar(t *Tensor, s float64) *Tensor {
 func Neg(t *Tensor) *Tensor { return Scale(t, -1) }
 
 // Exp returns e^t elementwise.
-func Exp(t *Tensor) *Tensor { return Map(t, math.Exp) }
-
-// Log returns ln(t) elementwise.
-func Log(t *Tensor) *Tensor { return Map(t, math.Log) }
-
-// Sqrt returns sqrt(t) elementwise.
-func Sqrt(t *Tensor) *Tensor { return Map(t, math.Sqrt) }
+func Exp(t *Tensor) *Tensor {
+	out := New(t.shape...)
+	ExpInto(out, t)
+	return out
+}
 
 // Square returns t*t elementwise.
-func Square(t *Tensor) *Tensor { return Map(t, func(v float64) float64 { return v * v }) }
+func Square(t *Tensor) *Tensor {
+	out := New(t.shape...)
+	SquareInto(out, t)
+	return out
+}
 
 // Tanh returns tanh(t) elementwise.
-func Tanh(t *Tensor) *Tensor { return Map(t, math.Tanh) }
+func Tanh(t *Tensor) *Tensor {
+	out := New(t.shape...)
+	TanhInto(out, t)
+	return out
+}
 
 // Sigmoid returns the logistic function of t elementwise.
 func Sigmoid(t *Tensor) *Tensor {
-	return Map(t, func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
+	out := New(t.shape...)
+	SigmoidInto(out, t)
+	return out
 }
 
 // ReLU returns max(0, t) elementwise.
 func ReLU(t *Tensor) *Tensor {
-	return Map(t, func(v float64) float64 { return math.Max(0, v) })
+	out := New(t.shape...)
+	ReLUInto(out, t)
+	return out
 }
 
 // LeakyReLU returns t where t>0 and slope*t elsewhere.
 func LeakyReLU(t *Tensor, slope float64) *Tensor {
-	return Map(t, func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return slope * v
-	})
+	out := New(t.shape...)
+	LeakyReLUInto(out, t, slope)
+	return out
 }
 
 // ELU returns t where t>0 and alpha*(e^t-1) elsewhere.
 func ELU(t *Tensor, alpha float64) *Tensor {
-	return Map(t, func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return alpha * (math.Exp(v) - 1)
-	})
-}
-
-// Clamp limits every element to [lo, hi].
-func Clamp(t *Tensor, lo, hi float64) *Tensor {
-	return Map(t, func(v float64) float64 { return math.Min(hi, math.Max(lo, v)) })
+	out := New(t.shape...)
+	ELUInto(out, t, alpha)
+	return out
 }
 
 // AddRowVector returns m with v added to every row. m is [N,F], v is [F] (or [1,F]).
 func AddRowVector(m, v *Tensor) *Tensor {
-	f := m.Cols()
-	if v.Size() != f {
-		panic(fmt.Sprintf("tensor: AddRowVector wants vector of %d elements, got %v", f, v.Shape()))
-	}
 	out := New(m.shape...)
-	n := m.Rows()
-	parallel.For(n, parallel.RowGrain(f), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*f : (i+1)*f]
-			dst := out.Data[i*f : (i+1)*f]
-			for j := 0; j < f; j++ {
-				dst[j] = row[j] + v.Data[j]
-			}
-		}
-	})
+	AddRowVectorInto(out, m, v)
 	return out
 }
 
 // MulRowVector returns m with every row multiplied elementwise by v.
 func MulRowVector(m, v *Tensor) *Tensor {
-	f := m.Cols()
-	if v.Size() != f {
-		panic(fmt.Sprintf("tensor: MulRowVector wants vector of %d elements, got %v", f, v.Shape()))
-	}
 	out := New(m.shape...)
-	n := m.Rows()
-	parallel.For(n, parallel.RowGrain(f), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*f : (i+1)*f]
-			dst := out.Data[i*f : (i+1)*f]
-			for j := 0; j < f; j++ {
-				dst[j] = row[j] * v.Data[j]
-			}
-		}
-	})
+	MulRowVectorInto(out, m, v)
 	return out
 }
 
 // MulColVector returns m ([N,F]) with row i scaled by v[i] (v is [N]).
 func MulColVector(m, v *Tensor) *Tensor {
-	n, f := m.Rows(), m.Cols()
-	if v.Size() != n {
-		panic(fmt.Sprintf("tensor: MulColVector wants vector of %d elements, got %v", n, v.Shape()))
-	}
 	out := New(m.shape...)
-	parallel.For(n, parallel.RowGrain(f), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := v.Data[i]
-			row := m.Data[i*f : (i+1)*f]
-			dst := out.Data[i*f : (i+1)*f]
-			for j := 0; j < f; j++ {
-				dst[j] = s * row[j]
-			}
-		}
-	})
+	MulColVectorInto(out, m, v)
 	return out
 }
 

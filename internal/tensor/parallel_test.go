@@ -78,7 +78,6 @@ func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
 		{"ScaleInPlace", func() *Tensor { c := big.Clone(); ScaleInPlace(c, 2.3); return c }},
 		{"Sigmoid", func() *Tensor { return Sigmoid(big) }},
 		{"Exp", func() *Tensor { return Exp(big) }},
-		{"Zip", func() *Tensor { return Zip(big, big2, func(x, y float64) float64 { return x*y + x }) }},
 		{"AddRowVector", func() *Tensor { return AddRowVector(big, rowv) }},
 		{"MulRowVector", func() *Tensor { return MulRowVector(big, rowv) }},
 		{"MulColVector", func() *Tensor { return MulColVector(big, colv) }},

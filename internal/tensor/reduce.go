@@ -48,14 +48,8 @@ func Min(t *Tensor) float64 {
 
 // SumRows reduces an [N,F] tensor over rows, returning [F].
 func SumRows(t *Tensor) *Tensor {
-	n, f := t.Rows(), t.Cols()
-	out := New(f)
-	for i := 0; i < n; i++ {
-		row := t.Data[i*f : (i+1)*f]
-		for j := 0; j < f; j++ {
-			out.Data[j] += row[j]
-		}
-	}
+	out := New(t.Cols())
+	SumRowsInto(out, t)
 	return out
 }
 
@@ -70,18 +64,8 @@ func MeanRows(t *Tensor) *Tensor {
 
 // SumCols reduces an [N,F] tensor over columns, returning [N] row sums.
 func SumCols(t *Tensor) *Tensor {
-	n, f := t.Rows(), t.Cols()
-	out := New(n)
-	parallel.For(n, parallel.RowGrain(f), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := t.Data[i*f : (i+1)*f]
-			var s float64
-			for j := 0; j < f; j++ {
-				s += row[j]
-			}
-			out.Data[i] = s
-		}
-	})
+	out := New(t.Rows())
+	SumColsInto(out, t)
 	return out
 }
 
@@ -202,28 +186,14 @@ func Norm(t *Tensor) float64 {
 // MeanStd returns the mean and (population) standard deviation of each column
 // of an [N,F] tensor, as two [F] tensors.
 func MeanStd(t *Tensor) (mean, std *Tensor) {
-	n, f := t.Rows(), t.Cols()
-	mean = MeanRows(t)
-	std = New(f)
-	if n == 0 {
-		return mean, std
-	}
-	for i := 0; i < n; i++ {
-		row := t.Data[i*f : (i+1)*f]
-		for j := 0; j < f; j++ {
-			d := row[j] - mean.Data[j]
-			std.Data[j] += d * d
-		}
-	}
-	for j := 0; j < f; j++ {
-		std.Data[j] = math.Sqrt(std.Data[j] / float64(n))
-	}
+	mean, std = New(t.Cols()), New(t.Cols())
+	MeanStdInto(mean, std, t)
 	return mean, std
 }
 
-// SumRowsInto reduces an [N,F] tensor over rows into dst (size F), matching
-// SumRows' serial accumulation order exactly. dst is fully overwritten; only
-// its size must match, so [F] and [1,F] destinations both work.
+// SumRowsInto reduces an [N,F] tensor over rows into dst (size F), serially
+// in row order. dst is fully overwritten; only its size must match, so [F]
+// and [1,F] destinations both work.
 func SumRowsInto(dst, t *Tensor) {
 	n, f := t.Rows(), t.Cols()
 	if dst.Size() != f {
@@ -264,9 +234,8 @@ func sumColsRange(dst, t []float64, f, lo, hi int) {
 }
 
 // MeanStdInto computes the per-column mean and population standard deviation
-// of an [N,F] tensor into the provided [F] buffers, with exactly MeanStd's
-// accumulation order (column sums in row order, then scale; then squared
-// deviations in row order, then sqrt).
+// of an [N,F] tensor into the provided [F] buffers: column sums in row order,
+// then scale; then squared deviations in row order, then sqrt.
 func MeanStdInto(mean, std, t *Tensor) {
 	n, f := t.Rows(), t.Cols()
 	if mean.Size() != f || std.Size() != f {

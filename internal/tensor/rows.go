@@ -9,62 +9,21 @@ import (
 // GatherRows returns out[k] = t[idx[k]] for an [N,F] tensor, giving
 // [len(idx), F]. Indices may repeat; they must be in [0, N).
 func GatherRows(t *Tensor, idx []int) *Tensor {
-	assertRank2("GatherRows", t)
-	n, f := t.Rows(), t.Cols()
-	out := New(len(idx), f)
-	parallel.For(len(idx), parallel.RowGrain(f), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			i := idx[k]
-			if i < 0 || i >= n {
-				panic(fmt.Sprintf("tensor: GatherRows index %d out of range [0,%d)", i, n))
-			}
-			copy(out.Data[k*f:(k+1)*f], t.Data[i*f:(i+1)*f])
-		}
-	})
+	out := New(len(idx), t.Cols())
+	GatherRowsInto(out, t, idx)
 	return out
 }
 
 // ScatterAddRows returns an [n,F] tensor with src's rows summed into the rows
 // named by idx: out[idx[k]] += src[k]. src is [len(idx), F].
-//
-// Parallelism uses destination-row ownership: each worker owns a contiguous
-// range of output rows and scans the full index list, accumulating only the
-// sources that land in its range. No atomics are needed, and each destination
-// element still sums its contributions in increasing k — the serial order —
-// so the result is bit-identical for any worker count.
 func ScatterAddRows(src *Tensor, idx []int, n int) *Tensor {
-	assertRank2("ScatterAddRows", src)
-	if src.Rows() != len(idx) {
-		panic(fmt.Sprintf("tensor: ScatterAddRows src has %d rows for %d indices", src.Rows(), len(idx)))
-	}
-	f := src.Cols()
-	for _, i := range idx {
-		if i < 0 || i >= n {
-			panic(fmt.Sprintf("tensor: ScatterAddRows index %d out of range [0,%d)", i, n))
-		}
-	}
-	out := New(n, f)
-	avg := 1
-	if n > 0 {
-		avg = (len(idx)*f)/n + 1
-	}
-	parallel.For(n, parallel.RowGrain(avg), func(lo, hi int) {
-		for k, i := range idx {
-			if i < lo || i >= hi {
-				continue
-			}
-			srow := src.Data[k*f : (k+1)*f]
-			drow := out.Data[i*f : (i+1)*f]
-			for j := 0; j < f; j++ {
-				drow[j] += srow[j]
-			}
-		}
-	})
+	out := New(n, src.Cols())
+	ScatterAddRowsInto(out, src, idx)
 	return out
 }
 
 // GatherRowsInto writes out[k] = t[idx[k]] into dst ([len(idx), F]) without
-// allocating. Same validation and chunking as GatherRows.
+// allocating. Indices may repeat; they must be in [0, N).
 func GatherRowsInto(dst, t *Tensor, idx []int) {
 	assertRank2("GatherRowsInto", t)
 	n, f := t.Rows(), t.Cols()
@@ -90,8 +49,13 @@ func gatherRowsRange(dst, t []float64, idx []int, n, f, lo, hi int) {
 }
 
 // ScatterAddRowsInto sums src's rows into the rows of dst ([n,F]) named by
-// idx: dst[idx[k]] += src[k]. dst is zeroed first, exactly like the
-// allocating ScatterAddRows; parallelism keeps destination-row ownership.
+// idx: dst[idx[k]] += src[k]. dst is zeroed first.
+//
+// Parallelism uses destination-row ownership: each worker owns a contiguous
+// range of output rows and scans the full index list, accumulating only the
+// sources that land in its range. No atomics are needed, and each destination
+// element still sums its contributions in increasing k — the serial order —
+// so the result is bit-identical for any worker count.
 func ScatterAddRowsInto(dst, src *Tensor, idx []int) {
 	assertRank2("ScatterAddRowsInto", src)
 	if src.Rows() != len(idx) {
@@ -147,50 +111,23 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: ConcatCols of nothing")
 	}
-	n := ts[0].Rows()
 	total := 0
 	for _, t := range ts {
-		assertRank2("ConcatCols", t)
-		if t.Rows() != n {
-			panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", t.Rows(), n))
-		}
 		total += t.Cols()
 	}
-	out := New(n, total)
-	for i := 0; i < n; i++ {
-		off := 0
-		dst := out.Data[i*total : (i+1)*total]
-		for _, t := range ts {
-			f := t.Cols()
-			copy(dst[off:off+f], t.Data[i*f:(i+1)*f])
-			off += f
-		}
-	}
+	out := New(ts[0].Rows(), total)
+	ConcatColsInto(out, ts...)
 	return out
 }
 
 // SplitCols is the inverse of ConcatCols: it slices an [N, ΣFi] tensor into
 // tensors of widths fs.
 func SplitCols(t *Tensor, fs ...int) []*Tensor {
-	assertRank2("SplitCols", t)
-	total := 0
-	for _, f := range fs {
-		total += f
-	}
-	if total != t.Cols() {
-		panic(fmt.Sprintf("tensor: SplitCols widths sum to %d, tensor has %d columns", total, t.Cols()))
-	}
-	n := t.Rows()
 	outs := make([]*Tensor, len(fs))
-	off := 0
 	for k, f := range fs {
-		o := New(n, f)
-		for i := 0; i < n; i++ {
-			copy(o.Data[i*f:(i+1)*f], t.Data[i*t.Cols()+off:i*t.Cols()+off+f])
-		}
-		outs[k] = o
-		off += f
+		outs[k] = New(t.Rows(), f)
 	}
+	SplitColsInto(outs, t)
 	return outs
 }
 

@@ -116,10 +116,6 @@ func TestActivations(t *testing.T) {
 	if math.Abs(e.Data[0]-(math.Exp(-2)-1)) > 1e-12 {
 		t.Fatalf("ELU wrong: %v", e.Data)
 	}
-	c := Clamp(x, -1, 1)
-	if c.Data[0] != -1 || c.Data[2] != 1 {
-		t.Fatalf("Clamp wrong: %v", c.Data)
-	}
 }
 
 func TestBroadcastRowColVector(t *testing.T) {

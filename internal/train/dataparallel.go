@@ -159,7 +159,9 @@ func TrainDataParallelEpoch(m models.Model, d *datasets.Dataset, adam *optim.Ada
 }
 
 // RunDataParallel trains for opt.Epochs and returns per-epoch stats plus the
-// mean epoch time — the quantity Fig 6 plots.
+// mean epoch time — the quantity Fig 6 plots. A resumed run returns the
+// stats and the mean of the epochs this process ran (none, and zero, when
+// the checkpointed run had already finished).
 func RunDataParallel(m models.Model, d *datasets.Dataset, opt DPOptions) ([]DPEpochStats, time.Duration) {
 	if opt.Epochs <= 0 {
 		opt.Epochs = 1
@@ -183,5 +185,8 @@ func RunDataParallel(m models.Model, d *datasets.Dataset, opt DPOptions) ([]DPEp
 		total += s.EpochTime
 		hook.snapshot(e+1, e+1 == opt.Epochs)
 	}
-	return all, total / time.Duration(opt.Epochs)
+	if len(all) == 0 {
+		return nil, 0
+	}
+	return all, total / time.Duration(len(all))
 }

@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"time"
 
@@ -300,86 +301,81 @@ func batchRanges(n, batchSize int) [][2]int {
 	return rs
 }
 
-// EvalGraphAcc computes test accuracy over mini-batches in eval mode.
+// evalBatches runs m in eval mode over the indexed graphs, one mini-batch per
+// entry of ranges, and hands visit each batch with its logits (one row per
+// graph).
 //
 // Eval-mode forward is free of side effects on the model (batch norm reads
 // running statistics, dropout is the identity), so the mini-batches fan out
-// across the worker pool; per-batch counts are reduced serially in batch
-// order, which keeps the result identical for any worker count.
-func EvalGraphAcc(m models.Model, d *datasets.Dataset, idx []int, batchSize int, dev *device.Device) float64 {
+// across the worker pool. visit may run concurrently for different bi;
+// callers keep per-batch results and reduce them serially in batch order,
+// which keeps every result identical for any worker count.
+func evalBatches(m models.Model, d *datasets.Dataset, idx []int, ranges [][2]int, dev *device.Device,
+	visit func(bi int, b *fw.Batch, logits *tensor.Tensor)) {
 	be := m.Backend()
-	ranges := batchRanges(len(idx), batchSize)
-	corrects := make([]int, len(ranges))
-	totals := make([]int, len(ranges))
 	parallel.For(len(ranges), 1, func(blo, bhi int) {
 		for bi := blo; bi < bhi; bi++ {
-			lo, hi := ranges[bi][0], ranges[bi][1]
-			b := be.Batch(gatherGraphs(d, idx[lo:hi]), dev)
-			g := ag.New(dev)
-			logits := m.Forward(g, b, false, nil)
-			pred := tensor.ArgMaxRows(logits.Value())
-			for i, p := range pred {
-				if p == b.Labels[i] {
-					corrects[bi]++
-				}
-				totals[bi]++
-			}
-			g.Finish()
+			b := be.Batch(gatherGraphs(d, idx[ranges[bi][0]:ranges[bi][1]]), dev)
+			visit(bi, b, evalLogits(m, b, dev))
 			b.Release(dev)
 		}
 	})
-	correct, total := 0, 0
-	for bi := range ranges {
-		correct += corrects[bi]
-		total += totals[bi]
-	}
-	if total == 0 {
+}
+
+// EvalGraphAcc computes test accuracy over mini-batches in eval mode.
+func EvalGraphAcc(m models.Model, d *datasets.Dataset, idx []int, batchSize int, dev *device.Device) float64 {
+	if len(idx) == 0 {
 		return 0
 	}
-	return float64(correct) / float64(total)
+	ranges := batchRanges(len(idx), batchSize)
+	corrects := make([]int, len(ranges))
+	evalBatches(m, d, idx, ranges, dev, func(bi int, b *fw.Batch, logits *tensor.Tensor) {
+		for i, p := range tensor.ArgMaxRows(logits) {
+			if p == b.Labels[i] {
+				corrects[bi]++
+			}
+		}
+	})
+	correct := 0
+	for _, c := range corrects {
+		correct += c
+	}
+	return float64(correct) / float64(len(idx))
+}
+
+// nll is the cross-entropy of one logits row against its label, by
+// max-shifted log-sum-exp. Validation loss steers the LR scheduler and early
+// stopping, so a resumed run must reproduce its bits: keep the expression.
+func nll(row []float64, label int) float64 {
+	mx := row[0]
+	for _, v := range row {
+		if v > mx {
+			mx = v
+		}
+	}
+	var z float64
+	for _, v := range row {
+		z += math.Exp(v - mx)
+	}
+	return -(row[label] - mx) + math.Log(z)
 }
 
 func evalGraphLoss(m models.Model, d *datasets.Dataset, idx []int, batchSize int, dev *device.Device) float64 {
-	be := m.Backend()
+	if len(idx) == 0 {
+		return 0
+	}
 	ranges := batchRanges(len(idx), batchSize)
 	sums := make([]float64, len(ranges))
-	counts := make([]int, len(ranges))
-	parallel.For(len(ranges), 1, func(blo, bhi int) {
-		for bi := blo; bi < bhi; bi++ {
-			lo, hi := ranges[bi][0], ranges[bi][1]
-			b := be.Batch(gatherGraphs(d, idx[lo:hi]), dev)
-			g := ag.New(dev)
-			logits := m.Forward(g, b, false, nil)
-			probs := logits.Value()
-			for i := 0; i < probs.Rows(); i++ {
-				row := probs.Row(i)
-				mx := row[0]
-				for _, v := range row {
-					if v > mx {
-						mx = v
-					}
-				}
-				var z float64
-				for _, v := range row {
-					z += exp(v - mx)
-				}
-				sums[bi] += -(row[b.Labels[i]] - mx) + ln(z)
-				counts[bi]++
-			}
-			g.Finish()
-			b.Release(dev)
+	evalBatches(m, d, idx, ranges, dev, func(bi int, b *fw.Batch, logits *tensor.Tensor) {
+		for i, label := range b.Labels {
+			sums[bi] += nll(logits.Row(i), label)
 		}
 	})
 	var total float64
-	count := 0
-	for bi := range ranges {
-		total += sums[bi]
-		count += counts[bi]
+	for _, s := range sums {
+		total += s
 	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
+	return total / float64(len(idx))
 }
 
 // CVResult aggregates a cross-validation run (the paper's Table V rows).

@@ -7,6 +7,7 @@ import (
 	"repro/internal/ag"
 	"repro/internal/datasets"
 	"repro/internal/device"
+	"repro/internal/fw"
 	"repro/internal/models"
 	"repro/internal/tensor"
 )
@@ -97,16 +98,23 @@ func (c *Confusion) String() string {
 	return b.String()
 }
 
+// evalLogits is m's eval-mode forward on b: every validation, test and
+// prediction pass in this package. The tape is heap-backed (not
+// models.Infer's pooled one), so the logits outlive its Finish and a training
+// process parks nothing in the tensor pool.
+func evalLogits(m models.Model, b *fw.Batch, dev *device.Device) *tensor.Tensor {
+	g := ag.New(dev)
+	defer g.Finish()
+	return m.Forward(g, b, false, nil).Value()
+}
+
 // PredictNode runs the model in eval mode over a node-classification dataset
 // and returns the predicted class per node.
 func PredictNode(m models.Model, d *datasets.Dataset, dev *device.Device) []int {
 	be := m.Backend()
 	b := be.Batch(d.Graphs, dev)
 	defer b.Release(dev)
-	g := ag.New(dev)
-	defer g.Finish()
-	logits := m.Forward(g, b, false, nil)
-	return tensor.ArgMaxRows(logits.Value())
+	return tensor.ArgMaxRows(evalLogits(m, b, dev))
 }
 
 // ConfusionNode evaluates a node classifier over the given node indices.
@@ -123,20 +131,11 @@ func ConfusionNode(m models.Model, d *datasets.Dataset, idx []int, dev *device.D
 // PredictGraphs runs the model in eval mode over the indexed graphs and
 // returns one predicted class per graph.
 func PredictGraphs(m models.Model, d *datasets.Dataset, idx []int, batchSize int, dev *device.Device) []int {
-	be := m.Backend()
-	preds := make([]int, 0, len(idx))
-	for lo := 0; lo < len(idx); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		b := be.Batch(gatherGraphs(d, idx[lo:hi]), dev)
-		g := ag.New(dev)
-		logits := m.Forward(g, b, false, nil)
-		preds = append(preds, tensor.ArgMaxRows(logits.Value())...)
-		g.Finish()
-		b.Release(dev)
-	}
+	preds := make([]int, len(idx))
+	ranges := batchRanges(len(idx), batchSize)
+	evalBatches(m, d, idx, ranges, dev, func(bi int, _ *fw.Batch, logits *tensor.Tensor) {
+		copy(preds[ranges[bi][0]:ranges[bi][1]], tensor.ArgMaxRows(logits))
+	})
 	return preds
 }
 

@@ -9,7 +9,6 @@ package train
 
 import (
 	"fmt"
-	"math"
 	"path/filepath"
 	"time"
 
@@ -44,12 +43,15 @@ type NodeOptions struct {
 	Tracer *obs.Tracer
 }
 
-// NodeResult is one training run's outcome.
+// NodeResult is one training run's outcome. A resumed run reports its epoch
+// cursor in Epochs and times only the epochs this process ran; resuming a
+// run that had already finished runs none, so its times and FinalLoss are
+// zero and only the accuracies are evaluated.
 type NodeResult struct {
 	TestAcc    float64
 	ValAcc     float64
-	Epochs     int           // epochs actually run
-	EpochMean  time.Duration // mean time per epoch
+	Epochs     int           // epoch cursor: epochs completed, resumed ones included
+	EpochMean  time.Duration // mean time per epoch run by this process
 	Total      time.Duration
 	FinalLoss  float64
 	EpochTimes []time.Duration
@@ -88,7 +90,7 @@ func TrainNode(m models.Model, d *datasets.Dataset, opt NodeOptions) NodeResult 
 		}
 	}
 
-	var res NodeResult
+	res := NodeResult{Epochs: startEpoch}
 	for epoch := startEpoch; epoch < opt.Epochs; epoch++ {
 		epochSpan := runSpan.Child("epoch", obs.Int("epoch", epoch))
 		// Epoch times are reported on the modeled timeline: host work at
@@ -136,7 +138,9 @@ func TrainNode(m models.Model, d *datasets.Dataset, opt NodeOptions) NodeResult 
 	for _, t := range res.EpochTimes {
 		sum += t
 	}
-	res.EpochMean = sum / time.Duration(len(res.EpochTimes))
+	if n := len(res.EpochTimes); n > 0 {
+		res.EpochMean = sum / time.Duration(n)
+	}
 	res.Total = sum
 
 	sp := runSpan.Child("evaluate")
@@ -148,35 +152,16 @@ func TrainNode(m models.Model, d *datasets.Dataset, opt NodeOptions) NodeResult 
 }
 
 func evalNodeLoss(m models.Model, b *fw.Batch, idx []int, dev *device.Device) float64 {
-	g := ag.New(dev)
-	defer g.Finish()
-	logits := m.Forward(g, b, false, nil)
-	// Forward-only loss: no parameter node is needed, so compute it from the
-	// values directly.
-	probs := logits.Value()
+	logits := evalLogits(m, b, dev)
 	var total float64
 	for _, i := range idx {
-		row := probs.Row(i)
-		m := row[0]
-		for _, v := range row {
-			if v > m {
-				m = v
-			}
-		}
-		var z float64
-		for _, v := range row {
-			z += exp(v - m)
-		}
-		total += -(row[b.NodeLabels[i]] - m) + ln(z)
+		total += nll(logits.Row(i), b.NodeLabels[i])
 	}
 	return total / float64(len(idx))
 }
 
 func evalNodeAcc(m models.Model, b *fw.Batch, idx []int, dev *device.Device) float64 {
-	g := ag.New(dev)
-	defer g.Finish()
-	logits := m.Forward(g, b, false, nil)
-	return ag.Accuracy(logits.Value(), b.NodeLabels, idx)
+	return ag.Accuracy(evalLogits(m, b, dev), b.NodeLabels, idx)
 }
 
 // NodeSummary aggregates TrainNode runs over seeds, giving the paper's
@@ -220,6 +205,3 @@ func RunNodeSeeds(factory func(seed uint64) models.Model, d *datasets.Dataset, o
 	s.AccMean, s.AccStd = profile.Stats(s.PerRunAcc)
 	return s
 }
-
-func exp(v float64) float64 { return math.Exp(v) }
-func ln(v float64) float64  { return math.Log(v) }

@@ -281,3 +281,89 @@ func TestCheckpointRetentionDuringTraining(t *testing.T) {
 		t.Fatalf("retention kept %d checkpoints (%v), want 2", len(names), names)
 	}
 }
+
+// TestNodeResumeOfFinishedRun is the case -resume exists for: an interrupted
+// sweep is restarted and meets the checkpoint directory of a cell that had
+// already finished. The run restores its final state, runs no epoch, reports
+// zero times instead of dividing by the epoch count, and still evaluates.
+func TestNodeResumeOfFinishedRun(t *testing.T) {
+	d := tinyCora()
+	opt := NodeOptions{Epochs: 4, LR: 0.01, Seed: 51,
+		Checkpointing: Checkpointing{CheckpointDir: t.TempDir()}}
+	first := TrainNode(nodeModel(pygeo.New(), d, 51), d, opt)
+
+	opt.Resume = true
+	res := TrainNode(nodeModel(pygeo.New(), d, 51), d, opt)
+	if res.Epochs != 4 || len(res.EpochTimes) != 0 {
+		t.Fatalf("resumed a finished run: epoch cursor %d, %d epochs run; want 4 and 0", res.Epochs, len(res.EpochTimes))
+	}
+	if res.EpochMean != 0 || res.Total != 0 {
+		t.Fatalf("no epoch ran, yet EpochMean %v Total %v", res.EpochMean, res.Total)
+	}
+	if res.TestAcc != first.TestAcc || res.ValAcc != first.ValAcc {
+		t.Fatalf("restored model scores %v/%v, the finished run scored %v/%v",
+			res.TestAcc, res.ValAcc, first.TestAcc, first.ValAcc)
+	}
+}
+
+// TestDataParallelResumeMeansItsOwnEpochs: Fig 6 plots the mean epoch time,
+// so a resumed run must average over the epochs it ran, not over the
+// configured count; a finished run resumed runs none and reports zero.
+func TestDataParallelResumeMeansItsOwnEpochs(t *testing.T) {
+	d := tinyEnzymes()
+	dir := t.TempDir()
+	options := func(resume bool) DPOptions {
+		c := device.NewCluster(2, device.RTX2080Ti(), device.PCIe3x16())
+		return DPOptions{BatchSize: 16, LR: 1e-3, Epochs: 3, Seed: 61, Cluster: c,
+			Checkpointing: Checkpointing{CheckpointDir: dir, Resume: resume}}
+	}
+	faults.Enable(CrashFailpoint, 1)
+	expectInjectedCrash(t, func() {
+		RunDataParallel(resumeModel(d, 61), d, options(false))
+	})
+	faults.Disable(CrashFailpoint)
+
+	stats, mean := RunDataParallel(resumeModel(d, 61), d, options(true))
+	if len(stats) != 2 {
+		t.Fatalf("resumed run replayed %d epochs, want 2", len(stats))
+	}
+	if want := (stats[0].EpochTime + stats[1].EpochTime) / 2; mean != want {
+		t.Fatalf("mean epoch time %v over 2 resumed epochs of %v and %v, want %v",
+			mean, stats[0].EpochTime, stats[1].EpochTime, want)
+	}
+
+	stats, mean = RunDataParallel(resumeModel(d, 61), d, options(true))
+	if len(stats) != 0 || mean != 0 {
+		t.Fatalf("resumed a finished run: %d epochs, mean %v; want none", len(stats), mean)
+	}
+}
+
+// TestGraphCVResumeOfCappedFolds pins the graph recipe's side of the same
+// case (it was already right): folds that stopped at their MaxEpochs cap —
+// gnnbench -quick — resumed through RunGraphCV run zero epochs and report the
+// accuracy the finished folds reported.
+func TestGraphCVResumeOfCappedFolds(t *testing.T) {
+	d := tinyEnzymes()
+	splits := datasets.CrossValidationSplits(datasets.StratifiedKFold(tensor.NewRNG(13), d.GraphLabels(), 4))[:2]
+	factory := func(seed uint64) models.Model { return resumeModel(d, 71+seed) }
+	opt := GraphOptions{BatchSize: 16, InitLR: 5e-3, MaxEpochs: 2, Seed: 71,
+		Checkpointing: Checkpointing{CheckpointDir: t.TempDir()}}
+	first := RunGraphCV(factory, d, splits, opt)
+
+	opt.Resume = true
+	res := RunGraphCV(factory, d, splits, opt)
+	for i, fr := range res.Folds {
+		if len(first.Folds[i].Epochs) != opt.MaxEpochs {
+			t.Fatalf("fold %d: first run stopped after %d epochs, want the cap %d", i, len(first.Folds[i].Epochs), opt.MaxEpochs)
+		}
+		if len(fr.Epochs) != 0 {
+			t.Fatalf("fold %d: resumed a finished fold and ran %d epochs", i, len(fr.Epochs))
+		}
+		if fr.TestAcc != first.Folds[i].TestAcc {
+			t.Fatalf("fold %d: restored model scores %v, the finished fold scored %v", i, fr.TestAcc, first.Folds[i].TestAcc)
+		}
+	}
+	if res.AccMean != first.AccMean || res.EpochMean != 0 {
+		t.Fatalf("resumed CV: accuracy %v (want %v), mean epoch %v (want 0)", res.AccMean, first.AccMean, res.EpochMean)
+	}
+}
