@@ -7,21 +7,25 @@
 // simulated accelerator (internal/device) sees the same kernel stream a GPU
 // profiler would: one launch per op, with FLOP and byte counts.
 //
-// Usage per training step (eager, the default — allocates per step):
+// There is one kind of tape. Every op output, workspace and gradient buffer
+// comes from the tensor buffer pool and goes back to it at Finish, so node
+// values and gradients die there: read what you need before calling it.
+//
+// Usage per training step (eager: recorded once and not replayed):
 //
 //	g := ag.New(dev)
 //	x := g.Input(features)
 //	h := g.ReLU(g.AddBias(g.MatMul(x, g.Param(W)), g.Param(b)))
 //	loss := g.CrossEntropy(h, labels, nil)
-//	g.Backward(loss)   // accumulates into W.Grad, b.Grad
-//	g.Finish()         // releases device-memory accounting for intermediates
+//	g.Backward(loss)             // accumulates into W.Grad, b.Grad
+//	v := loss.Value().Data[0]    // before Finish
+//	g.Finish()                   // returns every buffer to the pool
 //
 // Record/replay (the zero-allocation steady state): every op records a
-// forward closure writing its pooled output buffer in place, so one recorded
-// tape can be re-executed against fresh input data without rebuilding it:
+// forward closure writing its output buffer in place, so one recorded tape
+// can be re-executed against fresh input data without rebuilding it:
 //
 //	g := ag.New(dev)
-//	g.EnablePooling()          // op outputs come from the tensor buffer pool
 //	loss := model.Forward(g, batch, ...)   // records the tape (allocates)
 //	for step := range steps {              // steady state: zero allocations
 //		g.BeginStep()          // recycle last step's gradient buffers
@@ -29,11 +33,11 @@
 //		g.Backward(loss)
 //		opt.Step()
 //	}
-//	g.Finish()                 // returns every pooled buffer to the pool
+//	g.Finish()                 // returns every buffer to the pool
 //
 // Replay reads whatever the input tensors and index slices hold at re-run
 // time, so serving code swaps a new batch in by copying into the recorded
-// buffers. The eager and replayed paths run the same kernels in the same
+// buffers. A recorded pass and its replays run the same kernels in the same
 // order and are bit-identical.
 package ag
 
@@ -83,22 +87,22 @@ func (n *Node) Grad() *tensor.Tensor { return n.grad }
 // RequiresGrad reports whether gradients flow into this node.
 func (n *Node) RequiresGrad() bool { return n.requiresGrad }
 
-// Graph is an autodiff tape bound to a device: single-use when eager,
-// re-executable via ReplayForward when recorded with pooling.
+// Graph is an autodiff tape bound to a device, re-executable via
+// ReplayForward.
 type Graph struct {
 	dev        *device.Device
 	tape       []*Node
 	allocBytes int64
 	finished   bool
 
-	pooled    bool             // op buffers come from the tensor pool
 	owned     []*tensor.Tensor // pooled buffers released at Finish (outputs + workspaces)
 	evalQuant bool             // Linear layers may use compressed weights
 	onReplay  []func()         // constant-refresh hooks run before each replay
 }
 
-// New returns an empty tape recording kernels and allocations on dev.
-// dev may be nil, in which case no accounting happens.
+// New returns an empty tape recording kernels and allocations on dev. dev
+// may be nil, in which case no accounting happens. The tape draws every
+// buffer from the tensor pool; Finish hands them back.
 func New(dev *device.Device) *Graph {
 	return &Graph{dev: dev}
 }
@@ -108,19 +112,6 @@ func (g *Graph) Device() *device.Device { return g.dev }
 
 // NumNodes returns the number of tape entries so far.
 func (g *Graph) NumNodes() int { return len(g.tape) }
-
-// EnablePooling makes all subsequent op outputs, workspaces and gradient
-// buffers come from the tensor buffer pool (and return to it at Finish /
-// BeginStep). Call it on a fresh graph, before recording ops.
-func (g *Graph) EnablePooling() {
-	if len(g.tape) != 0 {
-		panic("ag: EnablePooling after ops were recorded")
-	}
-	g.pooled = true
-}
-
-// Pooled reports whether this graph draws its buffers from the tensor pool.
-func (g *Graph) Pooled() bool { return g.pooled }
 
 // EnableQuantizedEval lets Linear layers apply their compressed (f32/q8)
 // weights on this graph. Only meaningful for inference tapes; quantized
@@ -145,53 +136,27 @@ func (g *Graph) run(flops, bytes int64, f func()) {
 	g.dev.Kernel(flops, bytes, f)
 }
 
-// get allocates an op output or workspace buffer: pooled (and graph-owned)
-// when pooling is on, a plain zeroed tensor otherwise.
+// get draws a zeroed op output or workspace buffer from the pool; the graph
+// owns it and releases it at Finish.
 func (g *Graph) get(shape ...int) *tensor.Tensor {
-	if g.pooled {
-		t := tensor.Get(shape...)
-		g.owned = append(g.owned, t)
-		return t
-	}
-	return tensor.New(shape...)
+	t := tensor.Get(shape...)
+	g.owned = append(g.owned, t)
+	return t
 }
 
 // getLike is get with t's shape, without copying the shape slice.
 func (g *Graph) getLike(t *tensor.Tensor) *tensor.Tensor {
-	if g.pooled {
-		o := tensor.GetLike(t)
-		g.owned = append(g.owned, o)
-		return o
-	}
-	return tensor.NewLike(t)
+	o := tensor.GetLike(t)
+	g.owned = append(g.owned, o)
+	return o
 }
 
-// temp allocates backward scratch: pooled when pooling is on (the caller
-// returns it with freeTemp after accumulating), a plain tensor otherwise.
-// Either way the buffer starts zeroed.
-func (g *Graph) temp(shape ...int) *tensor.Tensor {
-	if g.pooled {
-		return tensor.Get(shape...)
-	}
-	return tensor.New(shape...)
-}
+// tempLike draws zeroed backward scratch with t's shape from the pool; the
+// caller returns it with freeTemp after accumulating.
+func (g *Graph) tempLike(t *tensor.Tensor) *tensor.Tensor { return tensor.GetLike(t) }
 
-// tempLike is temp with t's shape.
-func (g *Graph) tempLike(t *tensor.Tensor) *tensor.Tensor {
-	if g.pooled {
-		return tensor.GetLike(t)
-	}
-	return tensor.NewLike(t)
-}
-
-// freeTemp returns backward scratch to the pool (no-op on the eager path,
-// where the garbage collector owns it — identical to the historical
-// behavior).
-func (g *Graph) freeTemp(ts ...*tensor.Tensor) {
-	if g.pooled {
-		tensor.Release(ts...)
-	}
-}
+// freeTemp returns backward scratch to the pool.
+func (g *Graph) freeTemp(ts ...*tensor.Tensor) { tensor.Release(ts...) }
 
 // node appends a tape entry whose output tensor was freshly allocated by the
 // op (and is therefore accounted as device memory).
@@ -262,13 +227,9 @@ func (g *Graph) accum(n *Node, grad *tensor.Tensor) {
 	g.run(int64(grad.Size()), int64(grad.Size())*24, func() {
 		if first {
 			// Output-buffer allocation is the device allocator's job; it
-			// belongs inside the kernel accounting. Pooled graphs recycle the
-			// buffer released by the previous BeginStep.
-			if g.pooled {
-				n.grad = tensor.GetLike(n.T)
-			} else {
-				n.grad = tensor.NewLike(n.T)
-			}
+			// belongs inside the kernel accounting. A replayed step recycles
+			// the buffer released by the previous BeginStep.
+			n.grad = tensor.GetLike(n.T)
 		}
 		tensor.AddInPlace(n.grad, grad)
 	})
@@ -287,11 +248,7 @@ func (g *Graph) Backward(loss *Node) {
 	if !loss.requiresGrad {
 		panic("ag: loss does not depend on any parameter")
 	}
-	if g.pooled {
-		loss.grad = tensor.GetLike(loss.T)
-	} else {
-		loss.grad = tensor.NewLike(loss.T)
-	}
+	loss.grad = tensor.GetLike(loss.T)
 	loss.grad.Data[0] = 1
 	g.alloc(loss.grad)
 	for i := len(g.tape) - 1; i >= 0; i-- {
@@ -328,9 +285,9 @@ func (g *Graph) ReplayForward() {
 // batch buffers currently hold. The hooks never run on the eager path.
 func (g *Graph) OnReplay(f func()) { g.onReplay = append(g.onReplay, f) }
 
-// BeginStep recycles the previous step's gradient buffers (returning them to
-// the pool when pooling is on) so the next Backward re-draws them without
-// allocating. Call it before each replayed step.
+// BeginStep returns the previous step's gradient buffers to the pool so the
+// next Backward re-draws them without allocating. Call it before each
+// replayed step.
 func (g *Graph) BeginStep() {
 	for _, n := range g.tape {
 		if n.grad == nil {
@@ -339,17 +296,16 @@ func (g *Graph) BeginStep() {
 		b := int64(n.grad.Size()) * 8
 		g.allocBytes -= b
 		g.dev.Free(b)
-		if g.pooled {
-			tensor.Release(n.grad)
-		}
+		tensor.Release(n.grad)
 		n.grad = nil
 	}
 }
 
 // Finish releases the device-memory accounting for every intermediate this
-// graph allocated, and returns every pooled buffer (outputs, workspaces,
-// gradients) to the tensor pool. Call it exactly once, after the last step,
-// to mirror the end-of-iteration free that frameworks perform when the
+// graph allocated and returns every buffer (outputs, workspaces, gradients)
+// to the tensor pool, so no node's Value or Grad may be read afterwards —
+// copy what must outlive the tape first. Call it exactly once, after the last
+// step, to mirror the end-of-iteration free that frameworks perform when the
 // autograd graph is dropped.
 func (g *Graph) Finish() {
 	if g.finished {
@@ -358,13 +314,11 @@ func (g *Graph) Finish() {
 	g.finished = true
 	g.dev.Free(g.allocBytes)
 	g.allocBytes = 0
-	if g.pooled {
-		tensor.Release(g.owned...)
-		for _, n := range g.tape {
-			if n.grad != nil {
-				tensor.Release(n.grad)
-				n.grad = nil
-			}
+	tensor.Release(g.owned...)
+	for _, n := range g.tape {
+		if n.grad != nil {
+			tensor.Release(n.grad)
+			n.grad = nil
 		}
 	}
 	g.owned = nil

@@ -12,7 +12,7 @@ import (
 // writes it in place through the tensor Into kernels. g.op remembers the
 // closure so ReplayForward can re-execute it against the recorded buffers
 // without touching the allocator. Backward closures draw scratch from
-// gr.temp/tempLike inside their kernel and return it with gr.freeTemp, so a
+// gr.tempLike inside their kernel and return it with gr.freeTemp, so a
 // replayed step performs no heap allocation. Kernel FLOP/byte accounting and
 // floating-point evaluation order are identical to the historical eager
 // implementations.

@@ -78,74 +78,78 @@ func (fx *replayFixture) zeroGrads() {
 	}
 }
 
-// TestReplayBitIdenticalToEager pins the tentpole equivalence: one recorded
-// pooled tape replayed N times produces bit-for-bit the loss and gradients
-// the eager path computes from scratch each step.
-func TestReplayBitIdenticalToEager(t *testing.T) {
-	fx := newReplayFixture()
-
-	// Eager reference: fresh unpooled graph per step.
+// drainedStep runs one eager training step of the fixture on a drained pool,
+// so every buffer is fresh from the allocator (what an unpooled tape would
+// see), and returns its loss and parameter gradients.
+func (fx *replayFixture) drainedStep() (float64, [][]float64) {
+	tensor.DrainPool()
 	fx.zeroGrads()
 	g := New(nil)
 	loss := fx.record(g)
 	g.Backward(loss)
+	want := loss.Value().Data[0]
 	g.Finish()
-	wantLoss := loss.Value().Data[0]
-	wantGrads := fx.grads()
+	return want, fx.grads()
+}
 
-	// Recorded pooled tape, replayed.
+// TestReplayBitIdenticalToEager pins the tentpole equivalence: a tape
+// recorded on a warm, poisoned pool (TestMain) and replayed N times produces
+// bit-for-bit the loss and gradients of an eager step on a drained pool.
+func TestReplayBitIdenticalToEager(t *testing.T) {
+	fx := newReplayFixture()
+	wantLoss, wantGrads := fx.drainedStep()
+
+	// Step 0 records the tape on the warm pool; steps 1-3 replay it.
+	warm := tensor.Pool()
 	fx.zeroGrads()
 	gp := New(nil)
-	gp.EnablePooling()
 	ploss := fx.record(gp)
 	defer gp.Finish()
-	if got := ploss.Value().Data[0]; got != wantLoss {
-		t.Fatalf("recorded pooled loss %v != eager loss %v", got, wantLoss)
-	}
-	gp.Backward(ploss)
-	for step := 0; step < 3; step++ {
-		fx.zeroGrads()
-		gp.BeginStep()
-		gp.ReplayForward()
+	for step := 0; step < 4; step++ {
+		if step > 0 {
+			fx.zeroGrads()
+			gp.BeginStep()
+			gp.ReplayForward()
+		}
 		if got := ploss.Value().Data[0]; got != wantLoss {
-			t.Fatalf("replay %d loss %v != eager loss %v", step, got, wantLoss)
+			t.Fatalf("step %d loss %v != drained-pool loss %v", step, got, wantLoss)
 		}
 		gp.Backward(ploss)
 		for pi, grad := range fx.grads() {
 			for i, v := range grad {
 				if math.Float64bits(v) != math.Float64bits(wantGrads[pi][i]) {
-					t.Fatalf("replay %d param %d grad[%d] = %v, eager %v (not bit-identical)",
+					t.Fatalf("step %d param %d grad[%d] = %v, drained pool %v (not bit-identical)",
 						step, pi, i, v, wantGrads[pi][i])
 				}
 			}
 		}
 	}
+	if tensor.Pool().Hits == warm.Hits {
+		t.Fatal("the warm-pool steps drew no buffer from the pool; nothing was compared against recycled buffers")
+	}
 }
 
 // TestReplayTracksRefreshedInputs pins the serving contract: copying new
-// data into the recorded input buffer and replaying yields exactly what an
-// eager pass over the new data computes.
+// data into the recorded input buffer and replaying, on a warm poisoned
+// pool, yields exactly what an eager step over the new data computes on a
+// drained one.
 func TestReplayTracksRefreshedInputs(t *testing.T) {
 	fx := newReplayFixture()
-
-	gp := New(nil)
-	gp.EnablePooling()
-	ploss := fx.record(gp)
-	defer gp.Finish()
-
+	old := fx.x.Clone()
 	rng := tensor.NewRNG(99)
 	fresh := rng.Randn(1, fx.x.Rows(), fx.x.Cols())
 	copy(fx.x.Data, fresh.Data)
+	want, _ := fx.drainedStep()
+
+	copy(fx.x.Data, old.Data)
+	gp := New(nil)
+	ploss := fx.record(gp)
+	defer gp.Finish()
+	copy(fx.x.Data, fresh.Data)
 	gp.BeginStep()
 	gp.ReplayForward()
-	got := ploss.Value().Data[0]
-
-	fx.zeroGrads()
-	ge := New(nil)
-	eloss := fx.record(ge)
-	ge.Finish()
-	if want := eloss.Value().Data[0]; got != want {
-		t.Fatalf("replay over refreshed input = %v, eager = %v", got, want)
+	if got := ploss.Value().Data[0]; got != want {
+		t.Fatalf("replay over refreshed input = %v, drained-pool eager = %v", got, want)
 	}
 }
 
@@ -163,7 +167,6 @@ func TestTrainingStepZeroAllocs(t *testing.T) {
 
 	fx := newReplayFixture()
 	g := New(nil)
-	g.EnablePooling()
 	loss := fx.record(g)
 	defer g.Finish()
 	params := fx.params()

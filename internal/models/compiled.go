@@ -13,7 +13,7 @@ import (
 // buffers the tape captures; replay copies the incoming batch's payload into
 // those buffers, runs the registered constant-refresh hooks, and re-executes
 // the recorded kernels in place — the steady state performs zero heap
-// allocations on the pooled float64 path.
+// allocations on the float64 path.
 //
 // With a non-reference weight dtype the model's Linear layers are compressed
 // once (see Compressor) and the recorded tapes run the quantized matmul path.
@@ -63,9 +63,11 @@ func (c *CompiledInfer) Forward(b *fw.Batch) *tensor.Tensor {
 		t.g.ReplayForward()
 		return t.out.Value()
 	}
+	// The shadow is a device-resident copy of the batch for the tape's
+	// lifetime; Close's Release frees it.
 	shadow := b.Clone()
+	c.dev.Alloc(shadow.Bytes())
 	g := ag.New(c.dev)
-	g.EnablePooling()
 	if c.dt != tensor.F64 {
 		g.EnableQuantizedEval()
 	}

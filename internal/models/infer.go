@@ -13,14 +13,13 @@ import (
 // is the identity, batch norm reads running statistics), so it has no side
 // effects on the model and is safe to call concurrently on a shared model —
 // the property the serving replica pool relies on. The temporary autograd
-// tape draws every op output from the tensor buffer pool and is finished
-// before returning, which hands the buffers back and releases the tape's
-// device-memory accounting; the returned tensor is a copy the caller owns.
-// Pooling changes where a buffer comes from, not one floating-point
-// operation: the logits are bit-identical to an unpooled forward.
+// tape is finished before returning, which hands its buffers back to the
+// tensor pool and releases its device-memory accounting; the returned tensor
+// is a copy the caller owns. Together with (*CompiledInfer).Forward this is
+// every eval-mode forward pass in the tree: validation, test and prediction
+// passes in internal/train call it too.
 func Infer(m Model, b *fw.Batch, dev *device.Device) *tensor.Tensor {
 	g := ag.New(dev)
-	g.EnablePooling()
 	defer g.Finish()
 	// Copied before the deferred Finish releases (and, under
 	// tensor.SetPoolPoison, poisons) the output buffer.

@@ -1,7 +1,9 @@
 package models
 
 import (
+	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/ag"
@@ -17,31 +19,66 @@ import (
 // baseline.
 func everyModel() []string { return append(AllNames(), "MLP") }
 
-// TestInferPooledBitIdentical pins the eager path's move onto pooled buffers:
-// for every model on both backends, with released buffers poisoned (TestMain),
-// Infer's logits are bit-for-bit those of an unpooled tape, and the returned
-// tensor is a copy — it keeps its values while later passes reuse the buffers
-// the first one handed back.
+// poolStateResult is what one training step and one Infer produce.
+type poolStateResult struct {
+	trainLogits, logits *tensor.Tensor
+	loss                float64
+	grads               []*tensor.Tensor
+}
+
+// poolStatePass runs one training step (forward, CrossEntropy, Backward) and
+// one Infer of m on b, copying every result before its tape's Finish.
+func poolStatePass(m Model, b *fw.Batch) poolStateResult {
+	g := ag.New(nil)
+	logits := m.Forward(g, b, true, nil)
+	loss := g.CrossEntropy(logits, b.Labels, nil)
+	g.Backward(loss)
+	r := poolStateResult{trainLogits: logits.Value().Clone(), loss: loss.Value().Data[0]}
+	g.Finish()
+	for _, p := range m.Params() {
+		r.grads = append(r.grads, p.Grad.Clone())
+	}
+	r.logits = Infer(m, b, nil)
+	return r
+}
+
+// TestInferPooledBitIdentical pins the one kind of tape against the pool's
+// state: for every model on both backends, a training step and an Infer on a
+// drained pool — every buffer fresh from the allocator — match bit for bit
+// the same on a warm pool whose released buffers are poisoned (TestMain).
+// Each pass gets its own identically seeded model, since a training step
+// moves batch-norm statistics. Infer's result is a copy: it keeps its values
+// while later passes reuse the buffers the first one handed back.
 func TestInferPooledBitIdentical(t *testing.T) {
 	for _, be := range []fw.Backend{pygeo.New(), dglb.New()} {
 		for _, name := range everyModel() {
 			label := name + "/" + be.Name()
 			cfg := graphCfg()
-			m := New(name, be, cfg)
 			b := tinyBatch(be, 10, 3, cfg.In)
 
-			g := ag.New(nil)
-			want := m.Forward(g, b, false, nil).Value().Clone()
-			g.Finish()
+			tensor.DrainPool()
+			want := poolStatePass(New(name, be, cfg), b)
+			warm := tensor.Pool()
+			m := New(name, be, cfg)
+			got := poolStatePass(m, b)
+			if tensor.Pool().Hits == warm.Hits {
+				t.Fatalf("%s: the warm pass drew no buffer from the pool", label)
+			}
 
-			got := Infer(m, b, nil)
-			assertBitEqual(t, label+" pooled", got, want)
+			assertBitEqual(t, label+" training logits", got.trainLogits, want.trainLogits)
+			if math.Float64bits(got.loss) != math.Float64bits(want.loss) {
+				t.Fatalf("%s: warm-pool loss %v, drained pool %v", label, got.loss, want.loss)
+			}
+			for i := range want.grads {
+				assertBitEqual(t, label+" "+m.Params()[i].Name+" grad", got.grads[i], want.grads[i])
+			}
+			assertBitEqual(t, label+" Infer", got.logits, want.logits)
 
 			// The same shape draws exactly the released buffers again; another
 			// shape draws from other size classes.
 			Infer(m, perturb(b, 7), nil)
 			Infer(m, tinyBatch(be, 20, 4, cfg.In), nil)
-			assertBitEqual(t, label+" after later passes", got, want)
+			assertBitEqual(t, label+" after later passes", got.logits, want.logits)
 		}
 	}
 }
@@ -70,6 +107,36 @@ func TestInferPooledSteadyState(t *testing.T) {
 				t.Errorf("%s/%s: %d pool hits and %d misses over 100 warm passes, want every buffer from the free lists",
 					name, be.Name(), hits, misses)
 			}
+		}
+	}
+}
+
+// TestInferSteadyStateUnderGC: the pool's marks roll at every GC cycle, and
+// a working set in use on every pass survives the rolls — 100 warm passes
+// with a forced collection every ten still miss nothing. Automatic
+// collections are off for the test: two cycles back to back with no pass
+// between them are an idle window, and the pool rightly evicts after one.
+func TestInferSteadyStateUnderGC(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, be := range []fw.Backend{pygeo.New(), dglb.New()} {
+		cfg := graphCfg()
+		m := New("GAT", be, cfg)
+		b := tinyBatch(be, 10, 3, cfg.In)
+		for i := 0; i < 3; i++ {
+			Infer(m, b, nil)
+		}
+		before := tensor.Pool()
+		for i := 0; i < 100; i++ {
+			if i%10 == 0 {
+				runtime.GC()
+			}
+			Infer(m, b, nil)
+		}
+		after := tensor.Pool()
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits == 0 || misses != 0 {
+			t.Errorf("GAT/%s: %d hits and %d misses over 100 warm passes with a GC every ten", be.Name(), hits, misses)
 		}
 	}
 }

@@ -76,10 +76,12 @@ func RegisterPoolMetrics(r *Registry) {
 }
 
 // RegisterTensorPoolMetrics registers the tensor buffer pool's counters: Gets
-// served from a free list vs. fresh allocations, releases and the subset the
-// pool declined to keep, and the bytes currently parked for reuse. A healthy
+// served from a free list vs. fresh allocations, releases, the ones outside
+// the pooled class range, parked buffers evicted above their class's recent
+// high-water mark, and the bytes currently parked for reuse. A healthy
 // steady state shows the hit counter advancing while the miss counter stays
-// flat — each miss is a heap allocation on the hot path.
+// flat — each miss is a heap allocation on the hot path — and evictions
+// moving only when the process's working set changes.
 func RegisterTensorPoolMetrics(r *Registry) {
 	r.CounterFunc("gnnlab_tensor_pool_hits_total", "Pooled tensor Gets served from a free list.",
 		func() float64 { return float64(tensor.Pool().Hits) })
@@ -87,8 +89,10 @@ func RegisterTensorPoolMetrics(r *Registry) {
 		func() float64 { return float64(tensor.Pool().Misses) })
 	r.CounterFunc("gnnlab_tensor_pool_releases_total", "Tensors handed back to the pool.",
 		func() float64 { return float64(tensor.Pool().Releases) })
-	r.CounterFunc("gnnlab_tensor_pool_discards_total", "Releases the pool declined to keep.",
+	r.CounterFunc("gnnlab_tensor_pool_discards_total", "Releases outside the pooled class range, left to the garbage collector.",
 		func() float64 { return float64(tensor.Pool().Discards) })
+	r.CounterFunc("gnnlab_tensor_pool_evictions_total", "Parked buffers dropped above their class's high-water mark of the last two GC cycles.",
+		func() float64 { return float64(tensor.Pool().Evictions) })
 	r.GaugeFunc("gnnlab_tensor_pool_free_bytes", "Bytes parked on the pool's free lists.",
 		func() float64 { return float64(tensor.Pool().Bytes) })
 }

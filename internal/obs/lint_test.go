@@ -69,6 +69,10 @@ func TestProjectMetricsLint(t *testing.T) {
 	requireFamilies(t, "process", reg,
 		"ckpt_saves_total", "ckpt_saved_bytes_total", "ckpt_save_seconds_total", "ckpt_last_save_age_seconds")
 	requireFamilies(t, "serve", sreg, "gnnserve_reloads_total")
+	// The tensor pool's traffic, including the evictions of its retention rule.
+	requireFamilies(t, "process", reg,
+		"gnnlab_tensor_pool_hits_total", "gnnlab_tensor_pool_misses_total", "gnnlab_tensor_pool_releases_total",
+		"gnnlab_tensor_pool_discards_total", "gnnlab_tensor_pool_evictions_total", "gnnlab_tensor_pool_free_bytes")
 	// The coalescer's queue-wait, close-reason and utilisation families.
 	requireFamilies(t, "serve", sreg,
 		"gnnserve_queue_wait_seconds", "gnnserve_batch_close_total", "gnnserve_pool_utilization")

@@ -14,6 +14,7 @@ import (
 	"repro/internal/fw/dglb"
 	"repro/internal/fw/pygeo"
 	"repro/internal/models"
+	"repro/internal/tensor"
 )
 
 func reloadModel(seed uint64) models.Model {
@@ -148,5 +149,65 @@ func TestSwapModelNeedsSwappableReplicas(t *testing.T) {
 	err := s.SwapModel(reloadModel(3))
 	if err == nil || !strings.Contains(err.Error(), "does not support model swapping") {
 		t.Fatalf("non-swappable replica must fail the reload, got %v", err)
+	}
+}
+
+// TestCompiledSwapClosesRetiredTapes: a reload used to drop a compiled
+// replica's CompiledInfer without Close, so every swap leaked the old tapes'
+// device accounting and pooled buffers. After any number of swaps and a
+// batch, the device holds one tape's worth again.
+func TestCompiledSwapClosesRetiredTapes(t *testing.T) {
+	dev := device.New("cuda:0", device.RTX2080Ti())
+	s := New([]Replica{NewCompiledModelReplica(reloadModel(7), dev, tensor.F64)},
+		Options{MaxBatch: 1, NumFeatures: 6})
+	defer s.Shutdown(t.Context())
+	predict := func() {
+		t.Helper()
+		if _, err := s.Predict(t.Context(), ringGraph(7, 6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	predict()
+	oneTape := dev.Stats().AllocBytes
+	if oneTape == 0 {
+		t.Fatal("a recorded tape holds no device memory; the test measures nothing")
+	}
+	for round, swaps := range []int{3, 1, 1} {
+		for i := 0; i < swaps; i++ {
+			if err := s.SwapModel(reloadModel(uint64(8 + i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		predict()
+		if got := dev.Stats().AllocBytes; got != oneTape {
+			t.Fatalf("round %d (%d swaps): device holds %d bytes, one tape is %d: retired tapes were not closed",
+				round, swaps, got, oneTape)
+		}
+	}
+
+	// Swaps racing batches: every answer arrives, and once traffic stops one
+	// more batch leaves a single tape behind.
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 10; k++ {
+				if _, err := s.Predict(t.Context(), ringGraph(7, 6)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		if err := s.SwapModel(reloadModel(uint64(20 + i))); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+	predict()
+	if got := dev.Stats().AllocBytes; got != oneTape {
+		t.Fatalf("after swaps racing batches: device holds %d bytes, one tape is %d", got, oneTape)
 	}
 }

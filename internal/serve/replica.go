@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/device"
@@ -83,6 +84,9 @@ type compiledReplica struct {
 	m   atomic.Pointer[compiledBox]
 	dev *device.Device
 	dt  tensor.DType
+
+	mu      sync.Mutex
+	retired []*models.CompiledInfer // swapped out; closed by the next Forward
 }
 
 type compiledBox struct {
@@ -104,15 +108,26 @@ func NewCompiledModelReplica(m models.Model, dev *device.Device, dt tensor.DType
 func (r *compiledReplica) Backend() fw.Backend { return r.m.Load().m.Backend() }
 
 func (r *compiledReplica) Forward(b *fw.Batch) *tensor.Tensor {
+	r.mu.Lock()
+	for _, ci := range r.retired {
+		ci.Close()
+	}
+	r.retired = nil
+	r.mu.Unlock()
 	return r.m.Load().ci.Forward(b)
 }
 
 func (r *compiledReplica) Device() *device.Device { return r.dev }
 
 // Swap implements Swappable. The new model gets a fresh CompiledInfer whose
-// tapes re-record on first use. The old box's tapes are dropped to the
-// garbage collector without Close: a batch already in flight may still be
-// replaying on them, so eagerly finishing the tapes would poison its output.
+// tapes re-record on first use. The old one is retired, not closed: a batch
+// already in flight may still be replaying on its tapes. The next Forward
+// closes it, returning its buffers and device accounting — by then the
+// in-flight batch is done, because the pool hands a replica to one RunBatch
+// at a time and its rows are copied out before the replica goes back.
 func (r *compiledReplica) Swap(m models.Model) {
-	r.m.Store(&compiledBox{m: m, ci: models.NewCompiledInfer(m, r.dev, r.dt)})
+	old := r.m.Swap(&compiledBox{m: m, ci: models.NewCompiledInfer(m, r.dev, r.dt)})
+	r.mu.Lock()
+	r.retired = append(r.retired, old.ci)
+	r.mu.Unlock()
 }

@@ -1,9 +1,9 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -14,8 +14,9 @@ import (
 // steady-state training and serving churned the heap exactly where the
 // paper's kernel-launch overhead sat. The pool turns that churn into
 // constant-space reuse: Get hands out a zeroed tensor whose buffer comes from
-// the free list of the smallest power-of-two class that fits, and Release
-// returns a buffer for reuse. A steady-state training or serving step whose
+// the free list of the smallest power-of-two class that fits (or, when that
+// list is empty, of the next class up), and Release returns a buffer to the
+// list of its own class. A steady-state training or serving step whose
 // Gets are balanced by Releases performs zero heap allocations.
 //
 // Rules:
@@ -31,6 +32,21 @@ import (
 //     invalidates every view of it. The gnnvet use-after-release check
 //     enforces the obvious cases statically.
 //
+// Retention: the pool keeps no more than the process recently used. Each
+// class counts its outstanding buffers — handed out by Get and not yet
+// released — and keeps parked + outstanding ≤ B, where B is the class's
+// outstanding high-water mark over the current and the previous
+// garbage-collection cycle. A miss can only create a buffer the mark
+// already covers, so the rule binds when the marks roll: a finalizer
+// sentinel re-armed every GC cycle rolls them and evicts each class's
+// longest-parked buffers above its new B. So a class parks what was in use
+// at once within the last two cycles — the set a recurring step needs — and
+// a class that stopped being used leaves within two cycles. Two cycles, not
+// one, because a GC can land between steps, when nothing is outstanding.
+// Parked bytes are live heap and raise the collector's heap goal, so they
+// are bounded by recent demand rather than by a count; the one-class borrow
+// keeps batches of neighbouring sizes on one set of buffers instead of two.
+//
 // The pool is safe for concurrent use; each size class has its own lock.
 
 const (
@@ -40,9 +56,6 @@ const (
 	// poolMaxBits caps pooled buffers at 2^26 floats (512 MiB); anything
 	// larger is handed back to the garbage collector on Release.
 	poolMaxBits = 26
-	// poolClassRetain bounds how many free buffers one size class keeps;
-	// beyond it, Release discards to the garbage collector.
-	poolClassRetain = 64
 )
 
 // poolPoisonBits is the quiet-NaN bit pattern released buffers are filled
@@ -51,18 +64,50 @@ const (
 const poolPoisonBits = 0x7ff8dead_dead_dead
 
 type sizeClass struct {
-	mu   sync.Mutex
-	free []*Tensor
+	mu          sync.Mutex
+	free        []*Tensor // a stack: free[0] has been parked longest
+	outstanding int       // buffers handed out by Get and not yet released
+	mark, prev  int       // outstanding high-water marks of this and the previous GC cycle
+}
+
+// take pops the class's most recently parked buffer and counts it
+// outstanding, or returns nil when none is parked.
+func (sc *sizeClass) take() *Tensor {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	l := len(sc.free)
+	if l == 0 {
+		return nil
+	}
+	t := sc.free[l-1]
+	sc.free[l-1] = nil
+	sc.free = sc.free[:l-1]
+	sc.outstanding++
+	sc.mark = max(sc.mark, sc.outstanding)
+	return t
+}
+
+// trim evicts the class's longest-parked buffers until parked + outstanding
+// is within the recent high-water mark. Callers hold sc.mu.
+func (sc *sizeClass) trim() {
+	for len(sc.free)+sc.outstanding > max(sc.mark, sc.prev) {
+		poolFloats.Add(-int64(cap(sc.free[0].Data)))
+		sc.free[0] = nil
+		sc.free = sc.free[1:]
+		poolEvictions.Add(1)
+	}
 }
 
 var (
 	poolClasses [poolMaxBits + 1]sizeClass
 
-	poolHits     atomic.Int64
-	poolMisses   atomic.Int64
-	poolReleases atomic.Int64
-	poolDiscards atomic.Int64
-	poolFloats   atomic.Int64 // floats currently parked on free lists
+	poolHits      atomic.Int64
+	poolMisses    atomic.Int64
+	poolReleases  atomic.Int64
+	poolDiscards  atomic.Int64
+	poolEvictions atomic.Int64
+	poolFloats    atomic.Int64 // floats currently parked on free lists
+	poolCycles    atomic.Int64 // GC cycles the marks have rolled at
 
 	poolPoison atomic.Bool
 )
@@ -76,38 +121,42 @@ func classFor(n int) int {
 }
 
 // Get returns a zeroed tensor of the given shape whose backing buffer is
-// recycled from the pool when a large-enough one is free, and freshly
-// allocated otherwise. The caller owns the tensor and should Release it
-// after its last read to keep the steady state allocation-free.
+// recycled from the pool when one of its class, or failing that of the next
+// class up, is free, and freshly allocated otherwise. The caller owns the
+// tensor and should Release it after its last read to keep the steady state
+// allocation-free.
 func Get(shape ...int) *Tensor {
 	n := checkShape(shape)
 	c := classFor(n)
-	if c <= poolMaxBits {
+	if c > poolMaxBits {
+		poolMisses.Add(1)
+		t := &Tensor{Data: make([]float64, n)}
+		t.setShape(shape)
+		return t
+	}
+	t := poolClasses[c].take()
+	if t == nil && c < poolMaxBits {
+		// Batches whose sizes straddle a class boundary share one set of
+		// buffers: the smaller batch borrows the larger one's.
+		t = poolClasses[c+1].take()
+	}
+	if t != nil {
+		poolFloats.Add(-int64(cap(t.Data)))
+		poolHits.Add(1)
+		t.Data = t.Data[:n]
+		zero(t.Data)
+		t.released = false
+	} else {
 		sc := &poolClasses[c]
 		sc.mu.Lock()
-		if l := len(sc.free); l > 0 {
-			t := sc.free[l-1]
-			sc.free[l-1] = nil
-			sc.free = sc.free[:l-1]
-			sc.mu.Unlock()
-			poolFloats.Add(-int64(cap(t.Data)))
-			poolHits.Add(1)
-			t.Data = t.Data[:n]
-			zero(t.Data)
-			t.setShape(shape)
-			t.released = false
-			return t
-		}
+		sc.outstanding++
+		sc.mark = max(sc.mark, sc.outstanding)
 		sc.mu.Unlock()
-	}
-	poolMisses.Add(1)
-	capacity := n
-	if c <= poolMaxBits {
+		poolMisses.Add(1)
 		// Round the fresh buffer up to its class size so it is maximally
 		// reusable once released.
-		capacity = 1 << c
+		t = &Tensor{Data: make([]float64, n, 1<<c)}
 	}
-	t := &Tensor{Data: make([]float64, n, capacity)}
 	t.setShape(shape)
 	return t
 }
@@ -115,9 +164,9 @@ func Get(shape ...int) *Tensor {
 // GetLike returns a pooled zero tensor with t's shape.
 func GetLike(t *Tensor) *Tensor { return Get(t.shape...) }
 
-// Release returns tensors to the pool for reuse. nil entries are skipped.
-// The tensors (and any views sharing their storage) must not be touched
-// afterwards; releasing the same tensor twice panics.
+// Release returns tensors from Get to the pool for reuse. nil entries are
+// skipped. The tensors (and any views sharing their storage) must not be
+// touched afterwards; releasing the same tensor twice panics.
 func Release(ts ...*Tensor) {
 	for _, t := range ts {
 		if t == nil {
@@ -140,19 +189,37 @@ func Release(ts ...*Tensor) {
 			poolDiscards.Add(1)
 			continue
 		}
+		t.Data = buf
 		sc := &poolClasses[c]
 		sc.mu.Lock()
-		if len(sc.free) >= poolClassRetain {
-			sc.mu.Unlock()
-			poolDiscards.Add(1)
-			continue
-		}
-		t.Data = buf
+		sc.outstanding = max(sc.outstanding-1, 0) // a tensor from New was never counted
 		sc.free = append(sc.free, t)
-		sc.mu.Unlock()
 		poolFloats.Add(int64(cap(buf)))
+		sc.trim() // binds only for a buffer Get never handed out
+		sc.mu.Unlock()
 	}
 }
+
+// gcSentinel's finalizer rolls every class's marks once per GC cycle: each
+// run arms a fresh sentinel, which the next cycle finds unreachable. Sixteen
+// bytes keeps it out of the tiny allocator, whose finalizers may never run.
+type gcSentinel struct{ _ [16]byte }
+
+func armGCSentinel() {
+	runtime.SetFinalizer(new(gcSentinel), func(*gcSentinel) {
+		armGCSentinel() // first, so a cycle starting during this roll still finds one
+		for c := range poolClasses {
+			sc := &poolClasses[c]
+			sc.mu.Lock()
+			sc.prev, sc.mark = sc.mark, sc.outstanding
+			sc.trim()
+			sc.mu.Unlock()
+		}
+		poolCycles.Add(1)
+	})
+}
+
+func init() { armGCSentinel() }
 
 // zero clears a slice (compiled to memclr).
 func zero(d []float64) {
@@ -163,22 +230,24 @@ func zero(d []float64) {
 
 // PoolStats is a snapshot of the buffer pool counters.
 type PoolStats struct {
-	Hits     int64 // Gets served from a free list
-	Misses   int64 // Gets that had to allocate
-	Releases int64 // tensors handed back
-	Discards int64 // releases the pool declined to keep
-	Bytes    int64 // bytes currently parked on free lists
+	Hits      int64 // Gets served from a free list
+	Misses    int64 // Gets that had to allocate
+	Releases  int64 // tensors handed back
+	Discards  int64 // releases outside the pooled class range, left to the collector
+	Evictions int64 // parked buffers dropped above their class's recent high-water mark
+	Bytes     int64 // bytes currently parked on free lists
 }
 
 // Pool returns a snapshot of the pool counters (exported to the obs layer as
 // tensor_pool_* metrics).
 func Pool() PoolStats {
 	return PoolStats{
-		Hits:     poolHits.Load(),
-		Misses:   poolMisses.Load(),
-		Releases: poolReleases.Load(),
-		Discards: poolDiscards.Load(),
-		Bytes:    poolFloats.Load() * 8,
+		Hits:      poolHits.Load(),
+		Misses:    poolMisses.Load(),
+		Releases:  poolReleases.Load(),
+		Discards:  poolDiscards.Load(),
+		Evictions: poolEvictions.Load(),
+		Bytes:     poolFloats.Load() * 8,
 	}
 }
 
@@ -202,7 +271,6 @@ func DrainPool() int {
 		sc.mu.Lock()
 		for _, t := range sc.free {
 			poolFloats.Add(-int64(cap(t.Data)))
-			_ = t
 			n++
 		}
 		sc.free = nil
@@ -210,12 +278,3 @@ func DrainPool() int {
 	}
 	return n
 }
-
-// poolCheckShape is a compile-time reminder that Get mirrors New's shape
-// contract; both panic through checkShape on invalid shapes.
-var _ = func() bool {
-	if poolMinBits >= poolMaxBits {
-		panic(fmt.Sprintf("tensor: invalid pool class range [%d,%d]", poolMinBits, poolMaxBits))
-	}
-	return true
-}()

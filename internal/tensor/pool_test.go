@@ -2,7 +2,11 @@ package tensor
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
+	"time"
 )
 
 // poolReset drains the free lists so each test observes its own hits/misses
@@ -122,22 +126,6 @@ func TestPoolTinyBuffersAreDiscarded(t *testing.T) {
 	}
 }
 
-func TestPoolClassRetainBound(t *testing.T) {
-	poolReset()
-	n := poolClassRetain + 8
-	ts := make([]*Tensor, n)
-	for i := range ts {
-		ts[i] = Get(64)
-	}
-	before := Pool()
-	Release(ts...)
-	after := Pool()
-	if d := after.Discards - before.Discards; d != 8 {
-		t.Errorf("discards delta = %d, want 8 (beyond the per-class retain bound)", d)
-	}
-	poolReset()
-}
-
 // TestPoolZeroAllocSteadyState is the tentpole property at the tensor layer:
 // once warm, a Get/use/Release cycle does not touch the heap.
 func TestPoolZeroAllocSteadyState(t *testing.T) {
@@ -155,5 +143,189 @@ func TestPoolZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Get/Release = %v allocs/op, want 0", allocs)
+	}
+}
+
+// manualGC turns automatic collections off for the rest of the test, so the
+// only GC cycles are gcRoll's: two cycles back to back with no pool traffic
+// between them are an idle window, and the pool rightly evicts after one.
+func manualGC(t *testing.T) {
+	prev := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(prev) })
+}
+
+// TestPoolBorrowsOneClassUp: a Get whose class is empty takes a parked
+// buffer of the next class up — batches straddling a class boundary share
+// one set — and never one two classes up.
+func TestPoolBorrowsOneClassUp(t *testing.T) {
+	poolReset()
+	big := Get(1000) // class 10
+	buf := &big.Data[:cap(big.Data)][0]
+	Release(big)
+	before := Pool()
+	small := Get(500) // class 9: empty, so class 10 lends its buffer
+	if &small.Data[:cap(small.Data)][0] != buf || len(small.Data) != 500 {
+		t.Fatal("a Get with an empty class did not borrow the parked buffer one class up")
+	}
+	Release(small)
+	tiny := Get(200) // class 8: two classes below the parked buffer
+	if &tiny.Data[:cap(tiny.Data)][0] == buf {
+		t.Fatal("a Get borrowed a buffer two classes up")
+	}
+	Release(tiny)
+	after := Pool()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != 1 {
+		t.Errorf("%d hits and %d misses, want 1 and 1", hits, misses)
+	}
+	if got := len(poolClasses[10].free); got != 1 {
+		t.Errorf("class 10 parks %d buffers after its borrowed one came back, want 1", got)
+	}
+}
+
+// gcRoll forces a garbage collection and waits until the pool's sentinel
+// has rolled the marks at least once since the call.
+func gcRoll(t *testing.T) {
+	t.Helper()
+	before := poolCycles.Load()
+	runtime.GC()
+	deadline := time.Now().Add(10 * time.Second)
+	for poolCycles.Load() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("the pool's marks did not roll within 10s of runtime.GC")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// withinMarks reports every pooled class whose parked + outstanding buffers
+// exceed its recent high-water mark.
+func withinMarks(t *testing.T) {
+	t.Helper()
+	for c := range poolClasses {
+		sc := &poolClasses[c]
+		sc.mu.Lock()
+		n, b := len(sc.free)+sc.outstanding, max(sc.mark, sc.prev)
+		sc.mu.Unlock()
+		if n > b {
+			t.Errorf("class %d holds %d buffers, above its recent high-water mark %d", c, n, b)
+		}
+	}
+}
+
+// getN draws n tensors of size floats at once.
+func getN(n, size int) []*Tensor {
+	ts := make([]*Tensor, n)
+	for i := range ts {
+		ts[i] = Get(size)
+	}
+	return ts
+}
+
+// TestPoolPhaseChange: a phase parks a large class, then a small working set
+// takes over. The small set misses once and is served from the free lists
+// after that, across GC cycles; the large class, unused for two cycles,
+// leaves; no class ever holds more than its recent high-water mark.
+func TestPoolPhaseChange(t *testing.T) {
+	poolReset()
+	manualGC(t)
+	const large, small = 1 << 16, 1 << 8
+	Release(getN(4, large)...)
+	if got := len(poolClasses[classFor(large)].free); got != 4 {
+		t.Fatalf("large phase parked %d buffers, want 4", got)
+	}
+	withinMarks(t)
+
+	before := Pool()
+	for pass := 0; pass < 30; pass++ {
+		if pass == 10 || pass == 20 {
+			gcRoll(t)
+		}
+		Release(getN(3, small)...)
+		withinMarks(t)
+	}
+	after := Pool()
+	if misses := after.Misses - before.Misses; misses != 3 {
+		t.Errorf("small phase missed %d times, want 3 (its first pass only)", misses)
+	}
+	if got := len(poolClasses[classFor(large)].free); got != 0 {
+		t.Errorf("large class still parks %d buffers two GC cycles after its last use", got)
+	}
+	if ev := after.Evictions - before.Evictions; ev < 4 {
+		t.Errorf("evictions advanced by %d, want at least the 4 large buffers", ev)
+	}
+	if got := len(poolClasses[classFor(small)].free); got != 3 {
+		t.Errorf("small class parks %d buffers, want its working set of 3", got)
+	}
+}
+
+// TestPoolShrinkingDemand: a class parks what it had in use at once within
+// the last two cycles, not what it once had.
+func TestPoolShrinkingDemand(t *testing.T) {
+	poolReset()
+	manualGC(t)
+	const size = 1 << 10
+	Release(getN(8, size)...)
+	for i := 0; i < 2; i++ {
+		gcRoll(t)
+		Release(getN(2, size)...)
+	}
+	if got := len(poolClasses[classFor(size)].free); got != 2 {
+		t.Errorf("class parks %d buffers after two cycles of using 2 at once, want 2", got)
+	}
+	withinMarks(t)
+}
+
+// TestPoolIdle: with no pool traffic, two GC cycles empty the free lists.
+func TestPoolIdle(t *testing.T) {
+	poolReset()
+	manualGC(t)
+	Release(getN(5, 1<<12)...)
+	before := Pool()
+	if before.Bytes == 0 {
+		t.Fatal("nothing parked")
+	}
+	gcRoll(t)
+	gcRoll(t)
+	after := Pool()
+	if after.Bytes != 0 {
+		t.Errorf("%d bytes still parked after two idle GC cycles", after.Bytes)
+	}
+	if ev := after.Evictions - before.Evictions; ev < 5 {
+		t.Errorf("evictions advanced by %d over two idle cycles, want at least 5", ev)
+	}
+}
+
+// TestPoolConcurrentUnderGC: Gets and Releases from several goroutines,
+// racing the sentinel's rolls on the finalizer goroutine, leave every class
+// within its marks and the parked-bytes gauge equal to what the free lists
+// hold.
+func TestPoolConcurrentUnderGC(t *testing.T) {
+	poolReset()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				Release(getN(1+i%3, 64<<(i%4))...)
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	wg.Wait()
+	withinMarks(t)
+	var parked int64
+	for c := range poolClasses {
+		sc := &poolClasses[c]
+		sc.mu.Lock()
+		for _, b := range sc.free {
+			parked += int64(cap(b.Data)) * 8
+		}
+		sc.mu.Unlock()
+	}
+	if got := Pool().Bytes; got != parked {
+		t.Errorf("parked-bytes gauge reads %d, the free lists hold %d", got, parked)
 	}
 }

@@ -316,7 +316,7 @@ func evalBatches(m models.Model, d *datasets.Dataset, idx []int, ranges [][2]int
 	parallel.For(len(ranges), 1, func(blo, bhi int) {
 		for bi := blo; bi < bhi; bi++ {
 			b := be.Batch(gatherGraphs(d, idx[ranges[bi][0]:ranges[bi][1]]), dev)
-			visit(bi, b, evalLogits(m, b, dev))
+			visit(bi, b, models.Infer(m, b, dev))
 			b.Release(dev)
 		}
 	})

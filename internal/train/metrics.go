@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/ag"
 	"repro/internal/datasets"
 	"repro/internal/device"
 	"repro/internal/fw"
@@ -98,23 +97,13 @@ func (c *Confusion) String() string {
 	return b.String()
 }
 
-// evalLogits is m's eval-mode forward on b: every validation, test and
-// prediction pass in this package. The tape is heap-backed (not
-// models.Infer's pooled one), so the logits outlive its Finish and a training
-// process parks nothing in the tensor pool.
-func evalLogits(m models.Model, b *fw.Batch, dev *device.Device) *tensor.Tensor {
-	g := ag.New(dev)
-	defer g.Finish()
-	return m.Forward(g, b, false, nil).Value()
-}
-
 // PredictNode runs the model in eval mode over a node-classification dataset
 // and returns the predicted class per node.
 func PredictNode(m models.Model, d *datasets.Dataset, dev *device.Device) []int {
 	be := m.Backend()
 	b := be.Batch(d.Graphs, dev)
 	defer b.Release(dev)
-	return tensor.ArgMaxRows(evalLogits(m, b, dev))
+	return tensor.ArgMaxRows(models.Infer(m, b, dev))
 }
 
 // ConfusionNode evaluates a node classifier over the given node indices.

@@ -152,7 +152,7 @@ func TrainNode(m models.Model, d *datasets.Dataset, opt NodeOptions) NodeResult 
 }
 
 func evalNodeLoss(m models.Model, b *fw.Batch, idx []int, dev *device.Device) float64 {
-	logits := evalLogits(m, b, dev)
+	logits := models.Infer(m, b, dev)
 	var total float64
 	for _, i := range idx {
 		total += nll(logits.Row(i), b.NodeLabels[i])
@@ -161,7 +161,7 @@ func evalNodeLoss(m models.Model, b *fw.Batch, idx []int, dev *device.Device) fl
 }
 
 func evalNodeAcc(m models.Model, b *fw.Batch, idx []int, dev *device.Device) float64 {
-	return ag.Accuracy(evalLogits(m, b, dev), b.NodeLabels, idx)
+	return ag.Accuracy(models.Infer(m, b, dev), b.NodeLabels, idx)
 }
 
 // NodeSummary aggregates TrainNode runs over seeds, giving the paper's
