@@ -50,7 +50,7 @@ func main() {
 	queueDepth := flag.Int("queue", 256, "bounded request-queue depth")
 	window := flag.Duration("window", 2*time.Millisecond, "longest a request waits in the coalescer for company; spent in full only while the server is saturated, else a 250µs quiet gap (negative: never linger)")
 	timeout := flag.Duration("timeout", time.Second, "default per-request deadline")
-	dtype := flag.String("dtype", "", "compiled serving at this weight precision: f64|f32|q8 (empty = eager reference path)")
+	dtype := flag.String("dtype", "", "f64 = compiled serving: each batch shape's forward tape is recorded once and replayed (empty = eager; f32 and q8 were removed)")
 	checkpoint := flag.String("checkpoint", "", "optional parameter checkpoint to load (nn.Save format)")
 	checkpointDir := flag.String("checkpoint-dir", "", "training checkpoint directory: the newest recoverable GNNCKPT2 file supplies the weights, and /admin/reload or SIGHUP re-reads it")
 	workers := flag.String("workers", "", "comma-separated gnnworker addresses; enables coordinator mode (batches dispatch to the fleet instead of local replicas)")

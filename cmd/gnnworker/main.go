@@ -8,10 +8,8 @@
 // binary) is refused at connection time, loudly. Weight updates are done by
 // restarting the worker with the new checkpoint: the coordinator evicts the
 // dead worker, retries its in-flight jobs on survivors, and re-admits the
-// restarted process after re-verifying its hash. -dtype selects compiled
-// serving tapes at reduced precision (f32, q8) exactly as gnnserve does in
-// single-process mode; the hash is always computed over the f64 checkpoint,
-// before any compression.
+// restarted process after re-verifying its hash. -dtype f64 selects compiled
+// serving tapes exactly as gnnserve does in single-process mode.
 package main
 
 import (
@@ -41,7 +39,7 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "dataset scale for the width probe")
 	replicas := flag.Int("replicas", 2, "forward-only model replicas")
 	pods := flag.Int("pods", 0, "max concurrent jobs (default one per replica); excess jobs are refused, not queued")
-	dtype := flag.String("dtype", "", "compiled serving at this weight precision: f64|f32|q8 (empty = eager reference path)")
+	dtype := flag.String("dtype", "", "f64 = compiled serving: each batch shape's forward tape is recorded once and replayed (empty = eager; f32 and q8 were removed)")
 	checkpoint := flag.String("checkpoint", "", "optional parameter checkpoint to load (nn.Save format)")
 	checkpointDir := flag.String("checkpoint-dir", "", "training checkpoint directory: the newest recoverable checkpoint supplies the weights")
 	flightDir := flag.String("flight-dir", "", "directory for flight-recorder dumps on replica panic (empty = dumps disabled)")
@@ -67,8 +65,6 @@ func main() {
 		fmt.Printf("gnnworker: loaded weights from %s\n", path)
 	}
 
-	// The fleet identity is the f64 checkpoint: hash before any dtype
-	// compression mutates the layers.
 	hash, err := fleet.ModelHash(m.Params())
 	if err != nil {
 		fatal(err)

@@ -90,25 +90,27 @@ func LoadWeights(m models.Model, checkpoint, checkpointDir string) (string, erro
 }
 
 // Replicas builds n forward-only replicas of m, each accounted to its own
-// simulated device. An empty dtype is the eager f64 reference path; f64, f32
-// or q8 selects compiled replicas, which record each batch shape's forward
-// tape once and replay it allocation-free with weights held at that
-// precision. mode describes the choice for the start-up line.
+// simulated device. An empty dtype is the eager path; f64 selects compiled
+// replicas, which record each batch shape's forward tape once and replay it
+// allocation-free. The f32 and q8 weight precisions were removed and are
+// refused by name. mode describes the choice for the start-up line.
 func Replicas(m models.Model, n int, dtype string) (reps []serve.Replica, devs []*device.Device, mode string, err error) {
-	var wdt tensor.DType
-	mode = "eager f64"
-	if dtype != "" {
-		if wdt, err = tensor.ParseDType(dtype); err != nil {
-			return nil, nil, "", err
-		}
-		mode = "compiled " + wdt.String()
+	switch dtype {
+	case "":
+		mode = "eager f64"
+	case "f64":
+		mode = "compiled f64"
+	case "f32", "q8":
+		return nil, nil, "", fmt.Errorf("-dtype %s was removed: its compressed weight copy sat beside the float64 weights, saving no memory, and served slower than f64; -dtype f64 selects compiled serving", dtype)
+	default:
+		return nil, nil, "", fmt.Errorf("unknown -dtype %q (want f64 for compiled serving, or empty for eager)", dtype)
 	}
 	reps = make([]serve.Replica, n)
 	devs = make([]*device.Device, n)
 	for i := range reps {
 		devs[i] = device.New(fmt.Sprintf("cuda:%d", i), device.RTX2080Ti())
 		if dtype != "" {
-			reps[i] = serve.NewCompiledModelReplica(m, devs[i], wdt)
+			reps[i] = serve.NewCompiledModelReplica(m, devs[i], tensor.F64)
 		} else {
 			reps[i] = serve.NewModelReplica(m, devs[i])
 		}

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/fleet"
@@ -83,5 +84,32 @@ func TestBinariesAgreeOnDefaultModelHash(t *testing.T) {
 	if hashes["gnnserve"] != hashes["gnnworker"] {
 		t.Fatalf("default gnnserve serves model %s, default gnnworker %s: the fleet could not connect",
 			fleet.HashString(hashes["gnnserve"]), fleet.HashString(hashes["gnnworker"]))
+	}
+}
+
+// TestReplicasDType pins the -dtype flag: empty is eager, f64 is compiled,
+// and the removed f32 and q8 precisions are refused with an error that says
+// so rather than as unknown values.
+func TestReplicasDType(t *testing.T) {
+	be, err := Backend("PyG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Dataset("ENZYMES", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewModel("GCN", be, d)
+	for dtype, want := range map[string]string{"": "eager f64", "f64": "compiled f64"} {
+		reps, devs, mode, err := Replicas(m, 2, dtype)
+		if err != nil || mode != want || len(reps) != 2 || len(devs) != 2 {
+			t.Errorf("Replicas(-dtype %q) = %d replicas, %d devices, mode %q, %v; want 2, 2, %q, nil",
+				dtype, len(reps), len(devs), mode, err, want)
+		}
+	}
+	for dtype, want := range map[string]string{"f32": "was removed", "q8": "was removed", "f16": "unknown -dtype"} {
+		if _, _, _, err := Replicas(m, 2, dtype); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Replicas(-dtype %q) error = %v, want one containing %q", dtype, err, want)
+		}
 	}
 }

@@ -95,9 +95,8 @@ type Graph struct {
 	allocBytes int64
 	finished   bool
 
-	owned     []*tensor.Tensor // pooled buffers released at Finish (outputs + workspaces)
-	evalQuant bool             // Linear layers may use compressed weights
-	onReplay  []func()         // constant-refresh hooks run before each replay
+	owned    []*tensor.Tensor // pooled buffers released at Finish (outputs + workspaces)
+	onReplay []func()         // constant-refresh hooks run before each replay
 }
 
 // New returns an empty tape recording kernels and allocations on dev. dev
@@ -112,14 +111,6 @@ func (g *Graph) Device() *device.Device { return g.dev }
 
 // NumNodes returns the number of tape entries so far.
 func (g *Graph) NumNodes() int { return len(g.tape) }
-
-// EnableQuantizedEval lets Linear layers apply their compressed (f32/q8)
-// weights on this graph. Only meaningful for inference tapes; quantized
-// weights have no gradients.
-func (g *Graph) EnableQuantizedEval() { g.evalQuant = true }
-
-// QuantizedEval reports whether compressed Linear weights may be used.
-func (g *Graph) QuantizedEval() bool { return g.evalQuant }
 
 // alloc records t's storage as live device memory owned by this graph.
 func (g *Graph) alloc(t *tensor.Tensor) {

@@ -54,24 +54,6 @@ func (g *Graph) MatMul(a, b *Node) *Node {
 	return res
 }
 
-// QMatMul applies a compressed (f32/q8) weight to x: out = x @ W for W
-// stored transposed in q. Compressed weights are inference-only, so no
-// gradient flows; the kernel's byte accounting reflects the smaller weight
-// footprint, which is the point of serving with compressed replicas.
-func (g *Graph) QMatMul(x *Node, q *tensor.QTensor) *Node {
-	check2("QMatMul", x)
-	m := x.T.Rows()
-	flops := int64(2 * m * q.In * q.Out)
-	bytes := int64(8*(m*q.In+m*q.Out)) + q.Bytes()
-	var out *tensor.Tensor
-	return g.op(&out, false, "qmatmul", flops, bytes, func() {
-		if out == nil {
-			out = g.get(m, q.Out)
-		}
-		tensor.QMatMulInto(out, x.T, q)
-	})
-}
-
 // Add returns a + b for same-shaped nodes.
 func (g *Graph) Add(a, b *Node) *Node {
 	n := int64(a.T.Size())

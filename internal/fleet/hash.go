@@ -15,9 +15,6 @@ import (
 // coordinator expects — a stale checkpoint, a mismatched -model flag — is
 // refused at connection time instead of silently answering with a different
 // model.
-//
-// Compute the hash before any dtype compression: compiled replicas may hold
-// f32/q8 copies, but the identity of the fleet is the f64 checkpoint.
 func ModelHash(params []*ag.Parameter) ([32]byte, error) {
 	h := sha256.New()
 	if err := nn.Save(h, params); err != nil {

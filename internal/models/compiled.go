@@ -13,17 +13,13 @@ import (
 // buffers the tape captures; replay copies the incoming batch's payload into
 // those buffers, runs the registered constant-refresh hooks, and re-executes
 // the recorded kernels in place — the steady state performs zero heap
-// allocations on the float64 path.
-//
-// With a non-reference weight dtype the model's Linear layers are compressed
-// once (see Compressor) and the recorded tapes run the quantized matmul path.
+// allocations.
 //
 // CompiledInfer is not safe for concurrent use; the serving layer binds one
 // instance to one worker goroutine, matching the Replica contract.
 type CompiledInfer struct {
 	m     Model
 	dev   *device.Device
-	dt    tensor.DType
 	tapes map[string]*compiledTape
 	sig   []byte // scratch for allocation-free tape lookup
 }
@@ -34,16 +30,10 @@ type compiledTape struct {
 	out    *ag.Node
 }
 
-// NewCompiledInfer wraps m for compiled serving on dev with weights at the
-// given precision (F64 keeps the bit-exact reference weights). The model's
-// weights are compressed immediately when dt asks for it.
-func NewCompiledInfer(m Model, dev *device.Device, dt tensor.DType) *CompiledInfer {
-	if dt != tensor.F64 {
-		if c, ok := m.(Compressor); ok {
-			c.Compress(dt)
-		}
-	}
-	return &CompiledInfer{m: m, dev: dev, dt: dt, tapes: make(map[string]*compiledTape)}
+// NewCompiledInfer wraps m for compiled serving on dev. tensor.F64 is the
+// only precision there is; the model's weights are read, never copied.
+func NewCompiledInfer(m Model, dev *device.Device, _ tensor.DType) *CompiledInfer {
+	return &CompiledInfer{m: m, dev: dev, tapes: make(map[string]*compiledTape)}
 }
 
 // Model returns the wrapped model.
@@ -68,9 +58,6 @@ func (c *CompiledInfer) Forward(b *fw.Batch) *tensor.Tensor {
 	shadow := b.Clone()
 	c.dev.Alloc(shadow.Bytes())
 	g := ag.New(c.dev)
-	if c.dt != tensor.F64 {
-		g.EnableQuantizedEval()
-	}
 	out := c.m.Forward(g, shadow, false, nil)
 	c.tapes[string(c.sig)] = &compiledTape{g: g, shadow: shadow, out: out}
 	return out.Value()

@@ -81,35 +81,6 @@ func assertBitEqual(t *testing.T, label string, got, want *tensor.Tensor) {
 	}
 }
 
-// TestCompiledInferQuantized bounds the compressed-weight serving paths
-// against the float64 reference: f32 logits match to float32 rounding, q8
-// logits stay close enough to preserve most predictions.
-func TestCompiledInferQuantized(t *testing.T) {
-	be := pygeo.New()
-	cfg := graphCfg()
-	b := tinyBatch(be, 30, 4, cfg.In)
-	ref := Infer(New("GCN", be, cfg), b, nil)
-
-	f32 := NewCompiledInfer(New("GCN", be, cfg), nil, tensor.F32)
-	defer f32.Close()
-	gotF32 := f32.Forward(b)
-	for i := range ref.Data {
-		if math.Abs(gotF32.Data[i]-ref.Data[i]) > 1e-4 {
-			t.Fatalf("f32 logits[%d] = %v, f64 %v", i, gotF32.Data[i], ref.Data[i])
-		}
-	}
-
-	q8 := NewCompiledInfer(New("GCN", be, cfg), nil, tensor.Q8)
-	defer q8.Close()
-	gotQ8 := q8.Forward(b)
-	for i := range ref.Data {
-		if math.Abs(gotQ8.Data[i]-ref.Data[i]) > 0.5 {
-			t.Fatalf("q8 logits[%d] = %v, f64 %v (error beyond quantization budget)",
-				i, gotQ8.Data[i], ref.Data[i])
-		}
-	}
-}
-
 // TestCompiledInferZeroAllocs is the serve-side tentpole acceptance test:
 // once a shape's tape is warm, answering a /predict batch — copy payload in,
 // replay, read logits — performs zero heap allocations.

@@ -102,14 +102,6 @@ func (m *GAT) Params() []*ag.Parameter {
 	return append(ps, m.head.params()...)
 }
 
-// Compress implements Compressor.
-func (m *GAT) Compress(dt tensor.DType) {
-	for _, l := range m.layers {
-		l.w.Compress(dt)
-	}
-	m.head.compress(dt)
-}
-
 // Forward implements Model.
 func (m *GAT) Forward(g *ag.Graph, b *fw.Batch, training bool, lt *profile.LayerTimes) *ag.Node {
 	x := g.Input(b.X)

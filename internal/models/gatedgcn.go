@@ -109,27 +109,6 @@ func (m *GatedGCN) Params() []*ag.Parameter {
 	return append(ps, m.head.params()...)
 }
 
-// Compress implements Compressor.
-func (m *GatedGCN) Compress(dt tensor.DType) {
-	m.embedH.Compress(dt)
-	if m.embedE != nil {
-		m.embedE.Compress(dt)
-	}
-	for _, l := range m.layers {
-		l.a.Compress(dt)
-		l.b.Compress(dt)
-		l.d.Compress(dt)
-		l.e.Compress(dt)
-		if l.c != nil {
-			l.c.Compress(dt)
-		}
-	}
-	if m.outNode != nil {
-		m.outNode.Compress(dt)
-	}
-	m.head.compress(dt)
-}
-
 // edgeInput returns the raw edge-feature tensor the DGL path embeds: the
 // dataset's edge attributes reduced to one channel, or constant ones.
 func edgeInput(b *fw.Batch) *tensor.Tensor {

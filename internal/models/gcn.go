@@ -57,14 +57,6 @@ func (m *GCN) Params() []*ag.Parameter {
 	return append(ps, m.head.params()...)
 }
 
-// Compress implements Compressor.
-func (m *GCN) Compress(dt tensor.DType) {
-	for _, l := range m.lins {
-		l.Compress(dt)
-	}
-	m.head.compress(dt)
-}
-
 // Forward implements Model.
 func (m *GCN) Forward(g *ag.Graph, b *fw.Batch, training bool, lt *profile.LayerTimes) *ag.Node {
 	x := g.Input(b.X)

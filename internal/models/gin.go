@@ -58,15 +58,6 @@ func (m *GIN) Params() []*ag.Parameter {
 	return append(ps, m.head.params()...)
 }
 
-// Compress implements Compressor.
-func (m *GIN) Compress(dt tensor.DType) {
-	for l := range m.v {
-		m.v[l].Compress(dt)
-		m.w[l].Compress(dt)
-	}
-	m.head.compress(dt)
-}
-
 // Forward implements Model.
 func (m *GIN) Forward(g *ag.Graph, b *fw.Batch, training bool, lt *profile.LayerTimes) *ag.Node {
 	x := g.Input(b.X)

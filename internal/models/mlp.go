@@ -49,14 +49,6 @@ func (m *MLPBaseline) Params() []*ag.Parameter {
 	return append(ps, m.head.params()...)
 }
 
-// Compress implements Compressor.
-func (m *MLPBaseline) Compress(dt tensor.DType) {
-	for _, l := range m.lins {
-		l.Compress(dt)
-	}
-	m.head.compress(dt)
-}
-
 // Forward implements Model.
 func (m *MLPBaseline) Forward(g *ag.Graph, b *fw.Batch, training bool, lt *profile.LayerTimes) *ag.Node {
 	x := g.Input(b.X)

@@ -143,20 +143,6 @@ func (h head) params() []*ag.Parameter {
 	return h.mlp.Params()
 }
 
-func (h head) compress(dt tensor.DType) {
-	if h.mlp != nil {
-		h.mlp.Compress(dt)
-	}
-}
-
-// Compressor is the optional interface of models whose Linear weights can be
-// compressed to f32/q8 for quantized serving (see nn.Linear.Compress). The
-// compressed copies are snapshots — compress again after weights change. All
-// models in this package implement it.
-type Compressor interface {
-	Compress(dt tensor.DType)
-}
-
 // invSqrtDegrees returns deg^-1/2 per node (0 for isolated nodes) as a plain
 // tensor for constant row scaling.
 func invSqrtDegrees(b *fw.Batch) *tensor.Tensor {

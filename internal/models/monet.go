@@ -75,16 +75,6 @@ func (m *MoNet) Params() []*ag.Parameter {
 	return append(ps, m.head.params()...)
 }
 
-// Compress implements Compressor.
-func (m *MoNet) Compress(dt tensor.DType) {
-	for _, l := range m.layers {
-		for k := range l.w {
-			l.w[k].Compress(dt)
-		}
-	}
-	m.head.compress(dt)
-}
-
 // Forward implements Model.
 func (m *MoNet) Forward(g *ag.Graph, b *fw.Batch, training bool, lt *profile.LayerTimes) *ag.Node {
 	x := g.Input(b.X)

@@ -70,17 +70,6 @@ func (m *GraphSAGE) Params() []*ag.Parameter {
 	return append(ps, m.head.params()...)
 }
 
-// Compress implements Compressor.
-func (m *GraphSAGE) Compress(dt tensor.DType) {
-	for l := range m.lins {
-		if m.pools[l] != nil {
-			m.pools[l].Compress(dt)
-		}
-		m.lins[l].Compress(dt)
-	}
-	m.head.compress(dt)
-}
-
 // Forward implements Model.
 func (m *GraphSAGE) Forward(g *ag.Graph, b *fw.Batch, training bool, lt *profile.LayerTimes) *ag.Node {
 	x := g.Input(b.X)

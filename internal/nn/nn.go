@@ -79,13 +79,10 @@ func HeUniform(rng *tensor.RNG, fanIn, fanOut int) *tensor.Tensor {
 	return rng.Uniform(-limit, limit, fanIn, fanOut)
 }
 
-// Linear is a fully connected layer y = xW + b. WQ, when set by Compress,
-// holds a compressed (f32/q8) copy of W that Apply uses on graphs with
-// quantized eval enabled — the memory-saving path serving replicas run.
+// Linear is a fully connected layer y = xW + b.
 type Linear struct {
-	W  *ag.Parameter
-	B  *ag.Parameter // nil when bias is disabled
-	WQ *tensor.QTensor
+	W *ag.Parameter
+	B *ag.Parameter // nil when bias is disabled
 }
 
 // NewLinear returns a Glorot-initialized Linear layer.
@@ -97,41 +94,13 @@ func NewLinear(rng *tensor.RNG, name string, in, out int, bias bool) *Linear {
 	return l
 }
 
-// Apply computes xW(+b) on the graph. On a graph with quantized eval enabled
-// and a compressed weight present, the matmul runs against the compressed
-// copy with no gradients (the bias rides along as a constant input).
+// Apply computes xW(+b) on the graph.
 func (l *Linear) Apply(g *ag.Graph, x *ag.Node) *ag.Node {
-	if l.WQ != nil && g.QuantizedEval() {
-		y := g.QMatMul(x, l.WQ)
-		if l.B != nil {
-			y = g.AddBias(y, g.Input(l.B.Value))
-		}
-		return y
-	}
 	y := g.MatMul(x, g.Param(l.W))
 	if l.B != nil {
 		y = g.AddBias(y, g.Param(l.B))
 	}
 	return y
-}
-
-// Compress stores a compressed copy of W at the given precision for
-// quantized inference (F64 drops any existing copy). Call it again after
-// weights change — the copy is a snapshot, not a view.
-func (l *Linear) Compress(dt tensor.DType) {
-	if dt == tensor.F64 {
-		l.WQ = nil
-		return
-	}
-	l.WQ = tensor.QuantizeTransposed(l.W.Value, dt)
-}
-
-// CompressedBytes returns the compressed weight footprint (0 when none).
-func (l *Linear) CompressedBytes() int64 {
-	if l.WQ == nil {
-		return 0
-	}
-	return l.WQ.Bytes()
 }
 
 // In returns the input feature width.
@@ -250,11 +219,4 @@ func (m *MLP) Params() []*ag.Parameter {
 		ps = append(ps, l.Params()...)
 	}
 	return ps
-}
-
-// Compress compresses every layer's weight (see Linear.Compress).
-func (m *MLP) Compress(dt tensor.DType) {
-	for _, l := range m.Layers {
-		l.Compress(dt)
-	}
 }

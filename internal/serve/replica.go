@@ -73,8 +73,7 @@ func (r *modelReplica) Swap(m models.Model) { r.m.Store(&modelBox{m: m}) }
 
 // compiledReplica serves through a models.CompiledInfer: each batch shape's
 // forward tape is recorded once and replayed in place, so the steady-state
-// forward pass allocates nothing, and weights may be held at reduced
-// precision (float32 or int8) to shrink the replica's memory footprint.
+// forward pass allocates nothing.
 //
 // The CompiledInfer is not thread-safe; the pool's one-batch-per-replica
 // contract provides the required serialization. The output tensor a replay
@@ -83,7 +82,6 @@ func (r *modelReplica) Swap(m models.Model) { r.m.Store(&modelBox{m: m}) }
 type compiledReplica struct {
 	m   atomic.Pointer[compiledBox]
 	dev *device.Device
-	dt  tensor.DType
 
 	mu      sync.Mutex
 	retired []*models.CompiledInfer // swapped out; closed by the next Forward
@@ -95,13 +93,11 @@ type compiledBox struct {
 }
 
 // NewCompiledModelReplica wraps m as a compiled serving replica accounted to
-// dev, with inference weights stored at precision dt (tensor.F64 keeps the
-// bit-exact reference weights; tensor.F32 and tensor.Q8 compress them).
-// Compression mutates m's layers, so a compiled replica must not share its
-// model value with training code that expects reference-only weights.
-func NewCompiledModelReplica(m models.Model, dev *device.Device, dt tensor.DType) Replica {
-	r := &compiledReplica{dev: dev, dt: dt}
-	r.m.Store(&compiledBox{m: m, ci: models.NewCompiledInfer(m, dev, dt)})
+// dev. tensor.F64 is the only precision; like NewModelReplica, several
+// replicas may share one model.
+func NewCompiledModelReplica(m models.Model, dev *device.Device, _ tensor.DType) Replica {
+	r := &compiledReplica{dev: dev}
+	r.m.Store(&compiledBox{m: m, ci: models.NewCompiledInfer(m, dev, tensor.F64)})
 	return r
 }
 
@@ -126,7 +122,7 @@ func (r *compiledReplica) Device() *device.Device { return r.dev }
 // in-flight batch is done, because the pool hands a replica to one RunBatch
 // at a time and its rows are copied out before the replica goes back.
 func (r *compiledReplica) Swap(m models.Model) {
-	old := r.m.Swap(&compiledBox{m: m, ci: models.NewCompiledInfer(m, r.dev, r.dt)})
+	old := r.m.Swap(&compiledBox{m: m, ci: models.NewCompiledInfer(m, r.dev, tensor.F64)})
 	r.mu.Lock()
 	r.retired = append(r.retired, old.ci)
 	r.mu.Unlock()

@@ -1,186 +1,9 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
-
-// DType names the storage precision of a compressed weight tensor. The
-// training path is always float64 (the bit-exact reference); serving
-// replicas may compress their weights to float32 (half the memory, ~1 ulp
-// drift per multiply) or int8 with a per-output-row float32 scale (8× less
-// memory than f64, quantization error bounded by scale/2 per weight) — the
-// same row-wise scheme llama.cpp-style inference engines use.
+// DType names a storage precision. There is one: every tensor, trained or
+// served, is float64, so F64 is the only value. The type remains because
+// models.NewCompiledInfer and serve.NewCompiledModelReplica still take it.
 type DType uint8
 
-const (
-	F64 DType = iota // reference precision, no compression
-	F32              // float32 storage, float64 accumulation
-	Q8               // int8 storage with per-row float32 scale, float64 accumulation
-)
-
-// String returns the dtype's conventional name.
-func (d DType) String() string {
-	switch d {
-	case F64:
-		return "f64"
-	case F32:
-		return "f32"
-	case Q8:
-		return "q8"
-	}
-	return fmt.Sprintf("DType(%d)", uint8(d))
-}
-
-// ParseDType maps the conventional names (f64, f32, q8) back to a DType.
-func ParseDType(s string) (DType, error) {
-	switch s {
-	case "f64":
-		return F64, nil
-	case "f32":
-		return F32, nil
-	case "q8":
-		return Q8, nil
-	}
-	return F64, fmt.Errorf("tensor: unknown dtype %q (want f64, f32 or q8)", s)
-}
-
-// QTensor is a read-only compressed weight matrix stored transposed —
-// [Out, In] row-major — so applying it to activations is a cache-friendly
-// run of dot products over contiguous rows (the MatMulTB access pattern).
-// Exactly one of F32 / Q8 is populated, per DT.
-type QTensor struct {
-	DT      DType
-	Out, In int
-	F32     []float32
-	Q8      []int8
-	Scale   []float32 // per-output-row dequantization scale (Q8 only)
-}
-
-// QuantizeTransposed compresses a [In, Out] float64 weight (the layout
-// nn.Linear trains in) to dtype dt, transposing to [Out, In] storage.
-// Q8 rows use symmetric per-row quantization: scale = maxabs/127, weight ≈
-// scale * int8.
-func QuantizeTransposed(w *Tensor, dt DType) *QTensor {
-	if w.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: QuantizeTransposed wants rank 2, got %v", w.Shape()))
-	}
-	in, out := w.Dim(0), w.Dim(1)
-	q := &QTensor{DT: dt, Out: out, In: in}
-	switch dt {
-	case F32:
-		q.F32 = make([]float32, out*in)
-		for o := 0; o < out; o++ {
-			for i := 0; i < in; i++ {
-				q.F32[o*in+i] = float32(w.Data[i*out+o])
-			}
-		}
-	case Q8:
-		q.Q8 = make([]int8, out*in)
-		q.Scale = make([]float32, out)
-		for o := 0; o < out; o++ {
-			maxabs := 0.0
-			for i := 0; i < in; i++ {
-				if a := math.Abs(w.Data[i*out+o]); a > maxabs {
-					maxabs = a
-				}
-			}
-			scale := maxabs / 127
-			q.Scale[o] = float32(scale)
-			if scale == 0 {
-				continue // all-zero row quantizes to zeros
-			}
-			for i := 0; i < in; i++ {
-				v := math.RoundToEven(w.Data[i*out+o] / scale)
-				if v > 127 {
-					v = 127
-				} else if v < -127 {
-					v = -127
-				}
-				q.Q8[o*in+i] = int8(v)
-			}
-		}
-	default:
-		panic(fmt.Sprintf("tensor: QuantizeTransposed to %v makes no sense", dt))
-	}
-	return q
-}
-
-// Bytes returns the storage footprint of the compressed weight.
-func (q *QTensor) Bytes() int64 {
-	return int64(len(q.F32))*4 + int64(len(q.Q8)) + int64(len(q.Scale))*4
-}
-
-// Dequantize expands the compressed weight back to the [In, Out] float64
-// layout. Used by tests to bound quantization error; serving never calls it.
-func (q *QTensor) Dequantize() *Tensor {
-	w := New(q.In, q.Out)
-	for o := 0; o < q.Out; o++ {
-		for i := 0; i < q.In; i++ {
-			w.Data[i*q.Out+o] = q.weight(o, i)
-		}
-	}
-	return w
-}
-
-func (q *QTensor) weight(o, i int) float64 {
-	switch q.DT {
-	case F32:
-		return float64(q.F32[o*q.In+i])
-	case Q8:
-		return float64(q.Scale[o]) * float64(q.Q8[o*q.In+i])
-	}
-	panic("tensor: QTensor with reference dtype has no storage")
-}
-
-// QMatMulInto computes dst = x @ Wᵀstored — i.e. the Linear forward
-// dst[m][o] = Σ_i x[m][i] * W[i][o] — against a compressed weight, with
-// float64 accumulation. For Q8 the row scale is applied once per output
-// element after the integer-weight dot product, which is what makes the
-// kernel cheap; the result therefore differs from the f64 reference by the
-// quantization error, as documented in DESIGN.md §12. dst is [M, Out] and is
-// fully overwritten; no gradients exist for compressed weights.
-func QMatMulInto(dst, x *Tensor, q *QTensor) {
-	if x.Rank() != 2 || x.Dim(1) != q.In {
-		panic(fmt.Sprintf("tensor: QMatMulInto x %v against weight [%d %d]", x.Shape(), q.In, q.Out))
-	}
-	m := x.Dim(0)
-	checkDst("QMatMul", dst, m, q.Out)
-	switch q.DT {
-	case F32:
-		for i := 0; i < m; i++ {
-			xrow := x.Data[i*q.In : (i+1)*q.In]
-			orow := dst.Data[i*q.Out : (i+1)*q.Out]
-			for o := 0; o < q.Out; o++ {
-				wrow := q.F32[o*q.In : (o+1)*q.In]
-				var s float64
-				for p := 0; p < q.In; p++ {
-					s += xrow[p] * float64(wrow[p])
-				}
-				orow[o] = s
-			}
-		}
-	case Q8:
-		for i := 0; i < m; i++ {
-			xrow := x.Data[i*q.In : (i+1)*q.In]
-			orow := dst.Data[i*q.Out : (i+1)*q.Out]
-			for o := 0; o < q.Out; o++ {
-				wrow := q.Q8[o*q.In : (o+1)*q.In]
-				var s float64
-				for p := 0; p < q.In; p++ {
-					s += xrow[p] * float64(wrow[p])
-				}
-				orow[o] = s * float64(q.Scale[o])
-			}
-		}
-	default:
-		panic("tensor: QMatMulInto on reference-precision weight; use MatMulInto")
-	}
-}
-
-// QMatMul is the allocating wrapper around QMatMulInto.
-func QMatMul(x *Tensor, q *QTensor) *Tensor {
-	out := New(x.Dim(0), q.Out)
-	QMatMulInto(out, x, q)
-	return out
-}
+// F64 is float64 storage, the precision of every weight and activation.
+const F64 DType = 0
