@@ -7,9 +7,17 @@
 // simulated accelerator (internal/device) sees the same kernel stream a GPU
 // profiler would: one launch per op, with FLOP and byte counts.
 //
-// There is one kind of tape. Every op output, workspace and gradient buffer
-// comes from the tensor buffer pool and goes back to it at Finish, so node
-// values and gradients die there: read what you need before calling it.
+// Every op output, workspace and gradient buffer comes from the tensor buffer
+// pool and goes back to it at Finish, so node values and gradients die
+// there: read what you need before calling it.
+//
+// A tape is one of two kinds. New returns a training tape, which records
+// every op's backward closure. NewInference returns a forward-only tape —
+// models.Infer and models.CompiledInfer are its only callers — on which
+// Backward and BeginStep panic, and which may execute an op chain on the host
+// in fewer passes than the kernels it charges the device for (GatherScatter).
+// Both kinds charge the device the same kernel stream and produce the same
+// bits.
 //
 // Usage per training step (eager: recorded once and not replayed):
 //
@@ -91,6 +99,7 @@ func (n *Node) RequiresGrad() bool { return n.requiresGrad }
 // ReplayForward.
 type Graph struct {
 	dev        *device.Device
+	inference  bool // built by NewInference: forward only
 	tape       []*Node
 	allocBytes int64
 	finished   bool
@@ -99,11 +108,18 @@ type Graph struct {
 	onReplay []func()         // constant-refresh hooks run before each replay
 }
 
-// New returns an empty tape recording kernels and allocations on dev. dev
-// may be nil, in which case no accounting happens. The tape draws every
-// buffer from the tensor pool; Finish hands them back.
+// New returns an empty training tape recording kernels and allocations on
+// dev. dev may be nil, in which case no accounting happens. The tape draws
+// every buffer from the tensor pool; Finish hands them back.
 func New(dev *device.Device) *Graph {
 	return &Graph{dev: dev}
+}
+
+// NewInference returns an empty forward-only tape on dev: Backward and
+// BeginStep panic on it, and GatherScatter runs as one host pass. It is for
+// models.Infer and models.CompiledInfer; everything else records on New.
+func NewInference(dev *device.Device) *Graph {
+	return &Graph{dev: dev, inference: true}
 }
 
 // Device returns the graph's device (may be nil).
@@ -117,7 +133,12 @@ func (g *Graph) alloc(t *tensor.Tensor) {
 	if t == nil {
 		return
 	}
-	b := int64(t.Size()) * 8
+	g.charge(int64(t.Size()) * 8)
+}
+
+// charge records b bytes of live device memory owned by this graph until
+// Finish.
+func (g *Graph) charge(b int64) {
 	g.allocBytes += b
 	g.dev.Alloc(b)
 }
@@ -171,6 +192,18 @@ func (g *Graph) op(out **tensor.Tensor, requiresGrad bool, label string, flops, 
 	n.flops, n.bytes = flops, bytes
 	return n
 }
+
+// deviceOnly records a kernel the simulated device is charged for but the
+// host does not run, whose output of outBytes the device holds until Finish:
+// an op an inference tape has fused into a later one. Replays charge it
+// again, so recorded and replayed passes see the same kernel stream.
+func (g *Graph) deviceOnly(label string, flops, bytes, outBytes int64) {
+	g.run(flops, bytes, nop)
+	g.charge(outBytes)
+	g.tape = append(g.tape, &Node{fwd: nop, flops: flops, bytes: bytes, label: label})
+}
+
+func nop() {}
 
 // Input wraps a tensor that requires no gradient (features, constants).
 // The tensor is assumed to already reside on the device (datasets and batch
@@ -233,6 +266,7 @@ func (g *Graph) accum(n *Node, grad *tensor.Tensor) {
 // scalar (shape [1]) node on this tape. Gradients accumulate into every
 // parameter bound via Param.
 func (g *Graph) Backward(loss *Node) {
+	g.mustTrain("Backward")
 	if loss.T.Size() != 1 {
 		panic(fmt.Sprintf("ag: Backward needs a scalar loss, got shape %v", loss.T.Shape()))
 	}
@@ -257,7 +291,7 @@ func (g *Graph) Backward(loss *Node) {
 // copying into the recorded buffers before replaying.
 func (g *Graph) ReplayForward() {
 	if g.finished {
-		panic("ag: ReplayForward after Finish")
+		panic(fmt.Sprintf("ag: ReplayForward after Finish of this %s tape", g.kindName()))
 	}
 	for _, f := range g.onReplay {
 		f()
@@ -280,6 +314,7 @@ func (g *Graph) OnReplay(f func()) { g.onReplay = append(g.onReplay, f) }
 // next Backward re-draws them without allocating. Call it before each
 // replayed step.
 func (g *Graph) BeginStep() {
+	g.mustTrain("BeginStep")
 	for _, n := range g.tape {
 		if n.grad == nil {
 			continue
@@ -317,7 +352,21 @@ func (g *Graph) Finish() {
 	g.onReplay = nil
 }
 
-// checkCols panics unless n's tensor is rank 2.
+// mustTrain panics unless g is a training tape.
+func (g *Graph) mustTrain(op string) {
+	if g.inference {
+		panic("ag: " + op + " on an inference tape (ag.NewInference records no gradients)")
+	}
+}
+
+func (g *Graph) kindName() string {
+	if g.inference {
+		return "inference"
+	}
+	return "training"
+}
+
+// check2 panics unless n's tensor is rank 2.
 func check2(op string, n *Node) {
 	if n.T.Rank() != 2 {
 		panic(fmt.Sprintf("ag: %s wants rank-2 node, got %v", op, n.T.Shape()))

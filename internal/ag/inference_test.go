@@ -1,0 +1,179 @@
+package ag
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/device"
+	"repro/internal/parallel"
+	"repro/internal/tensor"
+)
+
+// panicMessage runs f and returns what it panicked with ("" if it did not).
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+func expectPanicWith(t *testing.T, what, want string, f func()) {
+	t.Helper()
+	if msg := panicMessage(f); !strings.Contains(msg, want) {
+		t.Errorf("%s: panic %q, want one containing %q", what, msg, want)
+	}
+}
+
+// TestInferenceTapeRefusesGradients: an inference tape records no backward
+// pass, so Backward and BeginStep panic naming the tape kind, and a replay
+// after Finish names the kind it was asked of.
+func TestInferenceTapeRefusesGradients(t *testing.T) {
+	p := NewParameter("w", tensor.Ones(2, 2))
+	record := func(g *Graph) *Node { return g.SumAll(g.MatMul(g.Input(tensor.Ones(3, 2)), g.Param(p))) }
+
+	g := NewInference(nil)
+	loss := record(g)
+	expectPanicWith(t, "Backward", "Backward on an inference tape", func() { g.Backward(loss) })
+	expectPanicWith(t, "BeginStep", "BeginStep on an inference tape", func() { g.BeginStep() })
+	g.ReplayForward() // forward replay is what the tape is for
+	g.Finish()
+	expectPanicWith(t, "ReplayForward after Finish", "ReplayForward after Finish of this inference tape", g.ReplayForward)
+
+	tr := New(nil)
+	record(tr)
+	tr.Finish()
+	expectPanicWith(t, "training ReplayForward after Finish", "ReplayForward after Finish of this training tape", tr.ReplayForward)
+}
+
+// gsFixture is one message-passing input: n nodes, arcs src→dst, features x
+// and optional per-arc weights w ([E,1], as the models pass them).
+type gsFixture struct {
+	x, w     *tensor.Tensor
+	src, dst []int
+	n        int
+}
+
+func newGSFixture(seed uint64, n, e, f int, weighted bool) *gsFixture {
+	rng := tensor.NewRNG(seed)
+	fx := &gsFixture{x: rng.Randn(1, n, f), n: n}
+	for k := 0; k < e; k++ {
+		fx.src = append(fx.src, rng.IntN(n))
+		fx.dst = append(fx.dst, rng.IntN(n))
+	}
+	if weighted {
+		fx.w = rng.Randn(1, e, 1)
+	}
+	return fx
+}
+
+func (fx *gsFixture) record(g *Graph) *Node {
+	var w *Node
+	if fx.w != nil {
+		w = g.Input(fx.w)
+	}
+	return g.GatherScatter(g.Input(fx.x), w, fx.src, fx.dst, fx.n)
+}
+
+// countedWork is a device snapshot without ActiveTime, the host wall clock.
+func countedWork(s device.Stats) device.Stats {
+	s.ActiveTime = 0
+	return s
+}
+
+// TestGatherScatterKindsAgree: on an inference tape GatherScatter runs one
+// host pass, and it must give a training tape's Gather → MulBroadcastCol →
+// ScatterAdd chain bit for bit, with the device charged the same kernels,
+// work and memory, on the recording and on replays over new data — while
+// drawing fewer buffers from the (poisoned) pool, since it never
+// materialises the messages.
+func TestGatherScatterKindsAgree(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	for _, weighted := range []bool{false, true} {
+		for _, size := range [][3]int{{9, 31, 5}, {120, 3001, 33}} {
+			for _, workers := range []int{1, 3} {
+				parallel.SetWorkers(workers)
+				label := fmt.Sprintf("weighted=%v n=%d e=%d workers=%d", weighted, size[0], size[1], workers)
+				fx := newGSFixture(uint64(size[1]), size[0], size[1], size[2], weighted)
+				dt, di := device.Default(), device.Default()
+				tr, inf := New(dt), NewInference(di)
+
+				p0 := tensor.Pool()
+				want := fx.record(tr)
+				p1 := tensor.Pool()
+				got := fx.record(inf)
+				p2 := tensor.Pool()
+				drawn := func(a, b tensor.PoolStats) int64 { return b.Hits + b.Misses - a.Hits - a.Misses }
+				if dtr, dinf := drawn(p0, p1), drawn(p1, p2); dinf >= dtr {
+					t.Errorf("%s: the inference tape drew %d buffers, the training tape %d", label, dinf, dtr)
+				}
+
+				charged := func(stage string) {
+					t.Helper()
+					if a, b := countedWork(di.Stats()), countedWork(dt.Stats()); a != b {
+						t.Errorf("%s %s: inference tape charged %+v, training tape %+v", label, stage, a, b)
+					}
+				}
+				check := func(stage string) {
+					t.Helper()
+					assertBits(t, label+" "+stage, got.Value(), want.Value())
+					charged(stage)
+				}
+				check("record")
+				rng := tensor.NewRNG(5)
+				for r := 0; r < 2; r++ {
+					for i := range fx.x.Data {
+						fx.x.Data[i] = rng.NormFloat64()
+					}
+					if fx.w != nil {
+						for i := range fx.w.Data {
+							fx.w.Data[i] = rng.NormFloat64()
+						}
+					}
+					tr.ReplayForward()
+					inf.ReplayForward()
+					check(fmt.Sprintf("replay %d", r+1))
+				}
+				tr.Finish()
+				inf.Finish()
+				charged("finish") // the messages' bytes are freed with the rest
+			}
+		}
+	}
+}
+
+func assertBits(t *testing.T, label string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !tensor.SameShape(got, want) {
+		t.Fatalf("%s: shape %v, want %v", label, got.Shape(), want.Shape())
+	}
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: [%d] = %v, want %v", label, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestGatherScatterIndexRange: an arc naming a node outside the graph panics
+// with GatherRows' or ScatterAddRows' message on either kind of tape.
+func TestGatherScatterIndexRange(t *testing.T) {
+	for _, tape := range []struct {
+		kind string
+		new  func(*device.Device) *Graph
+	}{{"training", New}, {"inference", NewInference}} {
+		for _, weighted := range []bool{false, true} {
+			fx := newGSFixture(1, 4, 3, 2, weighted)
+			bad := *fx
+			bad.src = []int{0, 4, 1}
+			expectPanicWith(t, tape.kind+" source", "GatherRows index 4 out of range [0,4)", func() { bad.record(tape.new(nil)) })
+			bad = *fx
+			bad.dst = []int{0, 1, -1}
+			expectPanicWith(t, tape.kind+" destination", "ScatterAddRows index -1 out of range [0,4)", func() { bad.record(tape.new(nil)) })
+		}
+	}
+}

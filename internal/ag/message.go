@@ -57,11 +57,61 @@ func (g *Graph) ScatterAdd(x *Node, idx []int, n int) *Node {
 	return res
 }
 
+// GatherScatter is PyG's message passing over arcs src[k] → dst[k]:
+// out[dst[k]] += w[k]·x[src[k]] into n destination rows, with w (one weight
+// per arc, [E] or [E,1]) optional.
+//
+// A training tape records the two-kernel chain Gather → MulBroadcastCol →
+// ScatterAdd (the middle op only with w), whose E×F messages backward reads.
+// An inference tape charges the device exactly that stream — the same three
+// kernels with the same work, and the messages' bytes held until Finish — so
+// the simulated GPU still runs PyG, but the host computes the output in one
+// pass (tensor.GatherScaleScatterInto) without materialising either message
+// buffer. The products and the per-element summation order are the chain's,
+// so both kinds give the same bits.
+func (g *Graph) GatherScatter(x, w *Node, src, dst []int, n int) *Node {
+	if !g.inference {
+		m := g.Gather(x, src)
+		if w != nil {
+			m = g.MulBroadcastCol(m, w)
+		}
+		return g.ScatterAdd(m, dst, n)
+	}
+	check2("Gather", x)
+	f := x.T.Cols()
+	sz := int64(len(src) * f)
+	requiresGrad := x.requiresGrad
+	g.deviceOnly("gather", 0, 16*sz, 8*sz)
+	var wv *tensor.Tensor
+	if w != nil {
+		if w.T.Size() != len(src) {
+			panic(fmt.Sprintf("ag: MulBroadcastCol weight size %v for %d rows", w.T.Shape(), len(src)))
+		}
+		wv = w.T.Reshape(len(src))
+		requiresGrad = requiresGrad || w.requiresGrad
+		g.deviceOnly("mulbcol", sz, 24*sz, 8*sz)
+	}
+	var out *tensor.Tensor
+	return g.op(&out, requiresGrad, "scatteradd", sz, 24*sz, func() {
+		if out == nil {
+			out = g.get(n, f)
+		}
+		tensor.GatherScaleScatterInto(out, x.T, wv, src, dst)
+	})
+}
+
 // ScatterMean averages rows of x into n destination rows. Rows receiving no
-// contributions stay zero. The inverse-count scales refresh on every replay,
-// so a re-executed tape follows whatever indices the batch buffers hold.
+// contributions stay zero.
 func (g *Graph) ScatterMean(x *Node, idx []int, n int) *Node {
-	summed := g.ScatterAdd(x, idx, n)
+	return g.MeanByCount(g.ScatterAdd(x, idx, n), idx)
+}
+
+// MeanByCount divides row i of sum by how many entries of idx name it,
+// turning a scatter-add over idx into a scatter-mean; rows no index names
+// stay zero. The inverse-count scales refresh on every replay, so a
+// re-executed tape follows whatever indices the batch buffers hold.
+func (g *Graph) MeanByCount(sum *Node, idx []int) *Node {
+	n := sum.T.Rows()
 	var inv *tensor.Tensor
 	fill := func() {
 		if inv == nil {
@@ -80,7 +130,7 @@ func (g *Graph) ScatterMean(x *Node, idx []int, n int) *Node {
 			}
 		}
 	}
-	return g.scaleRowsConst(summed, &inv, fill)
+	return g.scaleRowsConst(sum, &inv, fill)
 }
 
 // ScatterMax takes the per-destination elementwise maximum of rows of x.

@@ -100,19 +100,21 @@ func (*Backend) Batch(graphs []*graph.Graph, dev *device.Device) *fw.Batch {
 }
 
 // AggSum implements two-kernel message passing: gather source rows, scatter
-// them onto destinations.
+// them onto destinations. An inference tape runs the pair as one host pass
+// and still charges the device both kernels (ag.GatherScatter).
 func (be *Backend) AggSum(g *ag.Graph, b *fw.Batch, x *ag.Node) *ag.Node {
-	return g.ScatterAdd(g.Gather(x, b.Src), b.Dst, b.NumNodes)
+	return g.GatherScatter(x, nil, b.Src, b.Dst, b.NumNodes)
 }
 
-// AggMean gathers and scatter-means in two kernels.
+// AggMean gathers and scatter-means: the sum of AggSum, then each row
+// divided by its in-degree.
 func (be *Backend) AggMean(g *ag.Graph, b *fw.Batch, x *ag.Node) *ag.Node {
-	return g.ScatterMean(g.Gather(x, b.Src), b.Dst, b.NumNodes)
+	return g.MeanByCount(g.GatherScatter(x, nil, b.Src, b.Dst, b.NumNodes), b.Dst)
 }
 
 // AggWeightedSum gathers, applies per-edge weights, and scatters.
 func (be *Backend) AggWeightedSum(g *ag.Graph, b *fw.Batch, x *ag.Node, w *ag.Node) *ag.Node {
-	return g.ScatterAdd(g.MulBroadcastCol(g.Gather(x, b.Src), w), b.Dst, b.NumNodes)
+	return g.GatherScatter(x, w, b.Src, b.Dst, b.NumNodes)
 }
 
 // GatherSrc implements fw.Backend.

@@ -57,7 +57,7 @@ func (c *CompiledInfer) Forward(b *fw.Batch) *tensor.Tensor {
 	// lifetime; Close's Release frees it.
 	shadow := b.Clone()
 	c.dev.Alloc(shadow.Bytes())
-	g := ag.New(c.dev)
+	g := ag.NewInference(c.dev)
 	out := c.m.Forward(g, shadow, false, nil)
 	c.tapes[string(c.sig)] = &compiledTape{g: g, shadow: shadow, out: out}
 	return out.Value()

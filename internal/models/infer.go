@@ -19,7 +19,7 @@ import (
 // every eval-mode forward pass in the tree: validation, test and prediction
 // passes in internal/train call it too.
 func Infer(m Model, b *fw.Batch, dev *device.Device) *tensor.Tensor {
-	g := ag.New(dev)
+	g := ag.NewInference(dev)
 	defer g.Finish()
 	// Copied before the deferred Finish releases (and, under
 	// tensor.SetPoolPoison, poisons) the output buffer.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ag"
 	"repro/internal/datasets"
+	"repro/internal/device"
 	"repro/internal/fw"
 	"repro/internal/fw/dglb"
 	"repro/internal/fw/pygeo"
@@ -178,4 +179,73 @@ func TestInferPooledAllocBound(t *testing.T) {
 	if perCall > inferAllocBound {
 		t.Errorf("Infer allocates %d bytes a call on a 2-graph ENZYMES batch, bound %d", perCall, inferAllocBound)
 	}
+}
+
+// fusedOnInferenceTapes names the models whose PyG message passing an
+// inference tape runs as one host pass: every caller of AggSum, AggMean or
+// AggWeightedSum. GAT and GatedGCN build their messages through GatherSrc and
+// ScatterEdgesSum, the MLP passes none, and DGL aggregates with GSpMM, so
+// their tapes are the same on both kinds.
+var fusedOnInferenceTapes = map[string]bool{"GCN/PyG": true, "GIN/PyG": true, "GraphSAGE/PyG": true, "MoNet/PyG": true}
+
+// evalOnTrainingTape is a forward-only pass recorded on a training tape: the
+// reference the inference tape must reproduce. It returns a copy of the
+// logits and how many buffers the pass drew from the pool.
+func evalOnTrainingTape(m Model, b *fw.Batch, dev *device.Device) (*tensor.Tensor, int64) {
+	before := tensor.Pool()
+	g := ag.New(dev)
+	logits := m.Forward(g, b, false, nil).Value().Clone()
+	after := tensor.Pool()
+	g.Finish()
+	return logits, after.Hits + after.Misses - before.Hits - before.Misses
+}
+
+// TestInferenceTapeBitIdentical: for every model on both backends, Infer and
+// a CompiledInfer record and replay — both on inference tapes — give the
+// logits of the same eval forward on a training tape bit for bit, on a warm
+// pool whose released buffers are poisoned (TestMain), and charge the device
+// the same counted work. The fused models draw fewer pool buffers than the
+// training tape; every other model draws exactly as many.
+func TestInferenceTapeBitIdentical(t *testing.T) {
+	for _, be := range []fw.Backend{pygeo.New(), dglb.New()} {
+		for _, name := range everyModel() {
+			label := name + "/" + be.Name()
+			cfg := graphCfg()
+			m := New(name, be, cfg)
+			b := tinyBatch(be, 10, 3, cfg.In)
+			Infer(m, b, nil) // warm the pool
+
+			dt, di := device.Default(), device.Default()
+			want, trainDraws := evalOnTrainingTape(m, b, dt)
+			before := tensor.Pool()
+			got := Infer(m, b, di)
+			after := tensor.Pool()
+			assertBitEqual(t, label+" Infer", got, want)
+			if a, w := countedWork(di.Stats()), countedWork(dt.Stats()); a != w {
+				t.Errorf("%s: Infer charged %+v, the training tape %+v", label, a, w)
+			}
+			inferDraws := after.Hits + after.Misses - before.Hits - before.Misses
+			if fusedOnInferenceTapes[label] && inferDraws >= trainDraws {
+				t.Errorf("%s: Infer drew %d buffers, the training tape %d: the messages were materialised", label, inferDraws, trainDraws)
+			}
+			if !fusedOnInferenceTapes[label] && inferDraws != trainDraws {
+				t.Errorf("%s: Infer drew %d buffers, the training tape %d: an unfused model's tape changed", label, inferDraws, trainDraws)
+			}
+
+			ci := NewCompiledInfer(m, nil, tensor.F64)
+			assertBitEqual(t, label+" compiled record", ci.Forward(b), want)
+			for _, seed := range []uint64{21, 22} {
+				fresh := perturb(b, seed)
+				want, _ := evalOnTrainingTape(m, fresh, nil)
+				assertBitEqual(t, label+" compiled replay", ci.Forward(fresh), want)
+			}
+			ci.Close()
+		}
+	}
+}
+
+// countedWork is a device snapshot without ActiveTime, the host wall clock.
+func countedWork(s device.Stats) device.Stats {
+	s.ActiveTime = 0
+	return s
 }

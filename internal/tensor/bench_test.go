@@ -168,6 +168,26 @@ func BenchmarkScatterAddRowsInto(b *testing.B) {
 	}
 }
 
+// BenchmarkGatherScaleScatterInto is the fused form of the two benchmarks
+// above plus the per-arc scaling between them, at the same shapes.
+func BenchmarkGatherScaleScatterInto(b *testing.B) {
+	g := NewRNG(1)
+	x := g.Randn(1, 1024, 64)
+	w := g.Randn(1, 4096)
+	src := make([]int, 4096)
+	dst := make([]int, 4096)
+	for i := range src {
+		src[i], dst[i] = g.IntN(1024), g.IntN(1024)
+	}
+	out := Get(1024, 64)
+	defer Release(out)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GatherScaleScatterInto(out, x, w, src, dst)
+	}
+}
+
 // BenchmarkPoolGetRelease measures the pool's per-buffer overhead: a Get/zero/
 // Release cycle on a warm size class.
 func BenchmarkPoolGetRelease(b *testing.B) {

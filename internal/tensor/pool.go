@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Buffer pool: a size-class keyed free list for tensor backing buffers.
@@ -43,6 +45,13 @@ import (
 // at once within the last two cycles — the set a recurring step needs — and
 // a class that stopped being used leaves within two cycles. Two cycles, not
 // one, because a GC can land between steps, when nothing is outstanding.
+// A roll runs when the finalizer goroutine gets to it, which under load can
+// be just before the next collection: its sentinel is only finalized once
+// sweeping reaches it, and sweeping is lazy. The Gets made between a
+// collection and its roll belong to the new cycle, but the roll files them
+// under the old one. So a roll that came after such Gets, followed by a roll
+// with no Get between the two, counts as one cycle, not two; otherwise the
+// pair would look like two idle cycles and evict a working set in use.
 // Parked bytes are live heap and raise the collector's heap goal, so they
 // are bounded by recent demand rather than by a count; the one-class borrow
 // keeps batches of neighbouring sizes on one set of buffers instead of two.
@@ -68,13 +77,16 @@ type sizeClass struct {
 	free        []*Tensor // a stack: free[0] has been parked longest
 	outstanding int       // buffers handed out by Get and not yet released
 	mark, prev  int       // outstanding high-water marks of this and the previous GC cycle
+	lastGet     int64     // wall clock of this class's latest Get, Unix ns
 }
 
 // take pops the class's most recently parked buffer and counts it
-// outstanding, or returns nil when none is parked.
-func (sc *sizeClass) take() *Tensor {
+// outstanding, or returns nil when none is parked. now is the Get's wall
+// clock.
+func (sc *sizeClass) take(now int64) *Tensor {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	sc.lastGet = now
 	l := len(sc.free)
 	if l == 0 {
 		return nil
@@ -85,6 +97,41 @@ func (sc *sizeClass) take() *Tensor {
 	sc.outstanding++
 	sc.mark = max(sc.mark, sc.outstanding)
 	return t
+}
+
+// rollState is what a roll of the marks leaves for the next one.
+type rollState struct {
+	at   int64 // wall clock of the roll, Unix ns
+	late bool  // some Get came between the roll's collection and the roll
+}
+
+// rollMarks starts a new GC cycle for every class at wall clock now, for the
+// collection that ended at lastGC: each mark becomes the previous cycle's
+// and restarts at what is outstanding, and buffers above the marks are
+// evicted. When the last roll was late and no Get has come since it, the
+// previous marks are kept as well, since the two rolls are one cycle.
+func rollMarks(classes []sizeClass, lastGC, now int64, last rollState) rollState {
+	var lastGet int64
+	for c := range classes {
+		sc := &classes[c]
+		sc.mu.Lock()
+		lastGet = max(lastGet, sc.lastGet)
+		sc.mu.Unlock()
+	}
+	hold := last.late && lastGet <= last.at
+	for c := range classes {
+		sc := &classes[c]
+		sc.mu.Lock()
+		if hold {
+			sc.prev = max(sc.prev, sc.mark)
+		} else {
+			sc.prev = sc.mark
+		}
+		sc.mark = sc.outstanding
+		sc.trim()
+		sc.mu.Unlock()
+	}
+	return rollState{at: now, late: lastGet > lastGC}
 }
 
 // trim evicts the class's longest-parked buffers until parked + outstanding
@@ -108,6 +155,7 @@ var (
 	poolEvictions atomic.Int64
 	poolFloats    atomic.Int64 // floats currently parked on free lists
 	poolCycles    atomic.Int64 // GC cycles the marks have rolled at
+	poolLastRoll  rollState    // only the finalizer goroutine touches it
 
 	poolPoison atomic.Bool
 )
@@ -128,17 +176,18 @@ func classFor(n int) int {
 func Get(shape ...int) *Tensor {
 	n := checkShape(shape)
 	c := classFor(n)
+	now := time.Now().UnixNano() //gnnvet:allow determinism -- retention clock only; never enters a tensor's values
 	if c > poolMaxBits {
 		poolMisses.Add(1)
 		t := &Tensor{Data: make([]float64, n)}
 		t.setShape(shape)
 		return t
 	}
-	t := poolClasses[c].take()
+	t := poolClasses[c].take(now)
 	if t == nil && c < poolMaxBits {
 		// Batches whose sizes straddle a class boundary share one set of
 		// buffers: the smaller batch borrows the larger one's.
-		t = poolClasses[c+1].take()
+		t = poolClasses[c+1].take(now)
 	}
 	if t != nil {
 		poolFloats.Add(-int64(cap(t.Data)))
@@ -149,6 +198,7 @@ func Get(shape ...int) *Tensor {
 	} else {
 		sc := &poolClasses[c]
 		sc.mu.Lock()
+		sc.lastGet = now
 		sc.outstanding++
 		sc.mark = max(sc.mark, sc.outstanding)
 		sc.mu.Unlock()
@@ -207,14 +257,15 @@ type gcSentinel struct{ _ [16]byte }
 
 func armGCSentinel() {
 	runtime.SetFinalizer(new(gcSentinel), func(*gcSentinel) {
-		armGCSentinel() // first, so a cycle starting during this roll still finds one
-		for c := range poolClasses {
-			sc := &poolClasses[c]
-			sc.mu.Lock()
-			sc.prev, sc.mark = sc.mark, sc.outstanding
-			sc.trim()
-			sc.mu.Unlock()
-		}
+		// Read the collection's time before arming: a collection that ends
+		// after the read may find the new sentinel and roll again at once,
+		// and this roll must still count the Gets since its own
+		// collection as the new cycle's.
+		var gc debug.GCStats
+		debug.ReadGCStats(&gc)
+		armGCSentinel()              // before rolling, so a cycle starting during this roll still finds one
+		now := time.Now().UnixNano() //gnnvet:allow determinism -- retention clock only; never enters a tensor's values
+		poolLastRoll = rollMarks(poolClasses[:], gc.LastGC.UnixNano(), now, poolLastRoll)
 		poolCycles.Add(1)
 	})
 }

@@ -295,6 +295,50 @@ func TestPoolIdle(t *testing.T) {
 	}
 }
 
+// TestPoolLateRollIsNotAnIdleCycle: a roll that runs after Gets which
+// followed its collection — a sentinel finalized late, because sweeping is
+// lazy — and the next roll, with no Get between them, count as one cycle:
+// the working set those Gets used stays parked. With a Get between them, or
+// when the first roll was not late, they are two cycles as before.
+func TestPoolLateRollIsNotAnIdleCycle(t *testing.T) {
+	// working is a class that had three buffers in use at once, its Gets at
+	// 11, beside an idle one. Only the first case parks them: an eviction
+	// from these classes would move the pool-wide gauges.
+	working := func(parked bool) []sizeClass {
+		classes := make([]sizeClass, 2)
+		if parked {
+			classes[0].free = []*Tensor{New(8), New(8), New(8)}
+		}
+		classes[0].mark = 3
+		classes[0].lastGet = 11
+		return classes
+	}
+	classes := working(true)
+	last := rollMarks(classes, 10, 12, rollState{}) // the collection ended at 10
+	if !last.late {
+		t.Fatal("a roll after Gets that followed its collection was not marked late")
+	}
+	rollMarks(classes, 20, 21, last) // the next collection, no Get between the rolls
+	if n := len(classes[0].free); n != 3 || classes[0].prev != 3 {
+		t.Fatalf("a late roll and the next one left %d of the 3 parked buffers (prev mark %d, want 3)", n, classes[0].prev)
+	}
+
+	classes = working(false)
+	last = rollMarks(classes, 10, 12, rollState{})
+	classes[1].lastGet = 15 // a Get between the rolls: the second one ages the marks
+	rollMarks(classes, 20, 21, last)
+	if classes[0].prev != 0 {
+		t.Errorf("with a Get between a late roll and the next, prev mark is %d, want 0", classes[0].prev)
+	}
+
+	classes = working(false)
+	last = rollMarks(classes, 12, 13, rollState{}) // the Gets came before the collection
+	rollMarks(classes, 20, 21, last)
+	if last.late || classes[0].prev != 0 {
+		t.Errorf("a prompt roll held the marks (late %v, prev mark %d, want 0)", last.late, classes[0].prev)
+	}
+}
+
 // TestPoolConcurrentUnderGC: Gets and Releases from several goroutines,
 // racing the sentinel's rolls on the finalizer goroutine, leave every class
 // within its marks and the parked-bytes gauge equal to what the free lists
