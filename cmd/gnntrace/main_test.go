@@ -24,7 +24,7 @@ func TestChromeTraceGolden(t *testing.T) {
 		{Start: 300 * time.Microsecond, HostDur: 75 * time.Microsecond, SimDur: 1250 * time.Microsecond, Flops: 123456, Bytes: 0},
 	}
 	var buf bytes.Buffer
-	if err := device.WriteChromeTraceEvents(&buf, events); err != nil {
+	if err := device.WriteChromeTraceSpans(&buf, events, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -61,10 +61,12 @@ func TestFacadeCheckpointAndMetrics(t *testing.T) {
 	if err := LoadModel(&buf, clone); err != nil {
 		t.Fatal(err)
 	}
-	p1, p2 := PredictNode(m, cora, nil), PredictNode(clone, cora, nil)
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatal("restored model must predict identically")
+	for i, p := range m.Params() {
+		q := clone.Params()[i]
+		for j := range p.Value.Data {
+			if p.Value.Data[j] != q.Value.Data[j] {
+				t.Fatalf("restored parameter %s differs at %d", p.Name, j)
+			}
 		}
 	}
 	c := EvalConfusionNode(m, cora, cora.TestIdx, nil)

@@ -195,15 +195,6 @@ func TrainDataParallel(m Model, d *Dataset, opt DPOptions) ([]DPEpochStats, Dura
 // Confusion is a class confusion matrix with accuracy and F1 helpers.
 type Confusion = train.Confusion
 
-// PredictNode returns the per-node predicted classes of a node classifier.
-func PredictNode(m Model, d *Dataset, dev *Device) []int { return train.PredictNode(m, d, dev) }
-
-// PredictGraphs returns the per-graph predicted classes over the indexed
-// graphs.
-func PredictGraphs(m Model, d *Dataset, idx []int, batchSize int, dev *Device) []int {
-	return train.PredictGraphs(m, d, idx, batchSize, dev)
-}
-
 // EvalConfusionNode evaluates a node classifier over the given node indices.
 func EvalConfusionNode(m Model, d *Dataset, idx []int, dev *Device) *Confusion {
 	return train.ConfusionNode(m, d, idx, dev)
@@ -393,9 +384,8 @@ func DefaultMetrics() *MetricsRegistry { return obs.Default() }
 func NewTracer(limit int) *Tracer { return obs.NewTracer(limit) }
 
 // Span attribute constructors.
-func SpanString(key, value string) SpanAttr    { return obs.String(key, value) }
-func SpanInt(key string, v int) SpanAttr       { return obs.Int(key, v) }
-func SpanFloat(key string, v float64) SpanAttr { return obs.Float(key, v) }
+func SpanString(key, value string) SpanAttr { return obs.String(key, value) }
+func SpanInt(key string, v int) SpanAttr    { return obs.Int(key, v) }
 
 // RegisterRuntimeMetrics adds Go runtime gauges and counters (goroutines,
 // heap, GC) to r.

@@ -13,6 +13,8 @@ import (
 //
 // Every model and op in this repository is validated through this function
 // in tests, which is what makes the from-scratch autodiff trustworthy.
+//
+//gnnvet:allow unreachable -- TestGradCheckAllModels
 func GradCheck(params []*Parameter, build func(g *Graph) *Node, h, rtol, atol float64) error {
 	for _, p := range params {
 		p.ZeroGrad()

@@ -28,7 +28,7 @@ func TestGradMatMul(t *testing.T) {
 
 func TestGradElementwiseBinary(t *testing.T) {
 	a := randParam("a", 3, 2, 3)
-	b := NewParameter("b", tensor.AddScalar(tensor.NewRNG(4).Uniform(0.5, 1.5, 2, 3), 0.5))
+	b := NewParameter("b", tensor.NewRNG(4).Uniform(1, 2, 2, 3))
 	check(t, []*Parameter{a, b}, func(g *Graph) *Node {
 		an, bn := g.Param(a), g.Param(b)
 		s := g.Add(g.Mul(an, bn), g.Sub(an, bn))
@@ -74,10 +74,8 @@ func TestGradActivations(t *testing.T) {
 		l := g.LeakyReLU(n, 0.2)
 		e := g.ELU(n, 1.0)
 		s := g.Sigmoid(n)
-		h := g.Tanh(n)
-		x := g.Exp(g.Scale(n, 0.3))
 		q := g.Square(n)
-		return g.MeanAll(g.Add(g.Add(g.Add(r, l), g.Add(e, s)), g.Add(g.Add(h, x), q)))
+		return g.MeanAll(g.Add(g.Add(g.Add(r, l), g.Add(e, s)), q))
 	})
 }
 
@@ -86,8 +84,7 @@ func TestGradConcatSplit(t *testing.T) {
 	b := randParam("b", 12, 3, 3)
 	check(t, []*Parameter{a, b}, func(g *Graph) *Node {
 		cat := g.ConcatCols(g.Param(a), g.Param(b))
-		parts := g.SplitCols(cat, 2, 3)
-		return g.MeanAll(g.Add(g.MatMul(parts[0], g.Input(tensor.Ones(2, 3))), parts[1]))
+		return g.MeanAll(g.Square(cat))
 	})
 }
 
@@ -177,7 +174,7 @@ func TestGradL2NormalizeRows(t *testing.T) {
 func TestGradGaussianWeight(t *testing.T) {
 	u := tensor.NewRNG(22).Uniform(0, 1, 5, 2)
 	mu := randParam("mu", 23, 2)
-	isig := NewParameter("isig", tensor.AddScalar(tensor.NewRNG(24).Uniform(0.5, 1.5, 2), 0))
+	isig := NewParameter("isig", tensor.NewRNG(24).Uniform(0.5, 1.5, 2))
 	w := randParam("w", 25, 5, 1)
 	check(t, []*Parameter{mu, isig, w}, func(g *Graph) *Node {
 		gw := g.GaussianWeight(u, g.Param(mu), g.Param(isig))

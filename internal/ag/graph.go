@@ -89,12 +89,6 @@ type Node struct {
 // Value returns the node's tensor.
 func (n *Node) Value() *tensor.Tensor { return n.T }
 
-// Grad returns the node's gradient tensor (nil before Backward reaches it).
-func (n *Node) Grad() *tensor.Tensor { return n.grad }
-
-// RequiresGrad reports whether gradients flow into this node.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
-
 // Graph is an autodiff tape bound to a device, re-executable via
 // ReplayForward.
 type Graph struct {
@@ -124,9 +118,6 @@ func NewInference(dev *device.Device) *Graph {
 
 // Device returns the graph's device (may be nil).
 func (g *Graph) Device() *device.Device { return g.dev }
-
-// NumNodes returns the number of tape entries so far.
-func (g *Graph) NumNodes() int { return len(g.tape) }
 
 // alloc records t's storage as live device memory owned by this graph.
 func (g *Graph) alloc(t *tensor.Tensor) {
@@ -227,20 +218,6 @@ func (g *Graph) Param(p *Parameter) *Node {
 	return n
 }
 
-// Compute records a constant-producing kernel: fill writes the output buffer
-// from whatever non-tensor state it reads (batch degrees, edge structure).
-// No gradient flows. On replay, fill re-runs, so batch-derived constants
-// follow the data that was copied into the recorded batch buffers.
-func (g *Graph) Compute(shape []int, label string, flops, bytes int64, fill func(dst *tensor.Tensor)) *Node {
-	var out *tensor.Tensor
-	return g.op(&out, false, label, flops, bytes, func() {
-		if out == nil {
-			out = g.get(shape...)
-		}
-		fill(out)
-	})
-}
-
 // accum adds grad into n's gradient buffer, allocating it on first touch.
 // Ops call this only for inputs that require gradients.
 func (g *Graph) accum(n *Node, grad *tensor.Tensor) {
@@ -313,6 +290,8 @@ func (g *Graph) OnReplay(f func()) { g.onReplay = append(g.onReplay, f) }
 // BeginStep returns the previous step's gradient buffers to the pool so the
 // next Backward re-draws them without allocating. Call it before each
 // replayed step.
+//
+//gnnvet:allow unreachable -- TestTrainingStepZeroAllocs
 func (g *Graph) BeginStep() {
 	g.mustTrain("BeginStep")
 	for _, n := range g.tape {

@@ -66,7 +66,7 @@ func TestBackwardRequiresScalar(t *testing.T) {
 
 func TestBackwardRequiresGradPath(t *testing.T) {
 	g := New(nil)
-	x := g.Input(tensor.Scalar(3))
+	x := g.Input(tensor.Full(3, 1))
 	loss := g.MeanAll(x)
 	defer func() {
 		if recover() == nil {
@@ -114,10 +114,10 @@ func TestNoGradForInputs(t *testing.T) {
 	y := g.MatMul(x, g.Param(w))
 	loss := g.MeanAll(y)
 	g.Backward(loss)
-	if x.Grad() != nil {
+	if x.grad != nil {
 		t.Fatal("inputs must not receive gradients")
 	}
-	if !y.RequiresGrad() {
+	if !y.requiresGrad {
 		t.Fatal("requiresGrad must propagate")
 	}
 }

@@ -3,7 +3,6 @@ package ag
 import (
 	"fmt"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -18,16 +17,6 @@ import (
 // ownership disciplines documented there (destination rows forward, source
 // rows or edge ids backward), so results are bit-identical to single-threaded
 // execution with zero atomics.
-
-// spmmGrain estimates a For grain for a CSR kernel: rows whose combined
-// edge×feature work reaches the pool's minimum profitable work unit.
-func spmmGrain(edges, rows, f int) int {
-	if rows <= 0 {
-		return 1
-	}
-	avg := (edges*f)/rows + 1
-	return parallel.RowGrain(avg)
-}
 
 // GSpMMSum computes out[v] = Σ_{k ∈ [rowptr[v], rowptr[v+1])} x[col[k]]
 // in one fused kernel.

@@ -34,7 +34,7 @@ func expectPanicWith(t *testing.T, what, want string, f func()) {
 // after Finish names the kind it was asked of.
 func TestInferenceTapeRefusesGradients(t *testing.T) {
 	p := NewParameter("w", tensor.Ones(2, 2))
-	record := func(g *Graph) *Node { return g.SumAll(g.MatMul(g.Input(tensor.Ones(3, 2)), g.Param(p))) }
+	record := func(g *Graph) *Node { return g.MeanAll(g.MatMul(g.Input(tensor.Ones(3, 2)), g.Param(p))) }
 
 	g := NewInference(nil)
 	loss := record(g)

@@ -353,50 +353,6 @@ func (g *Graph) Sigmoid(a *Node) *Node {
 	return res
 }
 
-// Tanh returns tanh elementwise.
-func (g *Graph) Tanh(a *Node) *Node {
-	n := int64(a.T.Size())
-	var out *tensor.Tensor
-	res := g.op(&out, a.requiresGrad, "tanh", 4*n, 16*n, func() {
-		if out == nil {
-			out = g.getLike(a.T)
-		}
-		tensor.TanhInto(out, a.T)
-	})
-	res.backward = func(gr *Graph) {
-		var ga *tensor.Tensor
-		gr.run(3*n, 24*n, func() {
-			ga = gr.tempLike(a.T)
-			tensor.TanhGradInto(ga, res.grad, out)
-		})
-		gr.accum(a, ga)
-		gr.freeTemp(ga)
-	}
-	return res
-}
-
-// Exp returns e^a elementwise.
-func (g *Graph) Exp(a *Node) *Node {
-	n := int64(a.T.Size())
-	var out *tensor.Tensor
-	res := g.op(&out, a.requiresGrad, "exp", 4*n, 16*n, func() {
-		if out == nil {
-			out = g.getLike(a.T)
-		}
-		tensor.ExpInto(out, a.T)
-	})
-	res.backward = func(gr *Graph) {
-		var ga *tensor.Tensor
-		gr.run(n, 24*n, func() {
-			ga = gr.tempLike(a.T)
-			tensor.MulInto(ga, res.grad, out)
-		})
-		gr.accum(a, ga)
-		gr.freeTemp(ga)
-	}
-	return res
-}
-
 // Square returns a*a elementwise.
 func (g *Graph) Square(a *Node) *Node {
 	n := int64(a.T.Size())
@@ -454,55 +410,6 @@ func (g *Graph) ConcatCols(parts ...*Node) *Node {
 		gr.freeTemp(gtmp...)
 	}
 	return res
-}
-
-// SplitCols slices a node into column blocks of the given widths. Used by
-// multi-head attention to address each head's features.
-func (g *Graph) SplitCols(a *Node, widths ...int) []*Node {
-	check2("SplitCols", a)
-	rows := a.T.Rows()
-	total := int64(a.T.Size())
-	parts := make([]*tensor.Tensor, len(widths))
-	offsets := make([]int, len(widths))
-	off := 0
-	for i, w := range widths {
-		offsets[i] = off
-		off += w
-	}
-	if off != a.T.Cols() {
-		panic(fmt.Sprintf("ag: SplitCols widths sum to %d, node has %d columns", off, a.T.Cols()))
-	}
-	fwd := func() {
-		if parts[0] == nil {
-			for i, w := range widths {
-				parts[i] = g.get(rows, w)
-			}
-		}
-		tensor.SplitColsInto(parts, a.T)
-	}
-	g.run(0, 16*total, fwd)
-	outs := make([]*Node, len(parts))
-	for i, p := range parts {
-		i, p := i, p
-		res := g.node(p, a.requiresGrad, "splitcols", nil)
-		if i == 0 {
-			// One recorded kernel writes every part; replaying the first
-			// node's closure refreshes all of them.
-			res.fwd, res.flops, res.bytes = fwd, 0, 16*total
-		}
-		res.backward = func(gr *Graph) {
-			// Expand this block's gradient back to the full width.
-			var full *tensor.Tensor
-			gr.run(0, 16*int64(p.Size()), func() {
-				full = gr.tempLike(a.T)
-				tensor.ScatterColsInto(full, res.grad, offsets[i])
-			})
-			gr.accum(a, full)
-			gr.freeTemp(full)
-		}
-		outs[i] = res
-	}
-	return outs
 }
 
 // Dropout zeroes each element with probability p and scales survivors by
@@ -613,28 +520,6 @@ func (g *Graph) MeanAll(a *Node) *Node {
 		gr.run(n, 8*n, func() {
 			ga = gr.tempLike(a.T)
 			tensor.FillInto(ga, res.grad.Data[0]/float64(a.T.Size()))
-		})
-		gr.accum(a, ga)
-		gr.freeTemp(ga)
-	}
-	return res
-}
-
-// SumAll reduces a node to its scalar sum.
-func (g *Graph) SumAll(a *Node) *Node {
-	n := int64(a.T.Size())
-	var out *tensor.Tensor
-	res := g.op(&out, a.requiresGrad, "sumall", n, 8*n, func() {
-		if out == nil {
-			out = g.get(1)
-		}
-		out.Data[0] = tensor.Sum(a.T)
-	})
-	res.backward = func(gr *Graph) {
-		var ga *tensor.Tensor
-		gr.run(n, 8*n, func() {
-			ga = gr.tempLike(a.T)
-			tensor.FillInto(ga, res.grad.Data[0])
 		})
 		gr.accum(a, ga)
 		gr.freeTemp(ga)

@@ -96,7 +96,7 @@ func TestGSpMMGradThroughChain(t *testing.T) {
 	check(t, []*Parameter{w}, func(g *Graph) *Node {
 		h := g.MatMul(g.Input(x), g.Param(w))
 		agg := g.GSpMMSum(h, csr.rowptr, csr.col)
-		return g.MeanAll(g.Tanh(agg))
+		return g.MeanAll(g.Sigmoid(agg))
 	})
 }
 

@@ -47,6 +47,7 @@ func All() []*Check {
 		ctxPropagationCheck,
 		lockOrderCheck,
 		wireBoundedAllocCheck,
+		unreachableCheck,
 	}
 }
 
@@ -180,14 +181,9 @@ func (p *Pass) ReportRangef(pos, end token.Pos, format string, args ...any) {
 	p.out.Diagnostics = append(p.out.Diagnostics, d)
 }
 
-// Run executes the checks over the packages, returning position-sorted
-// findings.
-func Run(pkgs []*Package, checks []*Check) *Result {
-	return RunWithCache(pkgs, checks, "")
-}
-
-// RunWithCache is Run with a summary-cache file path ("" disables caching;
-// see Program.Summarize).
+// RunWithCache executes the checks over the packages, returning
+// position-sorted findings. cachePath names a summary-cache file (""
+// disables caching; see Program.Summarize).
 func RunWithCache(pkgs []*Package, checks []*Check, cachePath string) *Result {
 	prog := BuildProgram(pkgs)
 	prog.Summarize(cachePath)

@@ -81,11 +81,12 @@ func TestCheckGolden(t *testing.T) {
 		{"ctx-propagation", []string{"./ctxprop"}},
 		{"lock-order", []string{"./lockorder"}},
 		{"wire-bounded-alloc", []string{"./wirealloc"}},
+		{"unreachable", []string{"./unreachable/..."}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.check, func(t *testing.T) {
 			pkgs := loadFixtures(t, tc.patterns...)
-			result := analysis.Run(pkgs, []*analysis.Check{checkByName(t, tc.check)})
+			result := analysis.RunWithCache(pkgs, []*analysis.Check{checkByName(t, tc.check)}, "")
 			got := render(t, result.Diagnostics)
 			if got == "" {
 				t.Fatalf("check %s produced no findings over its positive fixtures", tc.check)
@@ -121,7 +122,7 @@ func TestCheckGolden(t *testing.T) {
 // produce findings only at lines occupied by Bad* functions.
 func TestNegativeFixturesStayQuiet(t *testing.T) {
 	pkgs := loadFixtures(t, "./...")
-	result := analysis.Run(pkgs, analysis.All())
+	result := analysis.RunWithCache(pkgs, analysis.All(), "")
 	for _, d := range result.Diagnostics {
 		src, err := os.ReadFile(d.File)
 		if err != nil {
@@ -147,7 +148,7 @@ func TestNegativeFixturesStayQuiet(t *testing.T) {
 // whose directive names the wrong check.
 func TestAllowDirectives(t *testing.T) {
 	pkgs := loadFixtures(t, "./allowed")
-	result := analysis.Run(pkgs, analysis.All())
+	result := analysis.RunWithCache(pkgs, analysis.All(), "")
 	if len(result.Suppressed) != 2 {
 		t.Errorf("suppressed = %d findings, want 2:\n%s", len(result.Suppressed), render(t, result.Suppressed))
 	}
@@ -223,7 +224,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load repo: %v", err)
 	}
-	result := analysis.Run(pkgs, analysis.All())
+	result := analysis.RunWithCache(pkgs, analysis.All(), "")
 	for _, d := range result.Diagnostics {
 		t.Errorf("repo finding: %s", d)
 	}
@@ -243,7 +244,7 @@ func TestRepoIsClean(t *testing.T) {
 func TestDeterministicOutput(t *testing.T) {
 	run := func() string {
 		pkgs := loadFixtures(t, "./...")
-		r := analysis.Run(pkgs, analysis.All())
+		r := analysis.RunWithCache(pkgs, analysis.All(), "")
 		return render(t, r.Diagnostics) + "-- suppressed --\n" + render(t, r.Suppressed)
 	}
 	first, second := run(), run()

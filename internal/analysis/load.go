@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -31,6 +32,8 @@ type Package struct {
 	// Name is the package name (the checks' kernel-package scoping keys on
 	// it, so fixtures can stand in for real kernel packages).
 	Name string
+	// Module is the path of the module the package belongs to.
+	Module string
 	// Fset covers Files.
 	Fset *token.FileSet
 	// Files are the parsed non-test Go files, with comments.
@@ -54,6 +57,7 @@ type listedPackage struct {
 	GoFiles    []string
 	Standard   bool
 	DepOnly    bool
+	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
@@ -66,7 +70,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		patterns = []string{"./..."}
 	}
 	args := append([]string{"list", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,Standard,DepOnly,Error"}, patterns...)
+		"-json=ImportPath,Name,Dir,Export,GoFiles,Standard,DepOnly,Module,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -154,6 +158,9 @@ func checkPackage(fset *token.FileSet, imp types.Importer, t *listedPackage) (*P
 		Path: t.ImportPath, Name: typed.Name(),
 		Fset: fset, Files: files, Types: typed, Info: info,
 	}
+	if t.Module != nil {
+		pkg.Module = t.Module.Path
+	}
 	pkg.buildAllowMap()
 	return pkg, nil
 }
@@ -180,6 +187,9 @@ func (e *exportImporter) Import(path string) (*types.Package, error) {
 // allowDirective is the suppression comment prefix the analyzer honors.
 const allowDirective = "//gnnvet:allow"
 
+// testName matches a waiver reason that starts with a Go test function name.
+var testName = regexp.MustCompile(`^(Test|Fuzz|Benchmark|Example)\w*\b`)
+
 // buildAllowMap indexes //gnnvet:allow directives: a directive suppresses
 // the named checks on its own source line (trailing-comment form) and on the
 // line directly below it (own-line form).
@@ -193,11 +203,17 @@ func (p *Package) buildAllowMap() {
 				}
 				rest := strings.TrimPrefix(c.Text, allowDirective)
 				// Everything after " -- " is prose explaining the waiver.
+				reason := ""
 				if i := strings.Index(rest, " -- "); i >= 0 {
-					rest = rest[:i]
+					rest, reason = rest[:i], rest[i+len(" -- "):]
 				}
 				var names []string
 				for _, n := range strings.FieldsFunc(rest, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
+					// An unreachable waiver keeps a function for another
+					// package's test, so it counts only when it names one.
+					if n == "unreachable" && !testName.MatchString(reason) {
+						continue
+					}
 					names = append(names, n)
 				}
 				pos := p.Fset.Position(c.Pos())

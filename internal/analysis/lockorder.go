@@ -41,15 +41,15 @@ func runLockOrder(pass *Pass) {
 	}
 }
 
-// lockReport is one memoized cycle finding.
-type lockReport struct {
+// progReport is one memoized program-wide finding.
+type progReport struct {
 	pos token.Pos
 	msg string
 }
 
 // lockCycleReports computes (once per Program) the cycle reports of the
 // global lock graph.
-func (prog *Program) lockCycleReports() []lockReport {
+func (prog *Program) lockCycleReports() []progReport {
 	if prog.lockReportsDone {
 		return prog.lockReports
 	}
@@ -110,7 +110,7 @@ func (prog *Program) lockCycleReports() []lockReport {
 				anchor = e.FromPos
 			}
 		}
-		prog.lockReports = append(prog.lockReports, lockReport{
+		prog.lockReports = append(prog.lockReports, progReport{
 			pos: anchor,
 			msg: fmt.Sprintf("lock-order cycle (potential deadlock): %s", strings.Join(parts, "; ")),
 		})

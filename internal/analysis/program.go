@@ -54,8 +54,12 @@ type Program struct {
 
 	// lockReports memoizes the global lock-order cycle findings, computed
 	// once per Program by lockCycleReports.
-	lockReports     []lockReport
+	lockReports     []progReport
 	lockReportsDone bool
+	// unreachable memoizes the unreachable check's findings, computed once
+	// per Program by unreachableReports.
+	unreachable     []progReport
+	unreachableDone bool
 
 	// CacheHit reports whether the summary table was restored from a
 	// -summary-cache file instead of being recomputed.
@@ -70,7 +74,7 @@ type FuncInfo struct {
 }
 
 // BuildProgram indexes the loaded packages. Summaries are not yet computed;
-// Summarize (or Run, which calls it) does that.
+// Summarize (or RunWithCache, which calls it) does that.
 func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Pkgs:          pkgs,
@@ -121,16 +125,6 @@ func (prog *Program) sortedFuncs() []*FuncInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Decl.Pos() < out[j].Decl.Pos() })
 	return out
-}
-
-// FuncOf resolves the declared function a call invokes, if it lives in the
-// load (direct calls only; see Callees for interface dispatch).
-func (prog *Program) FuncOf(info *types.Info, call *ast.CallExpr) *FuncInfo {
-	fn := calleeFunc(info, call)
-	if fn == nil {
-		return nil
-	}
-	return prog.Funcs[fn]
 }
 
 // Callees resolves a call to the loaded functions it may invoke: the direct
@@ -195,15 +189,16 @@ func (prog *Program) infosOf(fns []*types.Func) []*FuncInfo {
 // declared by one of the loaded packages.
 func (prog *Program) ownsInterface(t types.Type) bool {
 	named, ok := t.(*types.Named)
-	if !ok {
+	if !ok || named.Obj() == nil {
 		return false
 	}
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
+	return prog.ownsPackage(named.Obj().Pkg())
+}
+
+// ownsPackage reports whether p is one of the loaded packages.
+func (prog *Program) ownsPackage(p *types.Package) bool {
 	for _, pkg := range prog.Pkgs {
-		if pkg.Types == obj.Pkg() {
+		if pkg.Types == p {
 			return true
 		}
 	}

@@ -210,3 +210,10 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 	var _ time.Duration // keep the import honest if assertions change
 }
+
+// Extract computes the cost-model features of one graph.
+func Extract(g *graph.Graph) Features {
+	var a accum
+	a.add(g)
+	return a.features()
+}

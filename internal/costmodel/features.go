@@ -81,13 +81,6 @@ func (a *accum) features() Features {
 	return f
 }
 
-// Extract computes the cost-model features of one graph.
-func Extract(g *graph.Graph) Features {
-	var a accum
-	a.add(g)
-	return a.features()
-}
-
 // ExtractBatch computes the features of the disconnected union of graphs —
 // the graph a coalesced serving batch actually runs as — without
 // materializing the union.

@@ -148,11 +148,6 @@ func (p *Predictor) PredictFeatures(f Features) time.Duration {
 	return time.Duration(secs * float64(time.Second))
 }
 
-// Predict returns the predicted forward latency of one graph.
-func (p *Predictor) Predict(g *graph.Graph) time.Duration {
-	return p.PredictFeatures(Extract(g))
-}
-
 // PredictBatch returns the predicted forward latency of the coalesced batch
 // formed by graphs — the serve.LatencyPredictor contract admission control
 // calls under the coalescer.

@@ -69,22 +69,6 @@ func CrossValidationSplits(folds [][]int) []CVSplit {
 	return splits
 }
 
-// ClassCounts tallies label occurrences over the given indices (or all
-// samples when idx is nil).
-func ClassCounts(labels []int, idx []int, classes int) []int {
-	counts := make([]int, classes)
-	if idx == nil {
-		for _, c := range labels {
-			counts[c]++
-		}
-		return counts
-	}
-	for _, i := range idx {
-		counts[labels[i]]++
-	}
-	return counts
-}
-
 func sortInts(s []int) {
 	sort.Ints(s)
 }

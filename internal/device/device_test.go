@@ -200,7 +200,7 @@ func TestTraceCapAndChromeExport(t *testing.T) {
 		t.Fatalf("cap ignored: %d events", got)
 	}
 	var buf bytes.Buffer
-	if err := d.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTraceSpans(&buf, d.Trace(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any

@@ -77,13 +77,6 @@ type chromeEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
-// WriteChromeTrace exports the device's recorded kernels as a Chrome
-// trace-event JSON array with two tracks: the host execution timeline
-// (tid 0) and the modeled device timeline laid out end to end (tid 1).
-func (d *Device) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTraceEvents(w, d.Trace())
-}
-
 // SpanEvent is one higher-level timeline slice merged into the kernel
 // trace: the obs package's span tracer exports its epoch/batch/phase spans
 // through this type so framework-level phases and the kernel stream land in
@@ -102,18 +95,11 @@ type SpanEvent struct {
 	Args map[string]string
 }
 
-// WriteChromeTraceEvents writes the given kernel events in Chrome's
-// trace-event JSON format. Split out from WriteChromeTrace so the exact
-// output can be tested against a fixed event list (see cmd/gnntrace).
-func WriteChromeTraceEvents(w io.Writer, events []KernelEvent) error {
-	return WriteChromeTraceSpans(w, events, nil)
-}
-
 // WriteChromeTraceSpans writes kernel events and span events as one Chrome
-// trace-event JSON array. Kernel events appear exactly as
-// WriteChromeTraceEvents renders them (host timeline on tid 0, modeled
-// device timeline on tid 1); span events follow on their own tids. With no
-// spans the output is byte-identical to WriteChromeTraceEvents.
+// trace-event JSON array: each kernel appears twice, on the host timeline
+// (tid 0) and laid end to end on the modeled device timeline (tid 1), and
+// span events follow on their own tids. cmd/gnntrace pins the kernel-only
+// output (nil spans) with a golden file.
 func WriteChromeTraceSpans(w io.Writer, events []KernelEvent, spans []SpanEvent) error {
 	out := make([]chromeEvent, 0, 2*len(events)+len(spans))
 	var simCursor time.Duration

@@ -605,6 +605,11 @@ func (m *Manager) reader(r *remote, l *link) {
 			}
 			r.mu.Unlock()
 		case rpc.FrameJobDone:
+			jd, derr := rpc.DecodeJobDone(f.Payload)
+			if derr != nil {
+				m.evict(r, l)
+				return
+			}
 			if j := m.takeJob(r, l, f.Job); j != nil {
 				err := error(nil)
 				for i := range j.got {
@@ -612,6 +617,9 @@ func (m *Manager) reader(r *remote, l *link) {
 						err = fmt.Errorf("fleet: worker %s finished a job missing row %d of %d", r.addr, i, j.n)
 						break
 					}
+				}
+				if err == nil && jd.Rows != j.n {
+					err = fmt.Errorf("fleet: worker %s finished a job of %d rows claiming %d", r.addr, j.n, jd.Rows)
 				}
 				j.done <- err
 			}
@@ -646,6 +654,10 @@ func (m *Manager) reader(r *remote, l *link) {
 				j.span.ImportRemote(workerPidBase+r.idx, recs)
 			}
 		case rpc.FramePong:
+			if _, derr := rpc.DecodePong(f.Payload); derr != nil {
+				m.evict(r, l)
+				return
+			}
 			// The sequence number rides the job field; record the highest.
 			for {
 				cur := l.pong.Load()

@@ -255,6 +255,8 @@ func (b *Batch) Release(dev *device.Device) {
 // when the backend materialized CSR — a CSR that indexes every arc exactly
 // once. It returns a descriptive error for the first violation. The fuzz
 // harness drives both backends' collation paths through this check.
+//
+//gnnvet:allow unreachable -- FuzzBatchCollate
 func (b *Batch) Invariants() error {
 	if b.NumGraphs <= 0 {
 		return fmt.Errorf("fw: batch has %d graphs", b.NumGraphs)

@@ -21,36 +21,10 @@ func ErdosRenyi(rng *tensor.RNG, n int, p float64) *Graph {
 	return g
 }
 
-// PlantedPartition samples an undirected stochastic block model: nodes are
-// assigned round-robin to k blocks; within-block pairs connect with pIn,
-// cross-block pairs with pOut. Citation networks (Cora/PubMed) are modelled
-// this way: papers cite mostly within their topic.
-func PlantedPartition(rng *tensor.RNG, n, k int, pIn, pOut float64) (*Graph, []int) {
-	block := make([]int, n)
-	for i := range block {
-		block[i] = i % k
-	}
-	rng.Shuffle(n, func(i, j int) { block[i], block[j] = block[j], block[i] })
-	g := &Graph{NumNodes: n}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			p := pOut
-			if block[i] == block[j] {
-				p = pIn
-			}
-			if rng.Float64() < p {
-				g.Src = append(g.Src, i, j)
-				g.Dst = append(g.Dst, j, i)
-			}
-		}
-	}
-	return g, block
-}
-
-// PlantedPartitionSparse is PlantedPartition for large n: instead of testing
-// all O(n²) pairs it samples the expected number of within- and cross-block
-// edges directly, which is how large sparse citation graphs (PubMed) are
-// generated in reasonable time.
+// PlantedPartitionSparse builds a k-block planted-partition graph over n
+// nodes. Instead of testing all O(n²) pairs it samples the expected number of
+// within- and cross-block edges directly, which is how large sparse citation
+// graphs (PubMed) are generated in reasonable time.
 func PlantedPartitionSparse(rng *tensor.RNG, n, k int, avgDegIn, avgDegOut float64) (*Graph, []int) {
 	block := make([]int, n)
 	for i := range block {

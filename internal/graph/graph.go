@@ -108,24 +108,6 @@ func FromEdgeList(numNodes int, src, dst []int, x [][]float64) (*Graph, error) {
 	return g, nil
 }
 
-// InDegrees returns the number of incoming arcs per node.
-func (g *Graph) InDegrees() []float64 {
-	deg := make([]float64, g.NumNodes)
-	for _, d := range g.Dst {
-		deg[d]++
-	}
-	return deg
-}
-
-// OutDegrees returns the number of outgoing arcs per node.
-func (g *Graph) OutDegrees() []float64 {
-	deg := make([]float64, g.NumNodes)
-	for _, s := range g.Src {
-		deg[s]++
-	}
-	return deg
-}
-
 // WithSelfLoops returns a copy of g with one self-loop appended per node
 // (edge attributes, if any, are zero for the new arcs). GCN-style models add
 // self-loops so a node's own features survive aggregation.
@@ -146,29 +128,6 @@ func (g *Graph) WithSelfLoops() *Graph {
 	if g.EdgeAttr != nil {
 		fe := g.EdgeAttr.Cols()
 		out.EdgeAttr = tensor.ConcatRows(g.EdgeAttr, tensor.New(g.NumNodes, fe))
-	}
-	return out
-}
-
-// Undirected returns a copy of g with the reverse of every arc appended
-// (skipping arcs whose reverse is already present is deliberately NOT done:
-// datasets call this once on a one-direction edge list).
-func (g *Graph) Undirected() *Graph {
-	e := g.NumEdges()
-	out := &Graph{
-		NumNodes: g.NumNodes,
-		Src:      make([]int, 0, 2*e),
-		Dst:      make([]int, 0, 2*e),
-		X:        g.X, Pos: g.Pos, Y: g.Y, Label: g.Label,
-	}
-	out.Src = append(out.Src, g.Src...)
-	out.Dst = append(out.Dst, g.Dst...)
-	for i := 0; i < e; i++ {
-		out.Src = append(out.Src, g.Dst[i])
-		out.Dst = append(out.Dst, g.Src[i])
-	}
-	if g.EdgeAttr != nil {
-		out.EdgeAttr = tensor.ConcatRows(g.EdgeAttr, g.EdgeAttr)
 	}
 	return out
 }

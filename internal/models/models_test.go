@@ -205,3 +205,12 @@ func TestConfigValidation(t *testing.T) {
 	}()
 	New("GCN", pygeo.New(), Config{Task: NodeClassification, In: 3, Hidden: 4, Classes: 2, Layers: 0})
 }
+
+// Labels returns the target labels a model's logits should be scored
+// against for the batch.
+func Labels(task Task, b *fw.Batch) []int {
+	if task == NodeClassification {
+		return b.NodeLabels
+	}
+	return b.Labels
+}

@@ -42,15 +42,6 @@ type RNGCarrier interface {
 	RNGStreams() []*tensor.RNG
 }
 
-// ParamsOf concatenates the parameters of several modules.
-func ParamsOf(ms ...Module) []*ag.Parameter {
-	var ps []*ag.Parameter
-	for _, m := range ms {
-		ps = append(ps, m.Params()...)
-	}
-	return ps
-}
-
 // NumParams returns the total element count across parameters.
 func NumParams(ps []*ag.Parameter) int {
 	n := 0
@@ -69,13 +60,6 @@ func ParamBytes(ps []*ag.Parameter) int64 {
 // distribution, the initializer the reference GNN implementations use.
 func GlorotUniform(rng *tensor.RNG, fanIn, fanOut int) *tensor.Tensor {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	return rng.Uniform(-limit, limit, fanIn, fanOut)
-}
-
-// HeUniform fills a [fanIn, fanOut] weight with He/Kaiming uniform values,
-// suited to ReLU networks.
-func HeUniform(rng *tensor.RNG, fanIn, fanOut int) *tensor.Tensor {
-	limit := math.Sqrt(6.0 / float64(fanIn))
 	return rng.Uniform(-limit, limit, fanIn, fanOut)
 }
 
@@ -102,12 +86,6 @@ func (l *Linear) Apply(g *ag.Graph, x *ag.Node) *ag.Node {
 	}
 	return y
 }
-
-// In returns the input feature width.
-func (l *Linear) In() int { return l.W.Value.Dim(0) }
-
-// Out returns the output feature width.
-func (l *Linear) Out() int { return l.W.Value.Dim(1) }
 
 // Params implements Module.
 func (l *Linear) Params() []*ag.Parameter {

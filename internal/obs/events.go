@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"sync"
 	"time"
@@ -45,13 +44,12 @@ const DefaultEventLimit = 1024
 // are safe for concurrent use, and a nil *EventLog is a valid disabled log:
 // every method no-ops, so instrumented code paths emit unconditionally.
 type EventLog struct {
-	mu      sync.Mutex
-	limit   int
-	buf     []Event
-	w       int // ring write cursor, meaningful once len(buf) == limit
-	seq     uint64
-	dropped int64
-	out     *slog.Logger
+	mu    sync.Mutex
+	limit int
+	buf   []Event
+	w     int // ring write cursor, meaningful once len(buf) == limit
+	seq   uint64
+	out   *slog.Logger
 }
 
 // NewEventLog returns an event log keeping at most limit events (the most
@@ -80,7 +78,6 @@ func (l *EventLog) Log(level slog.Level, traceID uint64, msg string, attrs ...At
 	} else {
 		l.buf[l.w] = ev
 		l.w = (l.w + 1) % l.limit
-		l.dropped++
 	}
 	out := l.out
 	l.mu.Unlock()
@@ -96,17 +93,11 @@ func (l *EventLog) Log(level slog.Level, traceID uint64, msg string, attrs ...At
 	}
 }
 
-// Debug records a debug-level event with no trace correlation.
-func (l *EventLog) Debug(msg string, attrs ...Attr) { l.Log(slog.LevelDebug, 0, msg, attrs...) }
-
 // Info records an info-level event with no trace correlation.
 func (l *EventLog) Info(msg string, attrs ...Attr) { l.Log(slog.LevelInfo, 0, msg, attrs...) }
 
 // Warn records a warn-level event with no trace correlation.
 func (l *EventLog) Warn(msg string, attrs ...Attr) { l.Log(slog.LevelWarn, 0, msg, attrs...) }
-
-// Error records an error-level event with no trace correlation.
-func (l *EventLog) Error(msg string, attrs ...Attr) { l.Log(slog.LevelError, 0, msg, attrs...) }
 
 // Events returns the buffered events oldest-first (ascending Seq).
 func (l *EventLog) Events() []Event {
@@ -119,43 +110,4 @@ func (l *EventLog) Events() []Event {
 	out = append(out, l.buf[l.w:]...)
 	out = append(out, l.buf[:l.w]...)
 	return out
-}
-
-// Dropped returns how many events the ring buffer has evicted.
-func (l *EventLog) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// WriteText renders the buffered events one per line in a deliberately
-// timestamp-free format —
-//
-//	LEVEL msg key=value ... [trace=0123456789abcdef] (seq N)
-//
-// — so the output is a pure function of what was emitted and tests can
-// assert it byte-for-byte.
-func (l *EventLog) WriteText(w io.Writer) error {
-	for _, ev := range l.Events() {
-		if _, err := fmt.Fprintf(w, "%s %s", ev.Level, ev.Msg); err != nil {
-			return err
-		}
-		for _, a := range ev.Attrs {
-			if _, err := fmt.Fprintf(w, " %s=%s", a.Key, a.Value); err != nil {
-				return err
-			}
-		}
-		if ev.TraceID != 0 {
-			if _, err := fmt.Fprintf(w, " trace=%016x", ev.TraceID); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, " (seq %d)\n", ev.Seq); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"fmt"
 	"log/slog"
 	"strings"
@@ -28,16 +27,21 @@ func TestEventLogOrderAndText(t *testing.T) {
 		t.Fatal("trace correlation lost")
 	}
 
-	// WriteText is timestamp-free, so the full output pins down exactly.
-	var buf bytes.Buffer
-	if err := l.WriteText(&buf); err != nil {
-		t.Fatal(err)
+	var got []string
+	for _, ev := range evs {
+		line := fmt.Sprintf("%s %s", ev.Level, ev.Msg)
+		for _, a := range ev.Attrs {
+			line += fmt.Sprintf(" %s=%s", a.Key, a.Value)
+		}
+		got = append(got, line)
 	}
-	want := "INFO fleet-worker-join addr=w0:9090 pods=2 (seq 1)\n" +
-		"WARN fleet-worker-evicted addr=w0:9090 (seq 2)\n" +
-		fmt.Sprintf("ERROR fleet-replica-panic panic=boom trace=%016x (seq 3)\n", TraceIDForJob(1))
-	if buf.String() != want {
-		t.Fatalf("WriteText:\n got %q\nwant %q", buf.String(), want)
+	want := []string{
+		"INFO fleet-worker-join addr=w0:9090 pods=2",
+		"WARN fleet-worker-evicted addr=w0:9090",
+		"ERROR fleet-replica-panic panic=boom",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("events:\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -52,9 +56,6 @@ func TestEventLogRingBounds(t *testing.T) {
 	}
 	if evs[0].Seq != 7 || evs[3].Seq != 10 {
 		t.Fatalf("ring kept seqs %d..%d, want the most recent 7..10", evs[0].Seq, evs[3].Seq)
-	}
-	if l.Dropped() != 6 {
-		t.Fatalf("dropped %d, want 6", l.Dropped())
 	}
 }
 
@@ -85,7 +86,7 @@ func TestEventLogNilAndConcurrent(t *testing.T) {
 	var nilLog *EventLog
 	nilLog.Info("ignored")
 	nilLog.Log(slog.LevelError, 1, "ignored")
-	if nilLog.Events() != nil || nilLog.Dropped() != 0 {
+	if nilLog.Events() != nil {
 		t.Fatal("nil event log not inert")
 	}
 

@@ -20,9 +20,6 @@ import (
 // nameRE is the naming law for metric and label names.
 var nameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
-// NamePattern returns the law's name pattern, for diagnostics.
-func NamePattern() string { return nameRE.String() }
-
 // CheckMetricName reports whether name is a lawful metric family name.
 func CheckMetricName(name string) error {
 	if !nameRE.MatchString(name) {

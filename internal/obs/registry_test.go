@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -23,20 +24,16 @@ func populatedRegistry() *Registry {
 	cv.With("accepted").Add(7)
 	cv.With("rejected").Add(2)
 	g := r.Gauge("test_queue_depth", "Items queued.")
-	g.Set(5)
-	g.Add(-2)
+	g.Set(3)
 	gv := r.GaugeVec("test_temperature", "Temperature by sensor.", "sensor", "unit")
-	gv.With(`weird"name`, "c").Set(21.5)
-	gv.With("cpu", "c").Set(63)
+	gv.Func(func() float64 { return 21.5 }, `weird"name`, "c")
+	gv.Func(func() float64 { return 63 }, "cpu", "c")
 	r.GaugeFunc("test_callback", "A callback gauge.", func() float64 { return 2.5 })
 	r.CounterFunc("test_callback_total", "A callback counter.", func() float64 { return 9 })
 	h := r.Histogram("test_latency_seconds", "Request latency.", 0.01, 0.1, 1)
 	for _, v := range []float64{0.005, 0.05, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
-	hv := r.HistogramVec("test_batch_size", "Batch sizes.", []float64{1, 8, 64}, "replica")
-	hv.With("cuda:0").Observe(4)
-	hv.With("cuda:0").Observe(100)
 	return r
 }
 
@@ -116,8 +113,8 @@ func TestGetOrCreateSharesState(t *testing.T) {
 	if got := r.Counter("shared_total", "Shared.").Value(); got != 7 {
 		t.Errorf("re-registered counter = %g, want 7 (get-or-create must share state)", got)
 	}
-	r.HistogramVec("shared_hist", "Shared.", []float64{1, 2}, "k").With("a").Observe(1.5)
-	h := r.HistogramVec("shared_hist", "Shared.", []float64{1, 2}, "k").With("a")
+	r.Histogram("shared_hist", "Shared.", 1, 2).Observe(1.5)
+	h := r.Histogram("shared_hist", "Shared.", 1, 2)
 	if got := h.Snapshot().N(); got != 1 {
 		t.Errorf("re-registered histogram N = %d, want 1", got)
 	}
@@ -141,7 +138,7 @@ func TestRegistrationPanics(t *testing.T) {
 	mustPanic("empty name", func() { r.Counter("", "h") })
 	mustPanic("empty help", func() { r.Counter("ok_name", "  ") })
 	mustPanic("bad label", func() { r.CounterVec("ok_vec", "h", "Bad-Label") })
-	mustPanic("reserved le", func() { r.HistogramVec("ok_hist", "h", []float64{1}, "le") })
+	mustPanic("reserved le", func() { r.CounterVec("ok_le_total", "h", "le") })
 	mustPanic("dup label", func() { r.CounterVec("ok_vec2", "h", "a", "a") })
 	mustPanic("kind conflict", func() { r.Gauge("taken_total", "Original.") })
 	mustPanic("help conflict", func() { r.Counter("taken_total", "Changed.") })
@@ -160,7 +157,6 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(1)
-	g.Add(1)
 	if g.Value() != 0 {
 		t.Error("nil gauge value != 0")
 	}
@@ -173,10 +169,7 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 	cv.With("x").Inc()
 	cv.Func(func() float64 { return 1 }, "x")
 	var gv *GaugeVec
-	gv.With("x").Set(1)
 	gv.Func(func() float64 { return 1 }, "x")
-	var hv *HistogramVec
-	hv.With("x").Observe(1)
 }
 
 // TestConcurrentInstruments hammers every instrument kind from 16 goroutines
@@ -188,7 +181,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	cv := r.CounterVec("conc_vec_total", "h", "k")
 	g := r.Gauge("conc_gauge", "h")
 	h := r.Histogram("conc_hist", "h", 1, 10, 100)
-	hv := r.HistogramVec("conc_hist_vec", "h", []float64{1, 10}, "k")
 
 	const goroutines = 16
 	const iters = 1000
@@ -201,9 +193,8 @@ func TestConcurrentInstruments(t *testing.T) {
 			for j := 0; j < iters; j++ {
 				c.Inc()
 				cv.With(lbl).Add(2)
-				g.Add(1)
+				g.Set(1)
 				h.Observe(float64(j % 200))
-				hv.With(lbl).Observe(float64(j % 20))
 			}
 		}(i)
 	}
@@ -226,8 +217,8 @@ func TestConcurrentInstruments(t *testing.T) {
 	if got := c.Value(); got != goroutines*iters {
 		t.Errorf("counter = %g, want %d", got, goroutines*iters)
 	}
-	if got := g.Value(); got != goroutines*iters {
-		t.Errorf("gauge = %g, want %d", got, goroutines*iters)
+	if got := g.Value(); got != 1 {
+		t.Errorf("gauge = %g, want 1", got)
 	}
 	if got := h.Snapshot().N(); got != goroutines*iters {
 		t.Errorf("histogram N = %d, want %d", got, goroutines*iters)
@@ -289,4 +280,16 @@ func TestLint(t *testing.T) {
 	if err := r.Lint(); err == nil {
 		t.Error("Lint missed empty help text")
 	}
+}
+
+// Names returns the registered family names, sorted.
+func (r *Registry) Names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	names := make([]string, 0, len(r.families))
+	for n := range r.families {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -101,14 +101,6 @@ func NewSLOTracker(opt SLOOptions) *SLOTracker {
 	return s
 }
 
-// Target returns the configured objective (0 on a nil tracker).
-func (s *SLOTracker) Target() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.opt.Target
-}
-
 // Observe records one request latency and runs breach detection.
 func (s *SLOTracker) Observe(d time.Duration) {
 	if s == nil {
@@ -157,16 +149,6 @@ func (s *SLOTracker) Observe(d time.Duration) {
 	if fire != nil {
 		fire(s.Quantile(0.99))
 	}
-}
-
-// Breached reports whether the rolling window is currently in p99 breach.
-func (s *SLOTracker) Breached() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.breached
 }
 
 // Quantile computes the nearest-rank q-quantile (0 < q <= 1) over the

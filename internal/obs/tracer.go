@@ -31,9 +31,6 @@ func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 // Int builds an integer attribute.
 func Int(key string, v int) Attr { return Attr{Key: key, Value: strconv.Itoa(v)} }
 
-// Float builds a float attribute.
-func Float(key string, v float64) Attr { return Attr{Key: key, Value: fmt.Sprintf("%g", v)} }
-
 // SpanRecord is one completed span as stored in the tracer's ring buffer.
 type SpanRecord struct {
 	// ID is the span's unique id (1-based, in start order). Spans imported
@@ -104,14 +101,13 @@ func remoteSpanID(traceID, wireID uint64) uint64 {
 // Start returns a nil span whose methods all no-op, so instrumented code
 // paths trace unconditionally.
 type Tracer struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	limit   int
-	buf     []SpanRecord
-	w       int // ring write cursor, meaningful once len(buf) == limit
-	dropped int64
-	nextID  uint64
-	lanes   []bool // lane i in use by a live root span
+	mu     sync.Mutex
+	epoch  time.Time
+	limit  int
+	buf    []SpanRecord
+	w      int // ring write cursor, meaningful once len(buf) == limit
+	nextID uint64
+	lanes  []bool // lane i in use by a live root span
 }
 
 // DefaultSpanLimit bounds the ring buffer when NewTracer is given no limit.
@@ -348,7 +344,6 @@ func (t *Tracer) record(rec SpanRecord) {
 	}
 	t.buf[t.w] = rec
 	t.w = (t.w + 1) % t.limit
-	t.dropped++
 }
 
 // Spans returns the buffered spans oldest-first.
@@ -364,16 +359,6 @@ func (t *Tracer) Spans() []SpanRecord {
 	return out
 }
 
-// Dropped returns how many completed spans the ring buffer has evicted.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Reset discards buffered spans and restarts the epoch at time.Now(); live
 // spans keep their old epoch-relative offsets, so Reset between traces, not
 // mid-span.
@@ -384,7 +369,6 @@ func (t *Tracer) Reset() {
 	t.mu.Lock()
 	t.buf = t.buf[:0]
 	t.w = 0
-	t.dropped = 0
 	t.epoch = time.Now()
 	t.mu.Unlock()
 }
@@ -453,7 +437,7 @@ func (t *Tracer) MergedSpanEvents() []device.SpanEvent {
 }
 
 // WriteChromeTrace writes one Chrome-trace JSON array holding both the given
-// kernel events (tids 0 and 1, exactly as device.WriteChromeTraceEvents
+// kernel events (tids 0 and 1, exactly as device.WriteChromeTraceSpans
 // emits them) and this tracer's spans (tids 2+). Open the result in
 // chrome://tracing or Perfetto to see framework phases above the kernels
 // they dispatched.

@@ -1,11 +1,10 @@
 // Package optim implements the optimizers and learning-rate schedules the
-// paper's training recipes use: Adam (all experiments), plain SGD (for
-// comparison and tests), ReduceLROnPlateau (graph-classification recipe:
-// factor 0.5, patience 25, min_lr 1e-6) and its early-stopping rule.
+// paper's training recipes use: Adam (all experiments), ReduceLROnPlateau
+// (graph-classification recipe: factor 0.5, patience 25, min_lr 1e-6) and
+// its early-stopping rule.
 package optim
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/ag"
@@ -110,55 +109,6 @@ func (a *Adam) LR() float64 { return a.lr }
 // SetLR implements Optimizer.
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	Params   []*ag.Parameter
-	lr       float64
-	Momentum float64
-
-	vel []*tensor.Tensor
-}
-
-// NewSGD returns SGD over params.
-func NewSGD(params []*ag.Parameter, lr, momentum float64) *SGD {
-	s := &SGD{Params: params, lr: lr, Momentum: momentum}
-	if momentum != 0 {
-		s.vel = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			s.vel[i] = tensor.New(p.Value.Shape()...)
-		}
-	}
-	return s
-}
-
-// Step applies one SGD update.
-func (s *SGD) Step() {
-	for i, p := range s.Params {
-		if s.vel == nil {
-			tensor.AddScaled(p.Value, -s.lr, p.Grad)
-			continue
-		}
-		v := s.vel[i]
-		for j := range v.Data {
-			v.Data[j] = s.Momentum*v.Data[j] + p.Grad.Data[j]
-			p.Value.Data[j] -= s.lr * v.Data[j]
-		}
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.Params {
-		p.ZeroGrad()
-	}
-}
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.lr }
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
 // ReduceLROnPlateau halves (by Factor) the optimizer's learning rate when the
 // monitored value (validation loss) has not improved for Patience epochs.
 // Training stops when the learning rate falls below MinLR — the paper's
@@ -240,35 +190,4 @@ func (e *EarlyStopping) Step(loss float64) bool {
 	}
 	e.bad++
 	return e.bad <= e.Patience
-}
-
-// GradClip rescales gradients so their global L2 norm is at most maxNorm.
-// Returns the pre-clip norm.
-func GradClip(params []*ag.Parameter, maxNorm float64) float64 {
-	var total float64
-	for _, p := range params {
-		for _, g := range p.Grad.Data {
-			total += g * g
-		}
-	}
-	norm := math.Sqrt(total)
-	if norm > maxNorm && norm > 0 {
-		scale := maxNorm / norm
-		for _, p := range params {
-			tensor.ScaleInPlace(p.Grad, scale)
-		}
-	}
-	return norm
-}
-
-// CheckFinite panics if any parameter or gradient is NaN or Inf; training
-// loops call it to fail fast on numerical blowups.
-func CheckFinite(params []*ag.Parameter) {
-	for _, p := range params {
-		for _, v := range p.Value.Data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				panic(fmt.Sprintf("optim: parameter %s is not finite", p.Name))
-			}
-		}
-	}
 }

@@ -17,11 +17,6 @@ type Histogram struct {
 	counts []int64 // len(bounds)+1; last entry is the overflow bucket
 	n      int64
 	sum    float64
-	max    float64
-	// nonFinite counts observations rejected by Observe for being NaN or
-	// ±Inf. They are kept out of every other accumulator: one NaN folded
-	// into sum would make every future exported mean NaN.
-	nonFinite int64
 }
 
 // NewHistogram returns a histogram over the given strictly ascending upper
@@ -44,23 +39,18 @@ func NewHistogram(bounds ...float64) *Histogram {
 	}
 }
 
-// Observe records one observation. Non-finite values (NaN, ±Inf) are counted
-// aside in NonFinite() and excluded from N/Sum/Max/buckets: a single NaN
-// reaching sum would poison every exported mean forever, and NaN compares
-// false against every bound, so it would otherwise land silently in the
-// overflow bucket.
+// Observe records one observation. Non-finite values (NaN, ±Inf) are
+// dropped: a single NaN reaching sum would poison every exported mean
+// forever, and NaN compares false against every bound, so it would otherwise
+// land silently in the overflow bucket.
 func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		h.nonFinite++
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i]++
 	h.n++
 	h.sum += v
-	if h.n == 1 || v > h.max {
-		h.max = v
-	}
 }
 
 // N returns the number of observations.
@@ -69,31 +59,8 @@ func (h *Histogram) N() int64 { return h.n }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Max returns the largest finite observation (0 before any finite Observe).
-// The first observation seeds it directly, so an all-negative stream reports
-// its true maximum rather than the zero value.
-func (h *Histogram) Max() float64 { return h.max }
-
-// NonFinite returns how many observations Observe rejected as NaN or ±Inf.
-func (h *Histogram) NonFinite() int64 { return h.nonFinite }
-
 // Bounds returns the bucket upper bounds (without the implicit +Inf).
 func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
-// Count returns bucket i's count; i == len(Bounds()) is the overflow bucket.
-func (h *Histogram) Count(i int) int64 { return h.counts[i] }
-
-// Cumulative returns the number of observations <= bound[i] (Prometheus "le"
-// semantics); i == len(Bounds()) returns N(). It walks the buckets up to i;
-// exposition paths that need every level should call Cumulatives once instead
-// of calling this per level, which is O(buckets²) across a scrape.
-func (h *Histogram) Cumulative(i int) int64 {
-	var c int64
-	for j := 0; j <= i; j++ {
-		c += h.counts[j]
-	}
-	return c
-}
 
 // Cumulatives returns every cumulative level in one O(buckets) pass:
 // element i is the number of observations <= bound[i], and the final element
@@ -111,11 +78,9 @@ func (h *Histogram) Cumulatives() []int64 {
 // Clone returns an independent copy, used to snapshot live metrics.
 func (h *Histogram) Clone() *Histogram {
 	return &Histogram{
-		bounds:    append([]float64(nil), h.bounds...),
-		counts:    append([]int64(nil), h.counts...),
-		n:         h.n,
-		sum:       h.sum,
-		max:       h.max,
-		nonFinite: h.nonFinite,
+		bounds: append([]float64(nil), h.bounds...),
+		counts: append([]int64(nil), h.counts...),
+		n:      h.n,
+		sum:    h.sum,
 	}
 }

@@ -25,44 +25,29 @@ func TestHistogramRejectsNonFinite(t *testing.T) {
 	if math.IsNaN(h.Sum() / float64(h.N())) {
 		t.Fatal("mean is NaN: a non-finite observation poisoned Sum")
 	}
-	if got := h.NonFinite(); got != 3 {
-		t.Fatalf("NonFinite = %d, want 3", got)
-	}
 	// The overflow bucket must hold nothing: +Inf and NaN both used to land
 	// there via the search-past-last-bound path.
-	if got := h.Count(3); got != 0 {
+	if got := h.counts[3]; got != 0 {
 		t.Fatalf("overflow bucket = %d, want 0", got)
 	}
-	if got := h.Max(); got != 7 {
-		t.Fatalf("Max = %v, want 7", got)
-	}
 	c := h.Clone()
-	if c.NonFinite() != 3 || c.N() != 2 || c.Sum() != 12 {
-		t.Fatalf("Clone dropped state: nonFinite=%d n=%d sum=%v", c.NonFinite(), c.N(), c.Sum())
+	if c.N() != 2 || c.Sum() != 12 {
+		t.Fatalf("Clone dropped state: n=%d sum=%v", c.N(), c.Sum())
 	}
 }
 
-// TestHistogramMaxNegative is the regression test for Max() reporting the
-// zero value when every observation is negative.
-func TestHistogramMaxNegative(t *testing.T) {
-	h := NewHistogram(0, 1)
-	if got := h.Max(); got != 0 {
-		t.Fatalf("Max before any Observe = %v, want 0", got)
+// cumulative is the per-level definition of a cumulative bucket count: the
+// number of observations <= bound[i] (Prometheus "le" semantics).
+func cumulative(h *Histogram, i int) int64 {
+	var c int64
+	for j := 0; j <= i; j++ {
+		c += h.counts[j]
 	}
-	h.Observe(-5)
-	h.Observe(-2)
-	h.Observe(-9)
-	if got := h.Max(); got != -2 {
-		t.Fatalf("Max = %v, want -2 (negative observations used to leave Max at 0)", got)
-	}
-	h.Observe(3)
-	if got := h.Max(); got != 3 {
-		t.Fatalf("Max = %v, want 3", got)
-	}
+	return c
 }
 
 // TestHistogramCumulativesEquivalence pins the one-pass exposition path to
-// the per-level definition: Cumulatives()[i] must equal Cumulative(i) at
+// the per-level definition: Cumulatives()[i] must equal cumulative(h, i) at
 // every level, with the final level equal to N().
 func TestHistogramCumulativesEquivalence(t *testing.T) {
 	bounds := []float64{0.5, 1, 2, 4, 8, 16, 32, 64}
@@ -82,8 +67,8 @@ func TestHistogramCumulativesEquivalence(t *testing.T) {
 		t.Fatalf("Cumulatives returned %d levels, want %d", len(cum), len(bounds)+1)
 	}
 	for i := range cum {
-		if want := h.Cumulative(i); cum[i] != want {
-			t.Fatalf("Cumulatives[%d] = %d, Cumulative(%d) = %d", i, cum[i], i, want)
+		if want := cumulative(h, i); cum[i] != want {
+			t.Fatalf("Cumulatives[%d] = %d, cumulative(%d) = %d", i, cum[i], i, want)
 		}
 	}
 	if cum[len(cum)-1] != h.N() {

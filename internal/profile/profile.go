@@ -7,7 +7,6 @@ package profile
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -50,17 +49,6 @@ type Breakdown struct {
 // Add accumulates d into phase p.
 func (b *Breakdown) Add(p Phase, d time.Duration) { b.durations[p] += d }
 
-// Time runs f, charging its duration to phase p, and returns the duration.
-func (b *Breakdown) Time(p Phase, f func()) time.Duration {
-	start := time.Now()
-	f()
-	d := time.Since(start)
-	if b != nil {
-		b.Add(p, d)
-	}
-	return d
-}
-
 // Get returns the accumulated time for phase p.
 func (b *Breakdown) Get(p Phase) time.Duration { return b.durations[p] }
 
@@ -71,20 +59,6 @@ func (b *Breakdown) Total() time.Duration {
 		t += d
 	}
 	return t
-}
-
-// SetOther assigns to PhaseOther whatever part of elapsed the measured phases
-// do not cover (clamped at zero).
-func (b *Breakdown) SetOther(elapsed time.Duration) {
-	var measured time.Duration
-	for p := PhaseDataLoad; p < PhaseOther; p++ {
-		measured += b.durations[p]
-	}
-	if elapsed > measured {
-		b.durations[PhaseOther] = elapsed - measured
-	} else {
-		b.durations[PhaseOther] = 0
-	}
 }
 
 // AddInto accumulates b into dst phase by phase.
@@ -199,18 +173,4 @@ func Stats(values []float64) (mean, std float64) {
 	}
 	std = math.Sqrt(std / float64(len(values)-1))
 	return mean, std
-}
-
-// Median returns the median of values (0 for empty input).
-func Median(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), values...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -176,4 +177,43 @@ func TestTimeModeled(t *testing.T) {
 	if !ran {
 		t.Fatal("nil TimeModeled must run f")
 	}
+}
+
+// Time runs f, charging its duration to phase p, and returns the duration.
+func (b *Breakdown) Time(p Phase, f func()) time.Duration {
+	start := time.Now()
+	f()
+	d := time.Since(start)
+	if b != nil {
+		b.Add(p, d)
+	}
+	return d
+}
+
+// SetOther assigns to PhaseOther whatever part of elapsed the measured phases
+// do not cover (clamped at zero).
+func (b *Breakdown) SetOther(elapsed time.Duration) {
+	var measured time.Duration
+	for p := PhaseDataLoad; p < PhaseOther; p++ {
+		measured += b.durations[p]
+	}
+	if elapsed > measured {
+		b.durations[PhaseOther] = elapsed - measured
+	} else {
+		b.durations[PhaseOther] = 0
+	}
+}
+
+// Median returns the median of values (0 for empty input).
+func Median(values []float64) float64 {
+	if len(values) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), values...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }

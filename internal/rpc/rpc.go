@@ -168,6 +168,8 @@ func parseHeader(hdr []byte) (typ uint8, job uint64, n int, err error) {
 // DecodeFrame parses one frame from the front of data, returning the frame
 // and the number of bytes consumed. The returned payload aliases data — copy
 // it before the buffer is reused. Decoding never allocates.
+//
+//gnnvet:allow unreachable -- FuzzRPCDecodeFrame
 func DecodeFrame(data []byte) (Frame, int, error) {
 	if len(data) < HeaderLen {
 		return Frame{}, 0, ErrTruncated

@@ -116,8 +116,11 @@ func TestServeEndToEndRace(t *testing.T) {
 	if st.Accepted != total || st.Responded != total {
 		t.Fatalf("accepted %d / responded %d, want %d each", st.Accepted, st.Responded, total)
 	}
-	if max := st.BatchSizes.Max(); max > maxBatch {
-		t.Fatalf("observed batch of %v graphs, configured max %d", max, maxBatch)
+	// The top bucket bound is maxBatch, so every batch within the cap lands
+	// at or below it and none in the overflow bucket.
+	bounds, cum := st.BatchSizes.Bounds(), st.BatchSizes.Cumulatives()
+	if top := len(bounds) - 1; bounds[top] != maxBatch || cum[top] != st.BatchSizes.N() {
+		t.Fatalf("%d of %d batches exceed the configured max %d", st.BatchSizes.N()-cum[top], st.BatchSizes.N(), maxBatch)
 	}
 	if st.Batches < total/maxBatch {
 		t.Fatalf("implausible batch count %d for %d requests", st.Batches, total)

@@ -111,7 +111,7 @@ func TestReloadUnderConcurrentTraffic(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := s.Registry().WritePrometheus(&sb); err != nil {
+	if err := s.reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `gnnserve_reloads_total{outcome="ok"}`) {
@@ -136,7 +136,7 @@ func TestSwapModelValidation(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := s.Registry().WritePrometheus(&sb); err != nil {
+	if err := s.reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `gnnserve_reloads_total{outcome="error"} 2`) {

@@ -828,7 +828,3 @@ func (s *Server) Stats() Stats {
 func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
-
-// Registry returns the registry holding the server's metrics — callers add
-// runtime/device collectors here so one /metrics scrape covers everything.
-func (s *Server) Registry() *obs.Registry { return s.reg }

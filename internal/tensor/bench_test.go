@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 // Microbenchmarks for the kernels everything else is built on.
 
@@ -199,4 +202,18 @@ func BenchmarkPoolGetRelease(b *testing.B) {
 		t = Get(1024, 64)
 		Release(t)
 	}
+}
+
+// BenchmarkPoolGetReleaseParallel: Get/Release pairs from every P at once,
+// one class per goroutine so the class locks do not collide; what is left
+// shared is the pool's clock.
+func BenchmarkPoolGetReleaseParallel(b *testing.B) {
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		n := 64 << (next.Add(1) % 8)
+		for pb.Next() {
+			Release(Get(n))
+		}
+	})
 }

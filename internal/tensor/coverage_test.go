@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"testing"
 )
 
@@ -25,14 +24,8 @@ func TestUnaryMaps(t *testing.T) {
 	if Neg(x).Data[0] != -1 {
 		t.Fatal("Neg wrong")
 	}
-	if math.Abs(Exp(x).Data[0]-math.E) > 1e-12 {
-		t.Fatal("Exp wrong")
-	}
 	if Square(x).Data[1] != 16 {
 		t.Fatal("Square wrong")
-	}
-	if math.Abs(Tanh(FromSlice([]float64{0}, 1)).Data[0]) > 1e-12 {
-		t.Fatal("Tanh wrong")
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 
 // The Into kernels write a caller-provided destination instead of allocating,
 // so pooled buffers can be reused across training and serving steps with zero
-// heap traffic. They are the only loop body of each op: the allocating forms
-// in ops.go, rows.go and reduce.go are New + the Into kernel.
+// heap traffic. They are the only loop body of each op.
 //
 // Two structural rules keep the kernels allocation-free:
 //
@@ -147,22 +146,6 @@ func addScalarRange(dst, t []float64, s float64, lo, hi int) {
 	}
 }
 
-// ExpInto computes dst = e^t elementwise. dst may alias t.
-func ExpInto(dst, t *Tensor) {
-	assertSameShape("ExpInto", dst, t)
-	if parallel.Inline(len(t.Data), mapGrain) {
-		expRange(dst.Data, t.Data, 0, len(t.Data))
-		return
-	}
-	parallel.For(len(t.Data), mapGrain, func(lo, hi int) { expRange(dst.Data, t.Data, lo, hi) })
-}
-
-func expRange(dst, t []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = math.Exp(t[i])
-	}
-}
-
 // SigmoidInto computes dst = 1/(1+e^-t) elementwise. dst may alias t.
 func SigmoidInto(dst, t *Tensor) {
 	assertSameShape("SigmoidInto", dst, t)
@@ -194,40 +177,6 @@ func SigmoidGradInto(dst, dg, y *Tensor) {
 func sigmoidGradRange(dst, dg, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		dst[i] = dg[i] * y[i] * (1 - y[i])
-	}
-}
-
-// TanhInto computes dst = tanh(t) elementwise. dst may alias t.
-func TanhInto(dst, t *Tensor) {
-	assertSameShape("TanhInto", dst, t)
-	if parallel.Inline(len(t.Data), mapGrain) {
-		tanhRange(dst.Data, t.Data, 0, len(t.Data))
-		return
-	}
-	parallel.For(len(t.Data), mapGrain, func(lo, hi int) { tanhRange(dst.Data, t.Data, lo, hi) })
-}
-
-func tanhRange(dst, t []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = math.Tanh(t[i])
-	}
-}
-
-// TanhGradInto computes dst = dg * (1 - y*y) for y = tanh output. dst may
-// alias dg.
-func TanhGradInto(dst, dg, y *Tensor) {
-	assertSameShape("TanhGradInto", dg, y)
-	assertSameShape("TanhGradInto", dst, y)
-	if parallel.Inline(len(y.Data), elemGrain) {
-		tanhGradRange(dst.Data, dg.Data, y.Data, 0, len(y.Data))
-		return
-	}
-	parallel.For(len(y.Data), elemGrain, func(lo, hi int) { tanhGradRange(dst.Data, dg.Data, y.Data, lo, hi) })
-}
-
-func tanhGradRange(dst, dg, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = dg[i] * (1 - y[i]*y[i])
 	}
 }
 
@@ -417,33 +366,6 @@ func addRowVectorRange(dst, m, v []float64, f, lo, hi int) {
 	}
 }
 
-// MulRowVectorInto computes dst = m with every row multiplied elementwise by
-// v: m [N,F], v [F]. dst may alias m.
-func MulRowVectorInto(dst, m, v *Tensor) {
-	f := m.Cols()
-	if v.Size() != f {
-		panic("tensor: MulRowVectorInto vector width mismatch")
-	}
-	assertSameShape("MulRowVectorInto", dst, m)
-	n := m.Rows()
-	grain := parallel.RowGrain(f)
-	if parallel.Inline(n, grain) {
-		mulRowVectorRange(dst.Data, m.Data, v.Data, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { mulRowVectorRange(dst.Data, m.Data, v.Data, f, lo, hi) })
-}
-
-func mulRowVectorRange(dst, m, v []float64, f, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := m[i*f : (i+1)*f]
-		drow := dst[i*f : (i+1)*f]
-		for j := 0; j < f; j++ {
-			drow[j] = row[j] * v[j]
-		}
-	}
-}
-
 // MulColVectorInto computes dst = m with row i scaled by v[i]: m [N,F],
 // v of size N. dst may alias m.
 func MulColVectorInto(dst, m, v *Tensor) {
@@ -472,8 +394,8 @@ func mulColVectorRange(dst, m, v []float64, f, lo, hi int) {
 }
 
 // MulSumColsInto computes dst[i] = Σ_j a[i,j]*b[i,j] for a, b [N,F] and dst of
-// size N — the fused form of SumCols(Mul(a, b)) with identical per-element
-// rounding order. dst must not alias a or b.
+// size N: MulInto followed by a per-row sum, fused, with the same rounding
+// order per element as the unfused pair. dst must not alias a or b.
 func MulSumColsInto(dst, a, b *Tensor) {
 	assertSameShape("MulSumColsInto", a, b)
 	n, f := a.Rows(), a.Cols()

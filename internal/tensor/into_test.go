@@ -94,15 +94,12 @@ func intoCases(in *intoInputs) []intoCase {
 		unary("ScaleInto", func(dst, t *Tensor) { ScaleInto(dst, t, 1.7) }),
 		unary("NegInto", NegInto),
 		unary("AddScalarInto", func(dst, t *Tensor) { AddScalarInto(dst, t, -0.3) }),
-		unary("ExpInto", ExpInto),
 		unary("SquareInto", SquareInto),
-		unary("TanhInto", TanhInto),
 		unary("SigmoidInto", SigmoidInto),
 		unary("ReLUInto", ReLUInto),
 		unary("LeakyReLUInto", func(dst, t *Tensor) { LeakyReLUInto(dst, t, 0.2) }),
 		unary("ELUInto", func(dst, t *Tensor) { ELUInto(dst, t, 1.3) }),
 		grad("SquareGradInto", SquareGradInto),
-		grad("TanhGradInto", TanhGradInto),
 		grad("SigmoidGradInto", SigmoidGradInto),
 		grad("ReLUGradInto", ReLUGradInto),
 		grad("LeakyReLUGradInto", func(dst, dg, x *Tensor) { LeakyReLUGradInto(dst, dg, x, 0.2) }),

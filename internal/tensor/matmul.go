@@ -8,11 +8,10 @@ import (
 
 // Matrix kernels.
 //
-// Each product comes in two forms: an allocating wrapper (MatMul, MatMulTA,
-// MatMulTB) that news the output, and an Into kernel that writes a
-// caller-provided destination so pooled buffers can be reused with zero
-// allocations. The Into kernels fully define the result (accumulating forms
-// zero dst first); dst must not alias either operand.
+// Each product is an Into kernel that writes a caller-provided destination,
+// so pooled buffers can be reused with zero allocations. The kernels fully
+// define the result (accumulating forms zero dst first); dst must not alias
+// either operand.
 //
 // The inner loops are cache-blocked and unrolled, but always accumulate each
 // output element over p in strictly increasing order — the same order the
@@ -40,19 +39,6 @@ func allFinite(d []float64) bool {
 		}
 	}
 	return true
-}
-
-// MatMul returns a @ b for rank-2 tensors [M,K] @ [K,N] -> [M,N].
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul wants rank-2 operands, got %v and %v", a.Shape(), b.Shape()))
-	}
-	if a.Dim(1) != b.Dim(0) {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v @ %v", a.Shape(), b.Shape()))
-	}
-	out := New(a.Dim(0), b.Dim(1))
-	MatMulInto(out, a, b)
-	return out
 }
 
 // MatMulInto computes dst = a @ b for a [M,K], b [K,N], dst [M,N].
@@ -134,20 +120,6 @@ func axpyUnrolled(orow, brow []float64, av float64) {
 	}
 }
 
-// MatMulTA returns aᵀ @ b for a [K,M], b [K,N] -> [M,N], without
-// materializing the transpose.
-func MatMulTA(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTA wants rank-2 operands, got %v and %v", a.Shape(), b.Shape()))
-	}
-	if a.Dim(0) != b.Dim(0) {
-		panic(fmt.Sprintf("tensor: MatMulTA dimension mismatch %v and %v", a.Shape(), b.Shape()))
-	}
-	out := New(a.Dim(1), b.Dim(1))
-	MatMulTAInto(out, a, b)
-	return out
-}
-
 // MatMulTAInto computes dst = aᵀ @ b for a [K,M], b [K,N], dst [M,N].
 // dst is fully overwritten and must not alias a or b. Workers own contiguous
 // ranges of output rows; within a range the p loop stays outermost (rows of a
@@ -195,20 +167,6 @@ func matMulTARange(dst, a, b []float64, k, m, n int, skipZero bool, lo, hi int) 
 			}
 		}
 	}
-}
-
-// MatMulTB returns a @ bᵀ for a [M,K], b [N,K] -> [M,N], without
-// materializing the transpose.
-func MatMulTB(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTB wants rank-2 operands, got %v and %v", a.Shape(), b.Shape()))
-	}
-	if a.Dim(1) != b.Dim(1) {
-		panic(fmt.Sprintf("tensor: MatMulTB dimension mismatch %v and %v", a.Shape(), b.Shape()))
-	}
-	out := New(a.Dim(0), b.Dim(0))
-	MatMulTBInto(out, a, b)
-	return out
 }
 
 // MatMulTBInto computes dst = a @ bᵀ for a [M,K], b [N,K], dst [M,N].
@@ -273,61 +231,4 @@ func checkDst(op string, dst *Tensor, m, n int) {
 	if dst.Rank() != 2 || dst.Dim(0) != m || dst.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: %sInto dst has shape %v, want [%d %d]", op, dst.Shape(), m, n))
 	}
-}
-
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(t *Tensor) *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose wants rank 2, got %v", t.Shape()))
-	}
-	m, n := t.Dim(0), t.Dim(1)
-	out := New(n, m)
-	parallel.For(n, parallel.RowGrain(m), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			orow := out.Data[j*m : (j+1)*m]
-			for i := 0; i < m; i++ {
-				orow[i] = t.Data[i*n+j]
-			}
-		}
-	})
-	return out
-}
-
-// MatVec returns m @ v for m [M,N] and v [N] -> [M].
-func MatVec(m, v *Tensor) *Tensor {
-	if m.Rank() != 2 || v.Rank() != 1 || m.Dim(1) != v.Dim(0) {
-		panic(fmt.Sprintf("tensor: MatVec shapes %v @ %v", m.Shape(), v.Shape()))
-	}
-	r, c := m.Dim(0), m.Dim(1)
-	out := New(r)
-	parallel.For(r, parallel.RowGrain(2*c), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*c : (i+1)*c]
-			var s float64
-			for j := 0; j < c; j++ {
-				s += row[j] * v.Data[j]
-			}
-			out.Data[i] = s
-		}
-	})
-	return out
-}
-
-// Outer returns the outer product a ⊗ b for a [M], b [N] -> [M,N].
-func Outer(a, b *Tensor) *Tensor {
-	if a.Rank() != 1 || b.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: Outer wants rank-1 operands, got %v and %v", a.Shape(), b.Shape()))
-	}
-	m, n := a.Dim(0), b.Dim(0)
-	out := New(m, n)
-	parallel.For(m, parallel.RowGrain(n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			av := a.Data[i]
-			row := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				row[j] = av * b.Data[j]
-			}
-		}
-	})
-	return out
 }

@@ -77,7 +77,6 @@ func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
 		{"AddScaled", func() *Tensor { c := big.Clone(); AddScaled(c, 0.9, big2); return c }},
 		{"ScaleInPlace", func() *Tensor { c := big.Clone(); ScaleInPlace(c, 2.3); return c }},
 		{"Sigmoid", func() *Tensor { return Sigmoid(big) }},
-		{"Exp", func() *Tensor { return Exp(big) }},
 		{"AddRowVector", func() *Tensor { return AddRowVector(big, rowv) }},
 		{"MulRowVector", func() *Tensor { return MulRowVector(big, rowv) }},
 		{"MulColVector", func() *Tensor { return MulColVector(big, colv) }},

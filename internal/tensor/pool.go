@@ -4,10 +4,10 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"runtime/debug"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
-	"time"
+	"weak"
 )
 
 // Buffer pool: a size-class keyed free list for tensor backing buffers.
@@ -38,20 +38,21 @@ import (
 // class counts its outstanding buffers — handed out by Get and not yet
 // released — and keeps parked + outstanding ≤ B, where B is the class's
 // outstanding high-water mark over the current and the previous
-// garbage-collection cycle. A miss can only create a buffer the mark
+// garbage-collection cycle. A cycle is named by the runtime's count of
+// completed collections (/gc/cycles/total:gc-cycles; see gcClock for how a
+// Get reads it), and each class stamps the cycle its mark covers. A Get in
+// a later cycle, or a roll, moves
+// the class into that cycle: the mark becomes the previous cycle's and
+// restarts at what is outstanding. A miss can only create a buffer the mark
 // already covers, so the rule binds when the marks roll: a finalizer
-// sentinel re-armed every GC cycle rolls them and evicts each class's
-// longest-parked buffers above its new B. So a class parks what was in use
-// at once within the last two cycles — the set a recurring step needs — and
-// a class that stopped being used leaves within two cycles. Two cycles, not
-// one, because a GC can land between steps, when nothing is outstanding.
-// A roll runs when the finalizer goroutine gets to it, which under load can
-// be just before the next collection: its sentinel is only finalized once
-// sweeping reaches it, and sweeping is lazy. The Gets made between a
-// collection and its roll belong to the new cycle, but the roll files them
-// under the old one. So a roll that came after such Gets, followed by a roll
-// with no Get between the two, counts as one cycle, not two; otherwise the
-// pair would look like two idle cycles and evict a working set in use.
+// sentinel re-armed every GC cycle rolls every class into the current cycle
+// and evicts its longest-parked buffers above its new B. So a class parks
+// what was in use at once within the last two cycles — the set a recurring
+// step needs — and a class that stopped being used leaves within two
+// cycles. Two cycles, not one, because a GC can land between steps, when
+// nothing is outstanding. A roll runs when the finalizer goroutine gets to
+// it, which under load can be after the next Gets; those Gets have already
+// moved their class into the new cycle, so the roll leaves it there.
 // Parked bytes are live heap and raise the collector's heap goal, so they
 // are bounded by recent demand rather than by a count; the one-class borrow
 // keeps batches of neighbouring sizes on one set of buffers instead of two.
@@ -76,17 +77,16 @@ type sizeClass struct {
 	mu          sync.Mutex
 	free        []*Tensor // a stack: free[0] has been parked longest
 	outstanding int       // buffers handed out by Get and not yet released
-	mark, prev  int       // outstanding high-water marks of this and the previous GC cycle
-	lastGet     int64     // wall clock of this class's latest Get, Unix ns
+	mark, prev  int       // outstanding high-water marks of cycle and the one before
+	cycle       uint64    // the GC cycle mark covers
 }
 
 // take pops the class's most recently parked buffer and counts it
-// outstanding, or returns nil when none is parked. now is the Get's wall
-// clock.
-func (sc *sizeClass) take(now int64) *Tensor {
+// outstanding in GC cycle now, or returns nil when none is parked.
+func (sc *sizeClass) take(now uint64) *Tensor {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	sc.lastGet = now
+	sc.advance(now)
 	l := len(sc.free)
 	if l == 0 {
 		return nil
@@ -99,39 +99,85 @@ func (sc *sizeClass) take(now int64) *Tensor {
 	return t
 }
 
-// rollState is what a roll of the marks leaves for the next one.
-type rollState struct {
-	at   int64 // wall clock of the roll, Unix ns
-	late bool  // some Get came between the roll's collection and the roll
+// advance moves the class into GC cycle c, if c is later than its own: the
+// mark becomes the previous cycle's, or, when a whole cycle passed with no
+// Get, what is outstanding, and restarts at what is outstanding. Callers
+// hold sc.mu.
+func (sc *sizeClass) advance(c uint64) {
+	if c <= sc.cycle {
+		return
+	}
+	if c == sc.cycle+1 {
+		sc.prev = sc.mark
+	} else {
+		sc.prev = sc.outstanding
+	}
+	sc.mark = sc.outstanding
+	sc.cycle = c
 }
 
-// rollMarks starts a new GC cycle for every class at wall clock now, for the
-// collection that ended at lastGC: each mark becomes the previous cycle's
-// and restarts at what is outstanding, and buffers above the marks are
-// evicted. When the last roll was late and no Get has come since it, the
-// previous marks are kept as well, since the two rolls are one cycle.
-func rollMarks(classes []sizeClass, lastGC, now int64, last rollState) rollState {
-	var lastGet int64
-	for c := range classes {
-		sc := &classes[c]
+// rollMarks moves every class into GC cycle c and evicts its buffers above
+// the marks.
+func rollMarks(classes []sizeClass, c uint64) {
+	for i := range classes {
+		sc := &classes[i]
 		sc.mu.Lock()
-		lastGet = max(lastGet, sc.lastGet)
-		sc.mu.Unlock()
-	}
-	hold := last.late && lastGet <= last.at
-	for c := range classes {
-		sc := &classes[c]
-		sc.mu.Lock()
-		if hold {
-			sc.prev = max(sc.prev, sc.mark)
-		} else {
-			sc.prev = sc.mark
-		}
-		sc.mark = sc.outstanding
+		sc.advance(c)
 		sc.trim()
 		sc.mu.Unlock()
 	}
-	return rollState{at: now, late: lastGet > lastGC}
+}
+
+// gcClock is the pool's copy of the runtime's count of completed GC cycles.
+// metrics.Read takes the runtime's global metrics semaphore and heap lock,
+// which every Get on every goroutine would then queue on, so a Get reads
+// the copy and refreshes it only once a collection has finished since the
+// last refresh. The sign is the guard: a weak pointer to an object nothing
+// else references, which reads nil from the end of the first collection
+// that finds the object unreachable. A refresh arms a fresh guard and then
+// reads the count, so a collection that ends after the read always clears
+// the guard; arming it is the only allocation a Get makes, once per cycle.
+// A guard allocated while a collection is marking survives that
+// collection; the sentinel's roll, which refreshes the copy too, bounds how
+// long the copy then lags.
+type gcClock struct {
+	now   atomic.Uint64
+	guard atomic.Pointer[weak.Pointer[gcSentinel]]
+
+	mu     sync.Mutex
+	sample [1]metrics.Sample // read under mu, so a refresh allocates no sample
+}
+
+var clock gcClock
+
+// cycle returns the GC cycle a Get happens in.
+func (k *gcClock) cycle() uint64 {
+	if g := k.guard.Load(); g != nil && g.Value() != nil {
+		return k.now.Load()
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if g := k.guard.Load(); g == nil || g.Value() == nil {
+		g := weak.Make(new(gcSentinel))
+		k.guard.Store(&g)
+		k.refreshLocked()
+	}
+	return k.now.Load()
+}
+
+// refresh reads the runtime's count into the copy and returns it.
+func (k *gcClock) refresh() uint64 {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.refreshLocked()
+}
+
+func (k *gcClock) refreshLocked() uint64 {
+	k.sample[0].Name = "/gc/cycles/total:gc-cycles"
+	metrics.Read(k.sample[:])
+	n := max(k.sample[0].Value.Uint64(), k.now.Load())
+	k.now.Store(n)
+	return n
 }
 
 // trim evicts the class's longest-parked buffers until parked + outstanding
@@ -155,7 +201,6 @@ var (
 	poolEvictions atomic.Int64
 	poolFloats    atomic.Int64 // floats currently parked on free lists
 	poolCycles    atomic.Int64 // GC cycles the marks have rolled at
-	poolLastRoll  rollState    // only the finalizer goroutine touches it
 
 	poolPoison atomic.Bool
 )
@@ -176,13 +221,13 @@ func classFor(n int) int {
 func Get(shape ...int) *Tensor {
 	n := checkShape(shape)
 	c := classFor(n)
-	now := time.Now().UnixNano() //gnnvet:allow determinism -- retention clock only; never enters a tensor's values
 	if c > poolMaxBits {
 		poolMisses.Add(1)
 		t := &Tensor{Data: make([]float64, n)}
 		t.setShape(shape)
 		return t
 	}
+	now := clock.cycle()
 	t := poolClasses[c].take(now)
 	if t == nil && c < poolMaxBits {
 		// Batches whose sizes straddle a class boundary share one set of
@@ -198,7 +243,7 @@ func Get(shape ...int) *Tensor {
 	} else {
 		sc := &poolClasses[c]
 		sc.mu.Lock()
-		sc.lastGet = now
+		sc.advance(now)
 		sc.outstanding++
 		sc.mark = max(sc.mark, sc.outstanding)
 		sc.mu.Unlock()
@@ -257,15 +302,8 @@ type gcSentinel struct{ _ [16]byte }
 
 func armGCSentinel() {
 	runtime.SetFinalizer(new(gcSentinel), func(*gcSentinel) {
-		// Read the collection's time before arming: a collection that ends
-		// after the read may find the new sentinel and roll again at once,
-		// and this roll must still count the Gets since its own
-		// collection as the new cycle's.
-		var gc debug.GCStats
-		debug.ReadGCStats(&gc)
-		armGCSentinel()              // before rolling, so a cycle starting during this roll still finds one
-		now := time.Now().UnixNano() //gnnvet:allow determinism -- retention clock only; never enters a tensor's values
-		poolLastRoll = rollMarks(poolClasses[:], gc.LastGC.UnixNano(), now, poolLastRoll)
+		armGCSentinel() // before rolling, so a cycle starting during this roll still finds one
+		rollMarks(poolClasses[:], clock.refresh())
 		poolCycles.Add(1)
 	})
 }
@@ -306,15 +344,15 @@ func Pool() PoolStats {
 // previous setting. Tests enable it to prove no kernel reads a tensor after
 // Release: every float of a released buffer is set to a tagged quiet NaN, so
 // any read poisons downstream results.
+//
+//gnnvet:allow unreachable -- TestTrainingStepZeroAllocs
 func SetPoolPoison(on bool) bool { return poolPoison.Swap(on) }
-
-// IsPoolPoison reports whether v is the exact poison pattern written by
-// Release under SetPoolPoison.
-func IsPoolPoison(v float64) bool { return math.Float64bits(v) == poolPoisonBits }
 
 // DrainPool empties every free list (the buffers fall to the garbage
 // collector) and returns how many tensors were dropped. Tests use it to
 // isolate pool state; production code never needs it.
+//
+//gnnvet:allow unreachable -- TestInferPooledBitIdentical
 func DrainPool() int {
 	n := 0
 	for c := range poolClasses {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -297,45 +298,46 @@ func TestPoolIdle(t *testing.T) {
 
 // TestPoolLateRollIsNotAnIdleCycle: a roll that runs after Gets which
 // followed its collection — a sentinel finalized late, because sweeping is
-// lazy — and the next roll, with no Get between them, count as one cycle:
-// the working set those Gets used stays parked. With a Get between them, or
-// when the first roll was not late, they are two cycles as before.
+// lazy — leaves those Gets in the new cycle, so it and the next roll age the
+// marks once: the working set those Gets used stays parked. Two collections
+// with no Get between them, or a roll that came before the Gets, age the
+// marks twice as before.
 func TestPoolLateRollIsNotAnIdleCycle(t *testing.T) {
-	// working is a class that had three buffers in use at once, its Gets at
-	// 11, beside an idle one. Only the first case parks them: an eviction
-	// from these classes would move the pool-wide gauges.
+	// working is a class that had three buffers in use at once, its Gets
+	// after collection 11, beside an idle one. Only the first case parks
+	// them: an eviction from these classes would move the pool-wide gauges.
 	working := func(parked bool) []sizeClass {
 		classes := make([]sizeClass, 2)
 		if parked {
 			classes[0].free = []*Tensor{New(8), New(8), New(8)}
 		}
 		classes[0].mark = 3
-		classes[0].lastGet = 11
+		classes[0].cycle = 11
 		return classes
 	}
 	classes := working(true)
-	last := rollMarks(classes, 10, 12, rollState{}) // the collection ended at 10
-	if !last.late {
-		t.Fatal("a roll after Gets that followed its collection was not marked late")
+	rollMarks(classes, 11) // collection 11's roll, after the Gets
+	if classes[0].prev != 0 || classes[0].mark != 3 {
+		t.Fatalf("a late roll aged the Gets it came after (prev mark %d, mark %d; want 0 and 3)", classes[0].prev, classes[0].mark)
 	}
-	rollMarks(classes, 20, 21, last) // the next collection, no Get between the rolls
+	rollMarks(classes, 12) // the next collection, no Get between the rolls
 	if n := len(classes[0].free); n != 3 || classes[0].prev != 3 {
 		t.Fatalf("a late roll and the next one left %d of the 3 parked buffers (prev mark %d, want 3)", n, classes[0].prev)
 	}
 
 	classes = working(false)
-	last = rollMarks(classes, 10, 12, rollState{})
-	classes[1].lastGet = 15 // a Get between the rolls: the second one ages the marks
-	rollMarks(classes, 20, 21, last)
+	rollMarks(classes, 12)
+	rollMarks(classes, 13) // two collections with no Get between them
 	if classes[0].prev != 0 {
-		t.Errorf("with a Get between a late roll and the next, prev mark is %d, want 0", classes[0].prev)
+		t.Errorf("after two rolls with no Get, prev mark is %d, want 0", classes[0].prev)
 	}
 
 	classes = working(false)
-	last = rollMarks(classes, 12, 13, rollState{}) // the Gets came before the collection
-	rollMarks(classes, 20, 21, last)
-	if last.late || classes[0].prev != 0 {
-		t.Errorf("a prompt roll held the marks (late %v, prev mark %d, want 0)", last.late, classes[0].prev)
+	classes[0].cycle = 10 // the Gets came before collection 11
+	rollMarks(classes, 11)
+	rollMarks(classes, 12)
+	if classes[0].prev != 0 {
+		t.Errorf("a prompt roll held the marks (prev mark %d, want 0)", classes[0].prev)
 	}
 }
 
@@ -371,5 +373,30 @@ func TestPoolConcurrentUnderGC(t *testing.T) {
 	}
 	if got := Pool().Bytes; got != parked {
 		t.Errorf("parked-bytes gauge reads %d, the free lists hold %d", got, parked)
+	}
+}
+
+// TestPoolClockFollowsGC: the cycle a Get stamps is the runtime's count of
+// completed collections, right after each forced collection, and it is the
+// guard, not only the sentinel's roll, that tells Get the count moved: each
+// collection clears the guard, and the next Get arms a fresh one.
+func TestPoolClockFollowsGC(t *testing.T) {
+	manualGC(t)
+	sample := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	clock.cycle()
+	for i := 0; i < 5; i++ {
+		guard := clock.guard.Load()
+		runtime.GC()
+		if guard.Value() != nil {
+			t.Fatalf("collection %d left the clock's guard reachable", i)
+		}
+		got := clock.cycle()
+		if fresh := clock.guard.Load(); fresh == guard || fresh.Value() == nil {
+			t.Fatalf("the first Get after collection %d armed no fresh guard", i)
+		}
+		metrics.Read(sample)
+		if want := sample[0].Value.Uint64(); got != want {
+			t.Fatalf("after collection %d the pool's clock reads %d, the runtime %d", i, got, want)
+		}
 	}
 }

@@ -59,13 +59,6 @@ func (g *RNG) Uniform(lo, hi float64, shape ...int) *Tensor {
 	return t
 }
 
-// Bernoulli returns a tensor of 0/1 values, each 1 with probability p.
-func (g *RNG) Bernoulli(p float64, shape ...int) *Tensor {
-	t := New(shape...)
-	g.BernoulliInto(t, p)
-	return t
-}
-
 // BernoulliInto fills dst with 0/1 values, each 1 with probability p, drawing
 // exactly the same stream Bernoulli would. Replayed dropout masks regenerate
 // into their pooled buffer through this.

@@ -6,22 +6,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// GatherRows returns out[k] = t[idx[k]] for an [N,F] tensor, giving
-// [len(idx), F]. Indices may repeat; they must be in [0, N).
-func GatherRows(t *Tensor, idx []int) *Tensor {
-	out := New(len(idx), t.Cols())
-	GatherRowsInto(out, t, idx)
-	return out
-}
-
-// ScatterAddRows returns an [n,F] tensor with src's rows summed into the rows
-// named by idx: out[idx[k]] += src[k]. src is [len(idx), F].
-func ScatterAddRows(src *Tensor, idx []int, n int) *Tensor {
-	out := New(n, src.Cols())
-	ScatterAddRowsInto(out, src, idx)
-	return out
-}
-
 // GatherRowsInto writes out[k] = t[idx[k]] into dst ([len(idx), F]) without
 // allocating. Indices may repeat; they must be in [0, N).
 func GatherRowsInto(dst, t *Tensor, idx []int) {
@@ -168,41 +152,6 @@ func gatherScaleScatterRange(dst, x, w []float64, s, d []int, f, lo, hi int) {
 	}
 }
 
-// ScatterCounts returns how many of idx map to each of n destination rows.
-func ScatterCounts(idx []int, n int) []float64 {
-	c := make([]float64, n)
-	for _, i := range idx {
-		c[i]++
-	}
-	return c
-}
-
-// ConcatCols concatenates rank-2 tensors with equal row counts along the
-// column axis: [N,F1], [N,F2], ... -> [N, F1+F2+...].
-func ConcatCols(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: ConcatCols of nothing")
-	}
-	total := 0
-	for _, t := range ts {
-		total += t.Cols()
-	}
-	out := New(ts[0].Rows(), total)
-	ConcatColsInto(out, ts...)
-	return out
-}
-
-// SplitCols is the inverse of ConcatCols: it slices an [N, ΣFi] tensor into
-// tensors of widths fs.
-func SplitCols(t *Tensor, fs ...int) []*Tensor {
-	outs := make([]*Tensor, len(fs))
-	for k, f := range fs {
-		outs[k] = New(t.Rows(), f)
-	}
-	SplitColsInto(outs, t)
-	return outs
-}
-
 // ConcatColsInto concatenates same-row-count tensors into dst along the
 // column axis without allocating. dst must be [N, ΣFi].
 func ConcatColsInto(dst *Tensor, ts ...*Tensor) {
@@ -258,21 +207,6 @@ func SplitColsInto(dsts []*Tensor, t *Tensor) {
 	}
 }
 
-// ScatterColsInto zeroes dst ([N, Ftotal]) and copies src ([N, F]) into the
-// column block starting at offset — the gradient expansion for SplitCols.
-func ScatterColsInto(dst, src *Tensor, offset int) {
-	assertRank2("ScatterColsInto", dst)
-	assertRank2("ScatterColsInto", src)
-	n, w := src.Rows(), src.Cols()
-	if dst.Rows() != n || offset < 0 || offset+w > dst.Cols() {
-		panic(fmt.Sprintf("tensor: ScatterColsInto block [%d,%d) of %v", offset, offset+w, dst.Shape()))
-	}
-	zero(dst.Data)
-	for r := 0; r < n; r++ {
-		copy(dst.Row(r)[offset:offset+w], src.Row(r))
-	}
-}
-
 // ConcatRows stacks rank-2 tensors with equal column counts along the row
 // axis: [N1,F], [N2,F], ... -> [N1+N2+..., F]. This is a bulk memcpy per
 // input, which is what makes PyG-style batching cheap.
@@ -294,33 +228,6 @@ func ConcatRows(ts ...*Tensor) *Tensor {
 	for _, t := range ts {
 		copy(out.Data[off:off+len(t.Data)], t.Data)
 		off += len(t.Data)
-	}
-	return out
-}
-
-// SliceRows returns a copy of rows [lo, hi) of an [N,F] tensor.
-func SliceRows(t *Tensor, lo, hi int) *Tensor {
-	assertRank2("SliceRows", t)
-	if lo < 0 || hi > t.Rows() || lo > hi {
-		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) of %d rows", lo, hi, t.Rows()))
-	}
-	f := t.Cols()
-	out := New(hi-lo, f)
-	copy(out.Data, t.Data[lo*f:hi*f])
-	return out
-}
-
-// RepeatRows returns an [N*k, F] tensor where each row of t appears k times
-// consecutively.
-func RepeatRows(t *Tensor, k int) *Tensor {
-	assertRank2("RepeatRows", t)
-	n, f := t.Rows(), t.Cols()
-	out := New(n*k, f)
-	for i := 0; i < n; i++ {
-		row := t.Data[i*f : (i+1)*f]
-		for r := 0; r < k; r++ {
-			copy(out.Data[(i*k+r)*f:(i*k+r+1)*f], row)
-		}
 	}
 	return out
 }

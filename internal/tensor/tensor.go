@@ -59,6 +59,8 @@ func NewLike(t *Tensor) *Tensor {
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); it must have exactly prod(shape) elements.
+//
+//gnnvet:allow unreachable -- TestBackwardSimpleChain
 func FromSlice(data []float64, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if len(data) != n {
@@ -68,9 +70,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	t.setShape(shape)
 	return t
 }
-
-// Scalar returns a rank-1 tensor of length 1 holding v.
-func Scalar(v float64) *Tensor { return FromSlice([]float64{v}, 1) }
 
 // Full returns a tensor with every element set to v.
 func Full(v float64, shape ...int) *Tensor {
@@ -136,12 +135,6 @@ func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.shape[1]+j] }
 
 // Set assigns the element at (i, j) of a rank-2 tensor.
 func (t *Tensor) Set(i, j int, v float64) { t.Data[i*t.shape[1]+j] = v }
-
-// At1 returns element i of a rank-1 tensor.
-func (t *Tensor) At1(i int) float64 { return t.Data[i] }
-
-// Set1 assigns element i of a rank-1 tensor.
-func (t *Tensor) Set1(i int, v float64) { t.Data[i] = v }
 
 // Row returns a view (shared storage) of row i of a rank-2 tensor.
 func (t *Tensor) Row(i int) []float64 {

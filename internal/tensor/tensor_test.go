@@ -179,7 +179,7 @@ func TestMatVecAndOuter(t *testing.T) {
 
 func TestReductions(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	if Sum(x) != 21 || Mean(x) != 3.5 || Max(x) != 6 || Min(x) != 1 {
+	if Sum(x) != 21 || Mean(x) != 3.5 {
 		t.Fatal("global reductions wrong")
 	}
 	sr := SumRows(x)
@@ -242,10 +242,6 @@ func TestGatherScatterRows(t *testing.T) {
 	if s.At(0, 0) != 6 || s.At(1, 1) != 6 {
 		t.Fatalf("ScatterAddRows wrong: %v", s)
 	}
-	c := ScatterCounts([]int{0, 0, 1}, 3)
-	if c[0] != 2 || c[1] != 1 || c[2] != 0 {
-		t.Fatalf("ScatterCounts wrong: %v", c)
-	}
 }
 
 func TestConcatSplit(t *testing.T) {
@@ -262,10 +258,6 @@ func TestConcatSplit(t *testing.T) {
 	cr := ConcatRows(a, b.Reshape(1, 2))
 	if cr.Rows() != 3 || cr.At(2, 1) != 6 {
 		t.Fatalf("ConcatRows wrong: %v", cr)
-	}
-	sl := SliceRows(cr, 1, 3)
-	if sl.Rows() != 2 || sl.At(0, 0) != 3 {
-		t.Fatalf("SliceRows wrong: %v", sl)
 	}
 }
 

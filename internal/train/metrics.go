@@ -97,18 +97,11 @@ func (c *Confusion) String() string {
 	return b.String()
 }
 
-// PredictNode runs the model in eval mode over a node-classification dataset
-// and returns the predicted class per node.
-func PredictNode(m models.Model, d *datasets.Dataset, dev *device.Device) []int {
-	be := m.Backend()
-	b := be.Batch(d.Graphs, dev)
-	defer b.Release(dev)
-	return tensor.ArgMaxRows(models.Infer(m, b, dev))
-}
-
 // ConfusionNode evaluates a node classifier over the given node indices.
 func ConfusionNode(m models.Model, d *datasets.Dataset, idx []int, dev *device.Device) *Confusion {
-	pred := PredictNode(m, d, dev)
+	b := m.Backend().Batch(d.Graphs, dev)
+	defer b.Release(dev)
+	pred := tensor.ArgMaxRows(models.Infer(m, b, dev))
 	c := NewConfusion(d.NumClasses)
 	labels := d.Graphs[0].Y
 	for _, i := range idx {
@@ -117,23 +110,18 @@ func ConfusionNode(m models.Model, d *datasets.Dataset, idx []int, dev *device.D
 	return c
 }
 
-// PredictGraphs runs the model in eval mode over the indexed graphs and
-// returns one predicted class per graph.
-func PredictGraphs(m models.Model, d *datasets.Dataset, idx []int, batchSize int, dev *device.Device) []int {
+// ConfusionGraphs evaluates a graph classifier over the indexed graphs.
+func ConfusionGraphs(m models.Model, d *datasets.Dataset, idx []int, batchSize int, dev *device.Device) *Confusion {
+	// evalBatches runs batches concurrently: each writes only its own slice
+	// of preds, and the counts are added on this goroutine afterwards.
 	preds := make([]int, len(idx))
 	ranges := batchRanges(len(idx), batchSize)
 	evalBatches(m, d, idx, ranges, dev, func(bi int, _ *fw.Batch, logits *tensor.Tensor) {
 		copy(preds[ranges[bi][0]:ranges[bi][1]], tensor.ArgMaxRows(logits))
 	})
-	return preds
-}
-
-// ConfusionGraphs evaluates a graph classifier over the indexed graphs.
-func ConfusionGraphs(m models.Model, d *datasets.Dataset, idx []int, batchSize int, dev *device.Device) *Confusion {
-	pred := PredictGraphs(m, d, idx, batchSize, dev)
 	c := NewConfusion(d.NumClasses)
 	for k, i := range idx {
-		c.Add(d.Graphs[i].Label, pred[k])
+		c.Add(d.Graphs[i].Label, preds[k])
 	}
 	return c
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fw/pygeo"
+	"repro/internal/parallel"
 )
 
 func TestConfusionBasics(t *testing.T) {
@@ -44,10 +45,6 @@ func TestPredictAndConfusionNode(t *testing.T) {
 	be := pygeo.New()
 	m := nodeModel(be, d, 3)
 	TrainNode(m, d, NodeOptions{Epochs: 40, LR: 0.01})
-	pred := PredictNode(m, d, nil)
-	if len(pred) != d.Graphs[0].NumNodes {
-		t.Fatalf("prediction count %d", len(pred))
-	}
 	c := ConfusionNode(m, d, d.TestIdx, nil)
 	if c.Total() != len(d.TestIdx) {
 		t.Fatalf("confusion total %d", c.Total())
@@ -61,21 +58,28 @@ func TestPredictAndConfusionNode(t *testing.T) {
 }
 
 func TestPredictAndConfusionGraphs(t *testing.T) {
+	// Four workers evaluate batches at once, and one graph per batch makes
+	// many of them: counts shared between batches race under -race and
+	// lose increments without it. The interleaving differs per run, so
+	// each batch size runs several rounds.
+	prev := parallel.SetWorkers(4)
+	defer parallel.SetWorkers(prev)
 	d := tinyEnzymes()
 	m := graphModel("GCN", pygeo.New(), d, 5)
 	idx := make([]int, len(d.Graphs))
 	for i := range idx {
 		idx[i] = i
 	}
-	pred := PredictGraphs(m, d, idx, 16, nil)
-	if len(pred) != len(idx) {
-		t.Fatalf("prediction count %d", len(pred))
-	}
-	c := ConfusionGraphs(m, d, idx, 16, nil)
-	if c.Total() != len(idx) {
-		t.Fatalf("confusion total %d", c.Total())
-	}
-	if math.Abs(c.Accuracy()-EvalGraphAcc(m, d, idx, 16, nil)) > 1e-12 {
-		t.Fatal("confusion accuracy disagrees with EvalGraphAcc")
+	for _, bs := range []int{16, 1} {
+		want := EvalGraphAcc(m, d, idx, bs, nil)
+		for round := 0; round < 10; round++ {
+			c := ConfusionGraphs(m, d, idx, bs, nil)
+			if c.Total() != len(idx) {
+				t.Fatalf("batch size %d, round %d: confusion total %d, want %d", bs, round, c.Total(), len(idx))
+			}
+			if math.Abs(c.Accuracy()-want) > 1e-12 {
+				t.Fatalf("batch size %d, round %d: confusion accuracy disagrees with EvalGraphAcc", bs, round)
+			}
+		}
 	}
 }
