@@ -27,6 +27,15 @@ type intoInputs struct {
 	table      *Tensor // [51,33], gathered from
 	src        *Tensor // [4001,33], scattered into 51 rows
 	idx        []int   // 4001 indices in [0,51), with repeats
+
+	// The products' and aggregations' operands, drawn from their own stream
+	// so the rows above keep theirs. K (300) and N (269) exceed the product
+	// kernels' tiles and N is no multiple of a column strip.
+	mmA, mmB, mmBad *Tensor // [97,300] with exact zeros and -0; [300,269]; mmB with NaN and ±Inf
+	mmAT, mmBT      *Tensor // [300,97] and [269,300]
+	aggX, aggW      *Tensor // [60,37] with -0 entries; one weight per arc
+	aggS, aggD      []int   // arcs into 53 rows: duplicates, self-loops, unsorted, rows 45.. empty
+	aggCSR          byDst   // (aggS, aggD) grouped by destination
 }
 
 func newIntoInputs() *intoInputs {
@@ -44,6 +53,49 @@ func newIntoInputs() *intoInputs {
 	for i := range in.idx {
 		in.idx[i] = rng.IntN(51)
 	}
+
+	rng = NewRNG(33)
+	negZero := math.Copysign(0, -1)
+	in.mmA = rng.Randn(1, 97, 300)
+	for i := range in.mmA.Data {
+		switch rng.IntN(4) {
+		case 0:
+			in.mmA.Data[i] = 0
+		case 1:
+			in.mmA.Data[i] = negZero
+		}
+	}
+	in.mmB = rng.Randn(1, 300, 269)
+	in.mmBad = in.mmB.Clone()
+	in.mmBad.Data[5*269+3] = math.NaN()
+	in.mmBad.Data[150*269+268] = math.Inf(1)
+	in.mmBad.Data[299*269] = math.Inf(-1)
+	in.mmAT = rng.Randn(1, 300, 97)
+	for i := 0; i < len(in.mmAT.Data); i += 3 {
+		in.mmAT.Data[i] = negZero
+	}
+	in.mmBT = rng.Randn(1, 269, 300)
+
+	in.aggX = rng.Randn(1, 60, 37)
+	for i := 0; i < len(in.aggX.Data); i += 7 {
+		in.aggX.Data[i] = negZero
+	}
+	for k := 0; k < 600; k++ {
+		in.aggS = append(in.aggS, rng.IntN(60))
+		in.aggD = append(in.aggD, rng.IntN(45))
+	}
+	for k := 0; k < 50; k++ { // duplicates of earlier arcs
+		q := rng.IntN(600)
+		in.aggS, in.aggD = append(in.aggS, in.aggS[q]), append(in.aggD, in.aggD[q])
+	}
+	for v := 0; v < 45; v += 2 { // self-loops
+		in.aggS, in.aggD = append(in.aggS, v), append(in.aggD, v)
+	}
+	in.aggW = rng.Randn(1, len(in.aggS))
+	for i := 0; i < len(in.aggW.Data); i += 11 {
+		in.aggW.Data[i] = negZero
+	}
+	in.aggCSR = newByDst(53, in.aggS, in.aggD)
 	return in
 }
 
@@ -139,7 +191,67 @@ func intoCases(in *intoInputs) []intoCase {
 			MeanStdInto(mean, std, a)
 			return []*Tensor{mean, std}
 		}, nil},
+		{"MatMulInto", func() []*Tensor {
+			d := Full(math.NaN(), 97, 269) // fully overwritten
+			MatMulInto(d, in.mmA, in.mmB)
+			return one(d)
+		}, nil},
+		{"MatMulInto nonfinite b", func() []*Tensor {
+			d := Full(math.NaN(), 97, 269)
+			MatMulInto(d, in.mmA, in.mmBad)
+			return one(d)
+		}, nil},
+		{"MatMulTAInto", func() []*Tensor {
+			d := Full(math.NaN(), 97, 269)
+			MatMulTAInto(d, in.mmAT, in.mmB)
+			return one(d)
+		}, nil},
+		{"MatMulTBInto", func() []*Tensor {
+			d := Full(math.NaN(), 97, 269)
+			MatMulTBInto(d, in.mmA, in.mmBT)
+			return one(d)
+		}, nil},
+		{"GSpMMSumInto", func() []*Tensor {
+			d := Full(math.NaN(), 53, 37)
+			GSpMMSumInto(d, in.aggX, in.aggCSR.rowptr, in.aggCSR.col)
+			return one(d)
+		}, nil},
+		{"GatherScaleScatterInto", func() []*Tensor {
+			d := Full(math.NaN(), 53, 37)
+			GatherScaleScatterInto(d, in.aggX, nil, in.aggS, in.aggD)
+			return one(d)
+		}, nil},
+		{"GatherScaleScatterInto weighted", func() []*Tensor {
+			d := Full(math.NaN(), 53, 37)
+			GatherScaleScatterInto(d, in.aggX, in.aggW, in.aggS, in.aggD)
+			return one(d)
+		}, nil},
+		{"GSpMMWeightedSumInto", func() []*Tensor {
+			d := Full(math.NaN(), 53, 37)
+			GSpMMWeightedSumInto(d, in.aggX, in.aggW.Data, in.aggCSR.rowptr, in.aggCSR.col, in.aggCSR.eid)
+			return one(d)
+		}, nil},
 	}
+}
+
+// byDst is a by-destination CSR of arcs s[k] → d[k] built by a stable
+// counting sort: row v lists the arcs into v in increasing k.
+type byDst struct{ rowptr, col, eid []int }
+
+func newByDst(n int, s, d []int) byDst {
+	c := byDst{make([]int, n+1), make([]int, len(s)), make([]int, len(s))}
+	for _, v := range d {
+		c.rowptr[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		c.rowptr[v+1] += c.rowptr[v]
+	}
+	next := append([]int(nil), c.rowptr[:n]...)
+	for k, v := range d {
+		c.col[next[v]], c.eid[next[v]] = s[k], k
+		next[v]++
+	}
+	return c
 }
 
 // upstream is DivGradBInto's incoming gradient: a fresh [389,257] tensor
@@ -175,8 +287,11 @@ func digest(name string, outs []*Tensor) string {
 // arithmetic, rows and reductions; DivGradBInto from Mul(Zip(..), a) and
 // MulSumColsInto from SumCols(Mul(a, b)), the compositions their comments
 // name; the other grad kernels from themselves), so it pins the collapse:
-// range kernels ≡ closure kernels, bit for bit. Each aliasing a kernel's
-// comment allows is applied in place and must give the same bits.
+// range kernels ≡ closure kernels, bit for bit. The rows from MatMulInto on
+// were appended at 7609054, from the accumulate-in-memory product and
+// aggregation kernels, to pin their register-accumulating rewrite. Each
+// aliasing a kernel's comment allows is applied in place and must give the
+// same bits.
 func TestIntoKernelsMatchGolden(t *testing.T) {
 	in := newIntoInputs()
 	cases := intoCases(in)
