@@ -62,7 +62,7 @@ func (g *Graph) GSpMMWeightedSum(x, w *Node, rowptr, col, eid []int) *Node {
 		if out == nil {
 			out = g.get(n, f)
 		}
-		tensor.GSpMMWeightedSumInto(out, x.T, wd, rowptr, col, eid)
+		tensor.AggregateRowsInto(out, x.T, wd, rowptr, col, eid)
 	})
 	res.backward = func(gr *Graph) {
 		var gx, gw *tensor.Tensor

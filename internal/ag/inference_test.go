@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -51,11 +52,13 @@ func TestInferenceTapeRefusesGradients(t *testing.T) {
 }
 
 // gsFixture is one message-passing input: n nodes, arcs src→dst, features x
-// and optional per-arc weights w ([E,1], as the models pass them).
+// and optional per-arc weights w ([E,1], as the models pass them). It hands
+// an inference tape its arcs grouped by destination, as fw.Batch does.
 type gsFixture struct {
 	x, w     *tensor.Tensor
 	src, dst []int
 	n        int
+	csr      *graph.CSR // built by ByDst on an inference tape's first run
 }
 
 func newGSFixture(seed uint64, n, e, f int, weighted bool) *gsFixture {
@@ -76,7 +79,15 @@ func (fx *gsFixture) record(g *Graph) *Node {
 	if fx.w != nil {
 		w = g.Input(fx.w)
 	}
-	return g.GatherScatter(g.Input(fx.x), w, fx.src, fx.dst, fx.n)
+	return g.GatherScatter(g.Input(fx.x), w, fx.src, fx.dst, fx.n, fx)
+}
+
+// ByDst groups the fixture's arcs by destination with graph.BuildCSR, once.
+func (fx *gsFixture) ByDst() (rowptr, col, eid []int) {
+	if fx.csr == nil {
+		fx.csr = graph.BuildCSR(fx.n, fx.src, fx.dst)
+	}
+	return fx.csr.RowPtr, fx.csr.Col, fx.csr.EID
 }
 
 // countedWork is a device snapshot without ActiveTime, the host wall clock.
@@ -156,6 +167,61 @@ func assertBits(t *testing.T, label string, got, want *tensor.Tensor) {
 		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("%s: [%d] = %v, want %v", label, i, got.Data[i], want.Data[i])
 		}
+	}
+}
+
+// TestGatherScatterSpecialValuesAgree: an inference tape's destination-row
+// aggregation over graph.BuildCSR's rows equals the training chain bit for
+// bit — signed zeros, infinities and subnormals included, NaN where the
+// chain has NaN — when x and w carry those values, on unsorted arcs with
+// duplicates, self-loops and destinations no arc names.
+func TestGatherScatterSpecialValuesAgree(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	special := []float64{0, negZero, math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -1e308, 1}
+	for _, weighted := range []bool{false, true} {
+		fx := newGSFixture(3, 11, 60, 9, weighted)
+		fx.src = append(fx.src, 4, 4, 7, fx.src[0]) // duplicates and self-loops
+		fx.dst = append(fx.dst, 4, 4, 7, fx.dst[0])
+		for i := range fx.dst {
+			fx.dst[i] %= 9 // rows 9 and 10 receive nothing
+		}
+		for i := range fx.x.Data {
+			if i%3 == 0 {
+				fx.x.Data[i] = special[(i/3)%len(special)]
+			}
+		}
+		if weighted {
+			fx.w = tensor.NewRNG(4).Randn(1, len(fx.src), 1)
+			for i := range fx.w.Data {
+				if i%4 == 0 {
+					fx.w.Data[i] = special[(i/4)%len(special)]
+				}
+			}
+		}
+		tr, inf := New(nil), NewInference(nil)
+		want, got := fx.record(tr).Value(), fx.record(inf).Value()
+		label := fmt.Sprintf("weighted=%v", weighted)
+		nans := 0
+		for i, w := range want.Data {
+			g := got.Data[i]
+			if math.IsNaN(w) {
+				// When two NaNs with different payloads meet in an add,
+				// IEEE 754 leaves the payload open, and the compiler may
+				// order an add's operands either way (a -race build does).
+				// A NaN must stay a NaN; its payload is not compared.
+				nans++
+				if !math.IsNaN(g) {
+					t.Fatalf("%s: [%d] = %v, want NaN", label, i, g)
+				}
+			} else if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: [%d] = %v (%#x), want %v (%#x)", label, i, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+		if nans == 0 || nans == len(want.Data) {
+			t.Fatalf("%s: %d of %d outputs NaN; the inputs no longer mix NaN with other values", label, nans, len(want.Data))
+		}
+		tr.Finish()
+		inf.Finish()
 	}
 }
 

@@ -65,11 +65,14 @@ func (g *Graph) ScatterAdd(x *Node, idx []int, n int) *Node {
 // ScatterAdd (the middle op only with w), whose E×F messages backward reads.
 // An inference tape charges the device exactly that stream — the same three
 // kernels with the same work, and the messages' bytes held until Finish — so
-// the simulated GPU still runs PyG, but the host computes the output in one
-// pass (tensor.GatherScaleScatterInto) without materialising either message
-// buffer. The products and the per-element summation order are the chain's,
-// so both kinds give the same bits.
-func (g *Graph) GatherScatter(x, w *Node, src, dst []int, n int) *Node {
+// the simulated GPU still runs PyG, but the host computes each destination
+// row in registers over arcs, the arcs grouped by destination
+// (tensor.GatherScaleScatterInto), without materialising either message
+// buffer. Only an inference tape consults arcs, once per run of the op, so a
+// replay reads whatever CSR arcs holds then. Each CSR row lists its arcs in
+// increasing k, so the products and the per-element summation order are the
+// chain's, and both kinds give the same bits.
+func (g *Graph) GatherScatter(x, w *Node, src, dst []int, n int, arcs tensor.ArcsByDst) *Node {
 	if !g.inference {
 		m := g.Gather(x, src)
 		if w != nil {
@@ -94,9 +97,9 @@ func (g *Graph) GatherScatter(x, w *Node, src, dst []int, n int) *Node {
 	var out *tensor.Tensor
 	return g.op(&out, requiresGrad, "scatteradd", sz, 24*sz, func() {
 		if out == nil {
-			out = g.get(n, f)
+			out = g.get(n, x.T.Cols()) // not f: one word less to capture keeps the closure in its size class
 		}
-		tensor.GatherScaleScatterInto(out, x.T, wv, src, dst)
+		tensor.GatherScaleScatterInto(out, x.T, wv, src, dst, arcs)
 	})
 }
 

@@ -50,6 +50,7 @@ type Batch struct {
 	CSR *graph.CSR
 
 	pseudo *tensor.Tensor
+	byDst  *graph.CSR // host-only CSR of a batch without one; see ByDst
 }
 
 // NumEdges returns the number of arcs in the batch.
@@ -73,6 +74,24 @@ func (b *Batch) Pseudo(dev *device.Device) *tensor.Tensor {
 	dev.Alloc(int64(p.Size()) * 8)
 	b.pseudo = p
 	return p
+}
+
+// ByDst returns the batch's arcs grouped by destination, the CSR the host's
+// destination-row aggregation runs over (tensor.ArcsByDst). A DGL batch
+// returns its CSR. Any other batch builds one with graph.BuildCSR on first
+// use and keeps it, as Pseudo does. That CSR lives on the host only: Bytes
+// does not count it, the device is not charged for it, and collation does
+// not build it. graph.BuildCSR's stable sort lists each row's arcs in
+// increasing arc index, the order PyG's scatter adds them in.
+func (b *Batch) ByDst() (rowptr, col, eid []int) {
+	c := b.CSR
+	if c == nil {
+		if b.byDst == nil {
+			b.byDst = graph.BuildCSR(b.NumNodes, b.Src, b.Dst)
+		}
+		c = b.byDst
+	}
+	return c.RowPtr, c.Col, c.EID
 }
 
 func invSqrt(d float64) float64 {
@@ -194,7 +213,8 @@ func (b *Batch) Clone() *Batch {
 
 // CopyDataFrom copies src's payload into b's existing buffers without
 // replacing any slice or tensor, so pointers captured by a recorded tape
-// stay valid. Panics unless src has b's shape signature.
+// stay valid; a CSR that ByDst built is re-sorted in place from the new arcs.
+// Panics unless src has b's shape signature.
 func (b *Batch) CopyDataFrom(src *Batch) {
 	if !b.SameShape(src) {
 		panic(fmt.Sprintf("fw: CopyDataFrom shape mismatch: %q vs %q", b.ShapeSig(), src.ShapeSig()))
@@ -216,6 +236,9 @@ func (b *Batch) CopyDataFrom(src *Batch) {
 		copy(b.CSR.RowPtr, src.CSR.RowPtr)
 		copy(b.CSR.Col, src.CSR.Col)
 		copy(b.CSR.EID, src.CSR.EID)
+	}
+	if b.byDst != nil {
+		b.byDst.Fill(b.Src, b.Dst)
 	}
 }
 

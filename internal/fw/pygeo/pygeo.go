@@ -100,21 +100,22 @@ func (*Backend) Batch(graphs []*graph.Graph, dev *device.Device) *fw.Batch {
 }
 
 // AggSum implements two-kernel message passing: gather source rows, scatter
-// them onto destinations. An inference tape runs the pair as one host pass
-// and still charges the device both kernels (ag.GatherScatter).
+// them onto destinations. An inference tape computes the pair per
+// destination row over the batch's host-only CSR (fw.Batch.ByDst) and still
+// charges the device both kernels (ag.GatherScatter).
 func (be *Backend) AggSum(g *ag.Graph, b *fw.Batch, x *ag.Node) *ag.Node {
-	return g.GatherScatter(x, nil, b.Src, b.Dst, b.NumNodes)
+	return g.GatherScatter(x, nil, b.Src, b.Dst, b.NumNodes, b)
 }
 
 // AggMean gathers and scatter-means: the sum of AggSum, then each row
 // divided by its in-degree.
 func (be *Backend) AggMean(g *ag.Graph, b *fw.Batch, x *ag.Node) *ag.Node {
-	return g.MeanByCount(g.GatherScatter(x, nil, b.Src, b.Dst, b.NumNodes), b.Dst)
+	return g.MeanByCount(g.GatherScatter(x, nil, b.Src, b.Dst, b.NumNodes, b), b.Dst)
 }
 
 // AggWeightedSum gathers, applies per-edge weights, and scatters.
 func (be *Backend) AggWeightedSum(g *ag.Graph, b *fw.Batch, x *ag.Node, w *ag.Node) *ag.Node {
-	return g.GatherScatter(x, w, b.Src, b.Dst, b.NumNodes)
+	return g.GatherScatter(x, w, b.Src, b.Dst, b.NumNodes, b)
 }
 
 // GatherSrc implements fw.Backend.

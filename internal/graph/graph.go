@@ -142,23 +142,35 @@ type CSR struct {
 	EID    []int // original edge index per incoming arc
 }
 
-// BuildCSR groups arcs by destination in O(E).
+// BuildCSR groups arcs by destination in O(E) with a stable counting sort:
+// row v lists the arcs into v in increasing arc index, the order in which a
+// scatter over the arc list visits them.
 func BuildCSR(numNodes int, src, dst []int) *CSR {
-	rowPtr := make([]int, numNodes+1)
+	c := &CSR{RowPtr: make([]int, numNodes+1), Col: make([]int, len(src)), EID: make([]int, len(src))}
+	c.Fill(src, dst)
+	return c
+}
+
+// Fill re-sorts the arcs src[e] → dst[e] into c's slices in place, as
+// BuildCSR does, without allocating: RowPtr keeps its node count and Col and
+// EID must have one slot per arc.
+func (c *CSR) Fill(src, dst []int) {
+	rowPtr := c.RowPtr
+	n := len(rowPtr) - 1
+	clear(rowPtr)
 	for _, d := range dst {
 		rowPtr[d+1]++
 	}
-	for i := 0; i < numNodes; i++ {
+	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	col := make([]int, len(src))
-	eid := make([]int, len(src))
-	cursor := append([]int(nil), rowPtr[:numNodes]...)
-	for e := range src {
-		d := dst[e]
-		col[cursor[d]] = src[e]
-		eid[cursor[d]] = e
-		cursor[d]++
+	// rowPtr[d] is row d's next free slot while arcs are placed, and ends at
+	// row d+1's start; shifting by one restores the row starts.
+	for e, d := range dst {
+		q := rowPtr[d]
+		c.Col[q], c.EID[q] = src[e], e
+		rowPtr[d]++
 	}
-	return &CSR{RowPtr: rowPtr, Col: col, EID: eid}
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
 }

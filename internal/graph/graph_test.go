@@ -132,6 +132,66 @@ func TestPropCSRPreservesEveryEdge(t *testing.T) {
 	}
 }
 
+// TestBuildCSRRowsInArcOrder: BuildCSR is a stable sort by destination, so
+// each row lists its arcs in increasing arc index — the order a scatter over
+// the arc list adds them in, which lets one destination-row kernel stand in
+// for PyG's scatter bit for bit. Fill re-sorts new arcs into the same slices
+// without allocating and gives what BuildCSR gives.
+func TestBuildCSRRowsInArcOrder(t *testing.T) {
+	rng := tensor.NewRNG(9)
+	const n = 40
+	var src, dst []int
+	for k := 0; k < 500; k++ { // unsorted, with duplicate arcs and self-loops
+		s, d := rng.IntN(n), rng.IntN(n-5) // rows n-5.. stay empty
+		src, dst = append(src, s), append(dst, d)
+		if k%7 == 0 {
+			src, dst = append(src, s), append(dst, d)
+		}
+		if k%11 == 0 {
+			src, dst = append(src, d), append(dst, d)
+		}
+	}
+	csr := BuildCSR(n, src, dst)
+	check := func(stage string, src, dst []int) {
+		t.Helper()
+		for v := 0; v < n; v++ {
+			prev := -1
+			for q := csr.RowPtr[v]; q < csr.RowPtr[v+1]; q++ {
+				e := csr.EID[q]
+				if e <= prev || dst[e] != v || src[e] != csr.Col[q] {
+					t.Fatalf("%s: row %d slot %d names arc %d after arc %d", stage, v, q, e, prev)
+				}
+				prev = e
+			}
+		}
+		if csr.RowPtr[n] != len(src) {
+			t.Fatalf("%s: CSR indexes %d arcs of %d", stage, csr.RowPtr[n], len(src))
+		}
+	}
+	check("BuildCSR", src, dst)
+
+	perm := rng.Perm(len(src))
+	src2, dst2 := make([]int, len(src)), make([]int, len(dst))
+	for k, p := range perm {
+		src2[k], dst2[k] = dst[p]%n, src[p]%(n-5)
+	}
+	if a := testing.AllocsPerRun(5, func() { csr.Fill(src2, dst2) }); a != 0 {
+		t.Errorf("Fill allocates %v times", a)
+	}
+	check("Fill", src2, dst2)
+	want := BuildCSR(n, src2, dst2)
+	for i := range want.EID {
+		if csr.EID[i] != want.EID[i] || csr.Col[i] != want.Col[i] {
+			t.Fatalf("Fill slot %d = (%d,%d), BuildCSR (%d,%d)", i, csr.Col[i], csr.EID[i], want.Col[i], want.EID[i])
+		}
+	}
+	for i := range want.RowPtr {
+		if csr.RowPtr[i] != want.RowPtr[i] {
+			t.Fatalf("Fill row-ptr[%d] = %d, BuildCSR %d", i, csr.RowPtr[i], want.RowPtr[i])
+		}
+	}
+}
+
 func TestErdosRenyiSymmetric(t *testing.T) {
 	g := ErdosRenyi(tensor.NewRNG(1), 20, 0.3)
 	if err := g.Validate(); err != nil {

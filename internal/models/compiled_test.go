@@ -1,6 +1,7 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -64,6 +65,60 @@ func TestCompiledInferMatchesEager(t *testing.T) {
 			got4 := ci.Forward(perturb(b1, 99))
 			want4 := Infer(m, perturb(b1, 99), nil)
 			assertBitEqual(t, name+"/"+be.Name()+" interleave", got4, want4)
+			ci.Close()
+		}
+	}
+}
+
+// rewire returns a payload-perturbed clone of b with the same shape
+// signature but other arcs: every arc reversed and the arc list shuffled,
+// with in-degrees, edge attributes and (on DGL) the CSR following.
+func rewire(b *fw.Batch, seed uint64) *fw.Batch {
+	c := perturb(b, seed)
+	perm := tensor.NewRNG(seed).Perm(c.NumEdges())
+	for k, p := range perm {
+		c.Src[k], c.Dst[k] = b.Dst[p], b.Src[p]
+		if c.EdgeAttr != nil {
+			fe := c.EdgeAttr.Cols()
+			copy(c.EdgeAttr.Data[k*fe:(k+1)*fe], b.EdgeAttr.Data[p*fe:(p+1)*fe])
+		}
+	}
+	clear(c.InDeg)
+	for _, d := range c.Dst {
+		c.InDeg[d]++
+	}
+	if c.CSR != nil {
+		c.CSR.Fill(c.Src, c.Dst)
+	}
+	return c
+}
+
+// TestCompiledReplayFollowsNewArcs: a compiled tape replayed on a batch of
+// the same shape whose arcs differ — reversed and in another order — gives
+// the logits eager Infer gives on that batch, bit for bit. PyG's inference
+// aggregation reads the batch's by-destination CSR, which CopyDataFrom must
+// re-sort from the new arcs; a CSR kept from the recorded batch would sum
+// the wrong rows, or the right rows in the wrong order.
+func TestCompiledReplayFollowsNewArcs(t *testing.T) {
+	for _, be := range []fw.Backend{pygeo.New(), dglb.New()} {
+		for _, name := range AllNames() {
+			cfg := graphCfg()
+			m := New(name, be, cfg)
+			ci := NewCompiledInfer(m, nil, tensor.F64)
+			b1 := tinyBatch(be, 10, 3, cfg.In)
+			ci.Forward(b1) // records
+			for r, seed := range []uint64{31, 32} {
+				b2 := rewire(b1, seed)
+				if err := b2.Invariants(); err != nil {
+					t.Fatalf("%s/%s: rewired batch: %v", name, be.Name(), err)
+				}
+				got := ci.Forward(b2).Clone()
+				want := Infer(m, b2, nil)
+				assertBitEqual(t, fmt.Sprintf("%s/%s rewired replay %d", name, be.Name(), r+1), got, want)
+			}
+			if ci.Tapes() != 1 {
+				t.Errorf("%s/%s: %d tapes after same-shape batches, want 1", name, be.Name(), ci.Tapes())
+			}
 			ci.Close()
 		}
 	}

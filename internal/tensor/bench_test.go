@@ -3,6 +3,8 @@ package tensor
 import (
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // Microbenchmarks for the kernels everything else is built on.
@@ -182,12 +184,13 @@ func BenchmarkGatherScaleScatterInto(b *testing.B) {
 	for i := range src {
 		src[i], dst[i] = g.IntN(1024), g.IntN(1024)
 	}
+	arcs := newByDst(1024, src, dst)
 	out := Get(1024, 64)
 	defer Release(out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GatherScaleScatterInto(out, x, w, src, dst)
+		GatherScaleScatterInto(out, x, w, src, dst, &arcs)
 	}
 }
 
@@ -216,4 +219,127 @@ func BenchmarkPoolGetReleaseParallel(b *testing.B) {
 			Release(Get(n))
 		}
 	})
+}
+
+// Serving shapes and host ceilings. A compiled GCN/PyG replay at batch 32 of
+// ENZYMES-sized graphs is, per layer, one [2048,64]·[64,64] product (the
+// first layer's input is 18 wide) and one aggregation of 18 432 arcs into
+// 2048 rows of width 64. Each benchmark reports its achieved rate beside two
+// pure-Go ceilings measured the same way, so a kernel reads as a share of
+// what this host reaches from Go: GFLOP/s against the register-blocked
+// multiply-add loop, GB/s against a streaming copy. All run on one worker:
+// the rates are per core.
+
+const (
+	serveRows  = 2048
+	serveArcs  = 18432
+	serveWidth = 64
+)
+
+// BenchmarkServeMatMul runs MatMulInto at the serving shapes. "relu" zeroes
+// about half of a, as the ReLU before every hidden product does; its
+// GFLOP/s counts the dense product's 2·M·K·N.
+func BenchmarkServeMatMul(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		k    int
+		relu bool
+	}{{"2048x64x64", 64, false}, {"2048x64x64_relu", 64, true}, {"2048x18x64", 18, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			g := NewRNG(1)
+			x := g.Randn(1, serveRows, c.k)
+			if c.relu {
+				ReLUInto(x, x)
+			}
+			w := g.Randn(1, c.k, serveWidth)
+			dst := New(serveRows, serveWidth)
+			defer parallel.SetWorkers(parallel.SetWorkers(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMulInto(dst, x, w)
+			}
+			flops := 2 * float64(serveRows*c.k*serveWidth) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
+// serveArcList draws the serving aggregation's arcs: each row receives nine
+// on average, from sources anywhere in the batch.
+func serveArcList() (s, d []int) {
+	g := NewRNG(2)
+	s, d = make([]int, serveArcs), make([]int, serveArcs)
+	for k := range s {
+		s[k], d[k] = g.IntN(serveRows), g.IntN(serveRows)
+	}
+	return s, d
+}
+
+// BenchmarkServeAggregate runs the destination-row aggregation at the
+// serving shape: DGL's GSpMMSumInto and PyG's weighted GatherScaleScatterInto
+// over the arcs' by-destination CSR. GB/s counts the gathered source rows
+// and the written destination rows.
+func BenchmarkServeAggregate(b *testing.B) {
+	s, d := serveArcList()
+	g := NewRNG(3)
+	x := g.Randn(1, serveRows, serveWidth)
+	w := g.Randn(1, serveArcs)
+	arcs := newByDst(serveRows, s, d)
+	dst := New(serveRows, serveWidth)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"gspmm_sum", func() { GSpMMSumInto(dst, x, arcs.rowptr, arcs.col) }},
+		{"pyg_weighted", func() { GatherScaleScatterInto(dst, x, w, s, d, &arcs) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			defer parallel.SetWorkers(parallel.SetWorkers(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+			bytes := 8 * float64((serveArcs+serveRows)*serveWidth) * float64(b.N)
+			b.ReportMetric(bytes/b.Elapsed().Seconds()/1e9, "GB/s")
+		})
+	}
+}
+
+// fmaSink keeps the ceiling loop's result live.
+var fmaSink float64
+
+// BenchmarkCeilingFMA is the pure-Go compute ceiling: mmStrip8's loop, eight
+// register accumulators each adding coef·panel per term, over a 64-term
+// panel (4 KiB) that stays in L1, so every load hits.
+func BenchmarkCeilingFMA(b *testing.B) {
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	g := NewRNG(4)
+	panel, coef := g.Randn(1, 64, stripWidth).Data, g.Randn(1, 64).Data
+	off := make([]int, 64)
+	for q := range off {
+		off[q] = q * stripWidth
+	}
+	o := make([]float64, stripWidth)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mmStrip8(o, panel, off, coef, true)
+	}
+	fmaSink = o[0]
+	b.ReportMetric(2*float64(len(panel))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkCeilingCopy is the pure-Go bandwidth ceiling at the aggregation's
+// footprint: copy a buffer the size of the gathered rows (9 MiB) and count
+// the bytes read and written, as the aggregation's GB/s does.
+func BenchmarkCeilingCopy(b *testing.B) {
+	src := NewRNG(5).Randn(1, serveArcs, serveWidth).Data
+	dst := make([]float64, len(src))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(dst, src)
+	}
+	b.ReportMetric(16*float64(len(src))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/parallel"
@@ -30,29 +31,144 @@ func CSRGrain(edges, rows, f int) int {
 	return parallel.RowGrain(avg)
 }
 
-// GSpMMSumInto computes dst[v] = Σ_{k ∈ [rowptr[v], rowptr[v+1])} x[col[k]]
-// for x [S,F], dst [n,F] with n = len(rowptr)-1. dst is zeroed first.
-func GSpMMSumInto(dst, x *Tensor, rowptr, col []int) {
+// AggregateRowsInto is the destination-row aggregation both backends run,
+// DGL's u_mul_e/sum GSpMM when weighted:
+// dst[v] = Σ_{q ∈ [rowptr[v], rowptr[v+1])} w[eid[q]]·x[col[q]] for x [S,F]
+// and dst [n,F] with n = len(rowptr)-1, or the plain sum of x[col[q]] when w
+// is nil (eid is then unused). dst is fully overwritten.
+//
+// Each output element builds up in a register, over strips of eight columns,
+// and adds its terms in q order. Each product is rounded before it is added
+// (no fused multiply-add), as a materialised message buffer would round it.
+// Workers own destination rows, so the result is bit-identical for any
+// worker count.
+func AggregateRowsInto(dst, x *Tensor, w []float64, rowptr, col, eid []int) {
 	n, f := dst.Rows(), dst.Cols()
 	grain := CSRGrain(len(col), n, f)
 	if parallel.Inline(n, grain) {
-		gspmmSumRange(dst.Data, x.Data, rowptr, col, f, 0, n)
+		aggregateRowsRange(dst.Data, x.Data, w, rowptr, col, eid, f, 0, n)
 		return
 	}
-	parallel.For(n, grain, func(lo, hi int) { gspmmSumRange(dst.Data, x.Data, rowptr, col, f, lo, hi) })
+	parallel.For(n, grain, func(lo, hi int) { aggregateRowsRange(dst.Data, x.Data, w, rowptr, col, eid, f, lo, hi) })
 }
 
-func gspmmSumRange(dst, x []float64, rowptr, col []int, f, lo, hi int) {
-	zero(dst[lo*f : hi*f])
+func aggregateRowsRange(dst, x, w []float64, rowptr, col, eid []int, f, lo, hi int) {
 	for v := lo; v < hi; v++ {
 		orow := dst[v*f : (v+1)*f]
-		for k := rowptr[v]; k < rowptr[v+1]; k++ {
-			xrow := x[col[k]*f : (col[k]+1)*f]
-			for j := 0; j < f; j++ {
-				orow[j] += xrow[j]
+		q0, q1 := rowptr[v], rowptr[v+1]
+		cols := col[q0:q1]
+		var eids []int
+		if w != nil {
+			eids = eid[q0:q1]
+		}
+		j := 0
+		for ; j+stripWidth <= f; j += stripWidth {
+			aggStrip8(orow[j:j+stripWidth], x[j:], w, cols, eids, f)
+		}
+		for ; j < f; j++ {
+			acc := 0.0
+			for q, c := range cols {
+				if w == nil {
+					acc += x[c*f+j]
+				} else {
+					acc += float64(w[eids[q]] * x[c*f+j])
+				}
 			}
+			orow[j] = acc
 		}
 	}
+}
+
+// aggStrip8 writes eight columns of one destination row: o[c] = Σ_q
+// w[eids[q]]·x[cols[q]·f+c] (or the plain sum when w is nil) in increasing
+// q, with the eight sums held in registers.
+func aggStrip8(o, x, w []float64, cols, eids []int, f int) {
+	o = o[:stripWidth]
+	var c0, c1, c2, c3, c4, c5, c6, c7 float64
+	if w == nil {
+		for _, c := range cols {
+			r := x[c*f : c*f+stripWidth]
+			c0 += r[0]
+			c1 += r[1]
+			c2 += r[2]
+			c3 += r[3]
+			c4 += r[4]
+			c5 += r[5]
+			c6 += r[6]
+			c7 += r[7]
+		}
+	} else {
+		eids = eids[:len(cols)]
+		for q, c := range cols {
+			wq := w[eids[q]]
+			r := x[c*f : c*f+stripWidth]
+			// The conversions round each product before the add.
+			c0 += float64(wq * r[0])
+			c1 += float64(wq * r[1])
+			c2 += float64(wq * r[2])
+			c3 += float64(wq * r[3])
+			c4 += float64(wq * r[4])
+			c5 += float64(wq * r[5])
+			c6 += float64(wq * r[6])
+			c7 += float64(wq * r[7])
+		}
+	}
+	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c0, c1, c2, c3, c4, c5, c6, c7
+}
+
+// GSpMMSumInto is DGL's copy_u/sum GSpMM: dst[v] = Σ_{k ∈ [rowptr[v],
+// rowptr[v+1])} x[col[k]] for x [S,F], dst [n,F] with n = len(rowptr)-1,
+// fully overwritten. It is AggregateRowsInto without weights.
+func GSpMMSumInto(dst, x *Tensor, rowptr, col []int) {
+	AggregateRowsInto(dst, x, nil, rowptr, col, nil)
+}
+
+// ArcsByDst supplies a graph's arcs s[k] → d[k] grouped by destination, as a
+// CSR: row v, [rowptr[v], rowptr[v+1]), lists the arcs into v in increasing
+// k, col[q] being arc eid[q]'s source. A stable counting sort by destination
+// (graph.BuildCSR) gives that order.
+type ArcsByDst interface {
+	ByDst() (rowptr, col, eid []int)
+}
+
+// GatherScaleScatterInto is PyG's message passing, dst[d[k]] += w[k]·x[s[k]]
+// for k in increasing order, with dst ([n,F]) fully overwritten and w (one
+// weight per arc) optional: the result, bit for bit, of GatherRowsInto,
+// MulColVectorInto and ScatterAddRowsInto, without the two [len(s), F]
+// message buffers. It range-checks s and d with those kernels' messages
+// before arcs is consulted or any row is written, then runs
+// AggregateRowsInto over arcs' CSR of (s, d). Because each CSR row lists its
+// arcs in increasing k, every element adds the chain's products in the
+// chain's order.
+func GatherScaleScatterInto(dst, x, w *Tensor, s, d []int, arcs ArcsByDst) {
+	assertRank2("GatherScaleScatterInto", x)
+	n, f := dst.Rows(), dst.Cols()
+	if dst.Rank() != 2 || f != x.Cols() {
+		panic(fmt.Sprintf("tensor: GatherScaleScatterInto dst %v for x %v", dst.Shape(), x.Shape()))
+	}
+	if len(s) != len(d) {
+		panic(fmt.Sprintf("tensor: ScatterAddRows src has %d rows for %d indices", len(s), len(d)))
+	}
+	var wd []float64
+	if w != nil {
+		if w.Size() != len(s) {
+			panic(fmt.Sprintf("tensor: GatherScaleScatterInto has %d weights for %d arcs", w.Size(), len(s)))
+		}
+		wd = w.Data
+	}
+	rows := x.Rows()
+	for _, i := range s {
+		if i < 0 || i >= rows {
+			panic(fmt.Sprintf("tensor: GatherRows index %d out of range [0,%d)", i, rows))
+		}
+	}
+	for _, i := range d {
+		if i < 0 || i >= n {
+			panic(fmt.Sprintf("tensor: ScatterAddRows index %d out of range [0,%d)", i, n))
+		}
+	}
+	rowptr, col, eid := arcs.ByDst()
+	AggregateRowsInto(dst, x, wd, rowptr, col, eid)
 }
 
 // GSpMMSumGradInto scatters the output gradient back to source rows:
@@ -83,32 +199,6 @@ func gspmmSumGradRange(gx, grad []float64, rowptr, col []int, n, f, lo, hi int) 
 			xrow := gx[src*f : (src+1)*f]
 			for j := 0; j < f; j++ {
 				xrow[j] += grow[j]
-			}
-		}
-	}
-}
-
-// GSpMMWeightedSumInto computes dst[v] = Σ_k w[eid[k]] * x[col[k]]. dst is
-// zeroed first. w is the flat per-edge weight buffer.
-func GSpMMWeightedSumInto(dst, x *Tensor, w []float64, rowptr, col, eid []int) {
-	n, f := dst.Rows(), dst.Cols()
-	grain := CSRGrain(len(col), n, f)
-	if parallel.Inline(n, grain) {
-		gspmmWSumRange(dst.Data, x.Data, w, rowptr, col, eid, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { gspmmWSumRange(dst.Data, x.Data, w, rowptr, col, eid, f, lo, hi) })
-}
-
-func gspmmWSumRange(dst, x, w []float64, rowptr, col, eid []int, f, lo, hi int) {
-	zero(dst[lo*f : hi*f])
-	for v := lo; v < hi; v++ {
-		orow := dst[v*f : (v+1)*f]
-		for k := rowptr[v]; k < rowptr[v+1]; k++ {
-			wk := w[eid[k]]
-			xrow := x[col[k]*f : (col[k]+1)*f]
-			for j := 0; j < f; j++ {
-				orow[j] += wk * xrow[j]
 			}
 		}
 	}

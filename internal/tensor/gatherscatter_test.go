@@ -69,11 +69,12 @@ func TestGatherScaleScatterIntoMatchesChain(t *testing.T) {
 	for _, c := range gssCases() {
 		parallel.SetWorkers(1)
 		want := gssChain(c)
+		arcs := newByDst(c.n, c.s, c.d)
 		for _, w := range []int{1, 2, 7} {
 			parallel.SetWorkers(w)
 			got := New(c.n, c.x.Cols())
 			got.Fill(math.NaN())
-			GatherScaleScatterInto(got, c.x, c.w, c.s, c.d)
+			GatherScaleScatterInto(got, c.x, c.w, c.s, c.d, arcs)
 			if !bitIdentical(got, want) {
 				t.Errorf("%s at %d workers: fused %v, chain %v", c.name, w, got.Data, want.Data)
 			}
@@ -81,9 +82,16 @@ func TestGatherScaleScatterIntoMatchesChain(t *testing.T) {
 	}
 }
 
+// unconsulted fails a GatherScaleScatterInto whose range checks let a bad
+// arc reach the CSR.
+type unconsulted struct{}
+
+func (unconsulted) ByDst() (rowptr, col, eid []int) { panic("arcs consulted before the range checks") }
+
 // TestGatherScaleScatterIntoPanics: an out-of-range source or destination
-// panics with the message GatherRows or ScatterAddRows gives, before any
-// destination row is written; mismatched lengths panic too.
+// panics with the message GatherRows or ScatterAddRows gives, before the CSR
+// is asked for or any destination row is written; mismatched lengths panic
+// too.
 func TestGatherScaleScatterIntoPanics(t *testing.T) {
 	x := Ones(4, 2)
 	for _, c := range []struct {
@@ -106,7 +114,7 @@ func TestGatherScaleScatterIntoPanics(t *testing.T) {
 					msg, _ = r.(string)
 				}
 			}()
-			GatherScaleScatterInto(dst, x, c.w, c.s, c.d)
+			GatherScaleScatterInto(dst, x, c.w, c.s, c.d, unconsulted{})
 			return ""
 		}()
 		if !strings.Contains(msg, c.want) {
@@ -123,7 +131,8 @@ func TestGatherScaleScatterIntoPanics(t *testing.T) {
 
 // TestGatherScaleScatterIntoInlineZeroAllocs: on the inline path — one
 // worker, or work below one grain at seven — the kernel builds no
-// parallel.For closure, so it allocates nothing.
+// parallel.For closure, and the CSR it reads is the caller's, so it
+// allocates nothing.
 func TestGatherScaleScatterIntoInlineZeroAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -132,13 +141,14 @@ func TestGatherScaleScatterIntoInlineZeroAllocs(t *testing.T) {
 	defer parallel.SetWorkers(prev)
 	for i, c := range gssCases() {
 		dst := New(c.n, c.x.Cols())
+		arcs := newByDst(c.n, c.s, c.d)
 		workers := []int{1}
 		if i < 2 { // "sum" and "weighted": under one grain
 			workers = append(workers, 7)
 		}
 		for _, w := range workers {
 			parallel.SetWorkers(w)
-			if a := testing.AllocsPerRun(20, func() { GatherScaleScatterInto(dst, c.x, c.w, c.s, c.d) }); a != 0 {
+			if a := testing.AllocsPerRun(20, func() { GatherScaleScatterInto(dst, c.x, c.w, c.s, c.d, &arcs) }); a != 0 {
 				t.Errorf("%s at %d workers: %v allocs per call on the inline path, want 0", c.name, w, a)
 			}
 		}

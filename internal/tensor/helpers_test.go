@@ -228,45 +228,6 @@ func Transpose(t *Tensor) *Tensor {
 	return out
 }
 
-// MatVec returns m @ v for m [M,N] and v [N] -> [M].
-func MatVec(m, v *Tensor) *Tensor {
-	if m.Rank() != 2 || v.Rank() != 1 || m.Dim(1) != v.Dim(0) {
-		panic(fmt.Sprintf("tensor: MatVec shapes %v @ %v", m.Shape(), v.Shape()))
-	}
-	r, c := m.Dim(0), m.Dim(1)
-	out := New(r)
-	parallel.For(r, parallel.RowGrain(2*c), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*c : (i+1)*c]
-			var s float64
-			for j := 0; j < c; j++ {
-				s += row[j] * v.Data[j]
-			}
-			out.Data[i] = s
-		}
-	})
-	return out
-}
-
-// Outer returns the outer product a ⊗ b for a [M], b [N] -> [M,N].
-func Outer(a, b *Tensor) *Tensor {
-	if a.Rank() != 1 || b.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: Outer wants rank-1 operands, got %v and %v", a.Shape(), b.Shape()))
-	}
-	m, n := a.Dim(0), b.Dim(0)
-	out := New(m, n)
-	parallel.For(m, parallel.RowGrain(n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			av := a.Data[i]
-			row := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				row[j] = av * b.Data[j]
-			}
-		}
-	})
-	return out
-}
-
 // SumRows reduces an [N,F] tensor over rows, returning [F].
 func SumRows(t *Tensor) *Tensor {
 	out := New(t.Cols())

@@ -218,17 +218,17 @@ func intoCases(in *intoInputs) []intoCase {
 		}, nil},
 		{"GatherScaleScatterInto", func() []*Tensor {
 			d := Full(math.NaN(), 53, 37)
-			GatherScaleScatterInto(d, in.aggX, nil, in.aggS, in.aggD)
+			GatherScaleScatterInto(d, in.aggX, nil, in.aggS, in.aggD, in.aggCSR)
 			return one(d)
 		}, nil},
 		{"GatherScaleScatterInto weighted", func() []*Tensor {
 			d := Full(math.NaN(), 53, 37)
-			GatherScaleScatterInto(d, in.aggX, in.aggW, in.aggS, in.aggD)
+			GatherScaleScatterInto(d, in.aggX, in.aggW, in.aggS, in.aggD, in.aggCSR)
 			return one(d)
 		}, nil},
-		{"GSpMMWeightedSumInto", func() []*Tensor {
+		{"GSpMMWeightedSumInto", func() []*Tensor { // DGL's weighted GSpMM, since folded into AggregateRowsInto
 			d := Full(math.NaN(), 53, 37)
-			GSpMMWeightedSumInto(d, in.aggX, in.aggW.Data, in.aggCSR.rowptr, in.aggCSR.col, in.aggCSR.eid)
+			AggregateRowsInto(d, in.aggX, in.aggW.Data, in.aggCSR.rowptr, in.aggCSR.col, in.aggCSR.eid)
 			return one(d)
 		}, nil},
 	}
@@ -253,6 +253,8 @@ func newByDst(n int, s, d []int) byDst {
 	}
 	return c
 }
+
+func (c byDst) ByDst() (rowptr, col, eid []int) { return c.rowptr, c.col, c.eid }
 
 // upstream is DivGradBInto's incoming gradient: a fresh [389,257] tensor
 // distinct from both quotient operands.
@@ -366,5 +368,58 @@ func TestMulRowVectorIntoAndSumColsInto(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestMatMulIntoInlineZeroAllocs: on the inline path — one worker, or a
+// product below one grain at seven — MatMulInto builds no parallel.For
+// closure and keeps its term lists on the stack, for every K (here 300,
+// past the K tile), so it allocates nothing.
+func TestMatMulIntoInlineZeroAllocs(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	in := newIntoInputs()
+	small, smallB := NewRNG(1).Randn(1, 3, 300), NewRNG(2).Randn(1, 300, 5)
+	for _, c := range []struct {
+		name    string
+		a, b    *Tensor
+		workers []int
+	}{
+		{"97x300x269", in.mmA, in.mmB, []int{1}},
+		{"97x300x269 nonfinite b", in.mmA, in.mmBad, []int{1}},
+		{"3x300x5", small, smallB, []int{1, 7}},
+	} {
+		dst := New(c.a.Rows(), c.b.Cols())
+		for _, w := range c.workers {
+			parallel.SetWorkers(w)
+			if a := testing.AllocsPerRun(5, func() { MatMulInto(dst, c.a, c.b) }); a != 0 {
+				t.Errorf("%s at %d workers: %v allocs per call on the inline path, want 0", c.name, w, a)
+			}
+		}
+	}
+}
+
+// TestAggregateRowsIntoInlineZeroAllocs: the destination-row aggregation,
+// plain and weighted, allocates nothing on the inline path.
+func TestAggregateRowsIntoInlineZeroAllocs(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	in := newIntoInputs()
+	c := in.aggCSR
+	dst := New(53, in.aggX.Cols())
+	for _, w := range [][]float64{nil, in.aggW.Data} {
+		if a := testing.AllocsPerRun(20, func() { AggregateRowsInto(dst, in.aggX, w, c.rowptr, c.col, c.eid) }); a != 0 {
+			t.Errorf("weighted=%v: %v allocs per call on the inline path, want 0", w != nil, a)
+		}
+	}
+	parallel.SetWorkers(7) // three arcs into two rows: under one grain
+	tiny := newByDst(2, []int{0, 1, 1}, []int{1, 0, 1})
+	small := New(2, in.aggX.Cols())
+	if a := testing.AllocsPerRun(20, func() { AggregateRowsInto(small, in.aggX, nil, tiny.rowptr, tiny.col, tiny.eid) }); a != 0 {
+		t.Errorf("at 7 workers under one grain: %v allocs per call, want 0", a)
 	}
 }

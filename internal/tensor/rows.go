@@ -80,78 +80,6 @@ func scatterAddRowsRange(dst, src []float64, idx []int, f, lo, hi int) {
 	}
 }
 
-// GatherScaleScatterInto is message passing in one pass over the arcs:
-// dst[d[k]] += w[k]·x[s[k]] for k in increasing order, with dst ([n,F])
-// zeroed first and w (one weight per arc) optional. It is the fused form of
-// GatherRowsInto, MulColVectorInto and ScatterAddRowsInto with the same
-// products and the same per-element summation order, so the result is bit
-// for bit the chain's, without the two [len(s), F] message buffers. Indices
-// are range-checked with the chain's messages before any row is written.
-//
-// Parallelism uses ScatterAddRowsInto's destination-row ownership, so the
-// result is bit-identical for any worker count.
-func GatherScaleScatterInto(dst, x, w *Tensor, s, d []int) {
-	assertRank2("GatherScaleScatterInto", x)
-	n, f := dst.Rows(), dst.Cols()
-	if dst.Rank() != 2 || f != x.Cols() {
-		panic(fmt.Sprintf("tensor: GatherScaleScatterInto dst %v for x %v", dst.Shape(), x.Shape()))
-	}
-	if len(s) != len(d) {
-		panic(fmt.Sprintf("tensor: ScatterAddRows src has %d rows for %d indices", len(s), len(d)))
-	}
-	var wd []float64
-	if w != nil {
-		if w.Size() != len(s) {
-			panic(fmt.Sprintf("tensor: GatherScaleScatterInto has %d weights for %d arcs", w.Size(), len(s)))
-		}
-		wd = w.Data
-	}
-	rows := x.Rows()
-	for _, i := range s {
-		if i < 0 || i >= rows {
-			panic(fmt.Sprintf("tensor: GatherRows index %d out of range [0,%d)", i, rows))
-		}
-	}
-	for _, i := range d {
-		if i < 0 || i >= n {
-			panic(fmt.Sprintf("tensor: ScatterAddRows index %d out of range [0,%d)", i, n))
-		}
-	}
-	avg := 1
-	if n > 0 {
-		avg = (len(d)*f)/n + 1
-	}
-	grain := parallel.RowGrain(avg)
-	if parallel.Inline(n, grain) {
-		gatherScaleScatterRange(dst.Data, x.Data, wd, s, d, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { gatherScaleScatterRange(dst.Data, x.Data, wd, s, d, f, lo, hi) })
-}
-
-func gatherScaleScatterRange(dst, x, w []float64, s, d []int, f, lo, hi int) {
-	zero(dst[lo*f : hi*f])
-	for k, i := range d {
-		if i < lo || i >= hi {
-			continue
-		}
-		drow := dst[i*f : (i+1)*f]
-		xrow := x[s[k]*f : (s[k]+1)*f][:len(drow)]
-		if w == nil {
-			for j := range drow {
-				drow[j] += xrow[j]
-			}
-			continue
-		}
-		wk := w[k]
-		for j := range drow {
-			// The conversion rounds the product before the add, as the
-			// chain's message buffer does: no fused multiply-add.
-			drow[j] += float64(wk * xrow[j])
-		}
-	}
-}
-
 // ConcatColsInto concatenates same-row-count tensors into dst along the
 // column axis without allocating. dst must be [N, ΣFi].
 func ConcatColsInto(dst *Tensor, ts ...*Tensor) {

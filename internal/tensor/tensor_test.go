@@ -164,19 +164,6 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	}
 }
 
-func TestMatVecAndOuter(t *testing.T) {
-	m := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	v := FromSlice([]float64{1, 1}, 2)
-	got := MatVec(m, v)
-	if got.Data[0] != 3 || got.Data[1] != 7 {
-		t.Fatalf("MatVec wrong: %v", got.Data)
-	}
-	o := Outer(FromSlice([]float64{1, 2}, 2), FromSlice([]float64{3, 4, 5}, 3))
-	if o.At(1, 2) != 10 {
-		t.Fatalf("Outer wrong: %v", o)
-	}
-}
-
 func TestReductions(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	if Sum(x) != 21 || Mean(x) != 3.5 {
