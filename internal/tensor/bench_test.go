@@ -310,24 +310,36 @@ func BenchmarkServeAggregate(b *testing.B) {
 // fmaSink keeps the ceiling loop's result live.
 var fmaSink float64
 
-// BenchmarkCeilingFMA is the pure-Go compute ceiling: mmStrip8's loop, eight
-// register accumulators each adding coef·panel per term, over a 64-term
-// panel (4 KiB) that stays in L1, so every load hits.
+// BenchmarkCeilingFMA is the compute ceiling of the product's strips over a
+// 64-term panel that stays in L1, so every load hits: "go" is mmStrip8's
+// loop, eight register accumulators each adding coef·panel per term; "avx2"
+// is mmStrips16, sixteen columns in four YMM accumulators.
 func BenchmarkCeilingFMA(b *testing.B) {
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
-	g := NewRNG(4)
-	panel, coef := g.Randn(1, 64, stripWidth).Data, g.Randn(1, 64).Data
-	off := make([]int, 64)
-	for q := range off {
-		off[q] = q * stripWidth
+	for _, c := range []struct {
+		name  string
+		width int
+		strip func(o, b []float64, off []int, coef []float64, fresh bool)
+	}{{"go", stripWidth, mmStrip8}, {"avx2", vecStripWidth, mmStrips16}} {
+		b.Run(c.name, func(b *testing.B) {
+			if c.name == "avx2" && !haveAVX2 {
+				b.Skip("the CPU has no AVX2")
+			}
+			g := NewRNG(4)
+			panel, coef := g.Randn(1, 64, c.width).Data, g.Randn(1, 64).Data
+			off := make([]int, 64)
+			for q := range off {
+				off[q] = q * c.width
+			}
+			o := make([]float64, c.width)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.strip(o, panel, off, coef, true)
+			}
+			fmaSink = o[0]
+			b.ReportMetric(2*float64(len(panel))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
-	o := make([]float64, stripWidth)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mmStrip8(o, panel, off, coef, true)
-	}
-	fmaSink = o[0]
-	b.ReportMetric(2*float64(len(panel))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 // BenchmarkCeilingCopy is the pure-Go bandwidth ceiling at the aggregation's

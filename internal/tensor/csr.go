@@ -37,13 +37,14 @@ func CSRGrain(edges, rows, f int) int {
 // and dst [n,F] with n = len(rowptr)-1, or the plain sum of x[col[q]] when w
 // is nil (eid is then unused). dst is fully overwritten.
 //
-// Each output element builds up in a register, over strips of eight columns,
-// and adds its terms in q order. Each product is rounded before it is added
+// Each output element builds up in a register, over strips of columns, and
+// adds its terms in q order. Each product is rounded before it is added
 // (no fused multiply-add), as a materialised message buffer would round it.
 // Workers own destination rows, so the result is bit-identical for any
-// worker count.
+// worker count. Every index is range-checked before any row is written.
 func AggregateRowsInto(dst, x *Tensor, w []float64, rowptr, col, eid []int) {
 	n, f := dst.Rows(), dst.Cols()
+	checkArcs(x, f, w, rowptr, col, eid, n)
 	grain := CSRGrain(len(col), n, f)
 	if parallel.Inline(n, grain) {
 		aggregateRowsRange(dst.Data, x.Data, w, rowptr, col, eid, f, 0, n)
@@ -52,16 +53,66 @@ func AggregateRowsInto(dst, x *Tensor, w []float64, rowptr, col, eid []int) {
 	parallel.For(n, grain, func(lo, hi int) { aggregateRowsRange(dst.Data, x.Data, w, rowptr, col, eid, f, lo, hi) })
 }
 
+// checkArcs panics unless AggregateRowsInto's operands are consistent: x is
+// [S,f], rowptr has n+1 non-decreasing entries ending inside col (and eid,
+// when weighted), each listed col is a row of x and each listed eid a slot
+// of w. The AVX2 strips read through raw pointers and rely on it.
+func checkArcs(x *Tensor, f int, w []float64, rowptr, col, eid []int, n int) {
+	if x.Rank() != 2 || x.Cols() != f {
+		panic(fmt.Sprintf("tensor: AggregateRowsInto x %v for %d-wide rows", x.Shape(), f))
+	}
+	if len(rowptr) != n+1 {
+		panic(fmt.Sprintf("tensor: AggregateRowsInto has %d row pointers for %d rows", len(rowptr), n))
+	}
+	for v := 0; v < n; v++ {
+		if rowptr[v] > rowptr[v+1] {
+			panic(fmt.Sprintf("tensor: AggregateRowsInto row pointers decrease at row %d", v))
+		}
+	}
+	q0, q1 := rowptr[0], rowptr[n]
+	if q0 < 0 || q1 > len(col) || (w != nil && q1 > len(eid)) {
+		panic(fmt.Sprintf("tensor: AggregateRowsInto arcs [%d,%d) out of range of %d sources, %d edge ids", q0, q1, len(col), len(eid)))
+	}
+	// A negative index converts to a uint past any length: one compare each.
+	rows := x.Rows()
+	for _, c := range col[q0:q1] {
+		if uint(c) >= uint(rows) {
+			panic(fmt.Sprintf("tensor: AggregateRowsInto source %d out of range [0,%d)", c, rows))
+		}
+	}
+	if w == nil {
+		return
+	}
+	for _, e := range eid[q0:q1] {
+		if uint(e) >= uint(len(w)) {
+			panic(fmt.Sprintf("tensor: AggregateRowsInto edge id %d out of range [0,%d)", e, len(w)))
+		}
+	}
+}
+
 func aggregateRowsRange(dst, x, w []float64, rowptr, col, eid []int, f, lo, hi int) {
 	for v := lo; v < hi; v++ {
 		orow := dst[v*f : (v+1)*f]
 		q0, q1 := rowptr[v], rowptr[v+1]
+		if q0 == q1 {
+			zero(orow)
+			continue
+		}
 		cols := col[q0:q1]
 		var eids []int
 		if w != nil {
 			eids = eid[q0:q1]
 		}
 		j := 0
+		if haveAVX2 {
+			// checkArcs put every cols[q] inside x, as the strips need.
+			j = f &^ (vecStripWidth - 1)
+			if w == nil {
+				aggStrips16(orow[:j], x, cols, f)
+			} else {
+				aggStrips16W(orow[:j], x, w, cols, eids, f)
+			}
+		}
 		for ; j+stripWidth <= f; j += stripWidth {
 			aggStrip8(orow[j:j+stripWidth], x[j:], w, cols, eids, f)
 		}
@@ -231,7 +282,7 @@ func gspmmWSumGradXRange(gx, grad, w []float64, rowptr, col, eid []int, n, f, lo
 			wk := w[eid[k]]
 			xrow := gx[src*f : (src+1)*f]
 			for j := 0; j < f; j++ {
-				xrow[j] += wk * grow[j]
+				xrow[j] += float64(wk * grow[j])
 			}
 		}
 	}
@@ -266,7 +317,7 @@ func gspmmWSumGradWRange(gw, grad, x []float64, rowptr, col, eid []int, n, f, lo
 			xrow := x[col[k]*f : (col[k]+1)*f]
 			var dot float64
 			for j := 0; j < f; j++ {
-				dot += xrow[j] * grow[j]
+				dot += float64(xrow[j] * grow[j])
 			}
 			gw[ek] += dot
 		}
@@ -417,7 +468,7 @@ func edgeSoftmaxGradRange(gs, alpha, grad []float64, dst []int, dots []float64, 
 		grow := grad[k*h : (k+1)*h]
 		drow := dots[d*h : (d+1)*h]
 		for j := 0; j < h; j++ {
-			drow[j] += arow[j] * grow[j]
+			drow[j] += float64(arow[j] * grow[j])
 		}
 	}
 	for k, d := range dst {

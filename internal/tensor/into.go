@@ -180,8 +180,8 @@ func sigmoidGradRange(dst, dg, y []float64, lo, hi int) {
 	}
 }
 
-// ReLUInto computes dst = max(0, t) elementwise (math.Max, so NaN inputs stay
-// NaN). dst may alias t.
+// ReLUInto computes dst = max(0, t) elementwise, math.Max(0, t) bit for bit:
+// −0 gives +0 and every NaN gives math.NaN(). dst may alias t.
 func ReLUInto(dst, t *Tensor) {
 	assertSameShape("ReLUInto", dst, t)
 	if parallel.Inline(len(t.Data), mapGrain) {
@@ -191,9 +191,19 @@ func ReLUInto(dst, t *Tensor) {
 	parallel.For(len(t.Data), mapGrain, func(lo, hi int) { reluRange(dst.Data, t.Data, lo, hi) })
 }
 
+// reluRange works on the bit patterns, so no branch depends on the sign:
+// activations are about half negative, and a compare-and-branch form
+// mispredicts on every other element (slower than the math.Max call).
 func reluRange(dst, t []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = math.Max(0, t[i])
+	t = t[lo:hi]
+	dst = dst[lo:hi]
+	for i, v := range t {
+		b := math.Float64bits(v)
+		r := b &^ uint64(int64(b)>>63) // a set sign bit (−0 too) gives +0
+		if b<<1 > 0x7FF<<53 {          // NaN, any sign or payload
+			r = math.Float64bits(math.NaN())
+		}
+		dst[i] = math.Float64frombits(r)
 	}
 }
 
@@ -416,7 +426,7 @@ func mulSumColsRange(dst, a, b []float64, f, lo, hi int) {
 		brow := b[i*f : (i+1)*f]
 		var s float64
 		for j := 0; j < f; j++ {
-			s += arow[j] * brow[j]
+			s += float64(arow[j] * brow[j])
 		}
 		dst[i] = s
 	}

@@ -293,8 +293,12 @@ func digest(name string, outs []*Tensor) string {
 // were appended at 7609054, from the accumulate-in-memory product and
 // aggregation kernels, to pin their register-accumulating rewrite. Each
 // aliasing a kernel's comment allows is applied in place and must give the
-// same bits.
+// same bits. Both strip paths, AVX2 and pure Go, must match the file.
 func TestIntoKernelsMatchGolden(t *testing.T) {
+	forEachStripPath(t, testIntoKernelsMatchGolden)
+}
+
+func testIntoKernelsMatchGolden(t *testing.T) {
 	in := newIntoInputs()
 	cases := intoCases(in)
 	prev := parallel.SetWorkers(1)
@@ -374,11 +378,15 @@ func TestMulRowVectorIntoAndSumColsInto(t *testing.T) {
 // TestMatMulIntoInlineZeroAllocs: on the inline path — one worker, or a
 // product below one grain at seven — MatMulInto builds no parallel.For
 // closure and keeps its term lists on the stack, for every K (here 300,
-// past the K tile), so it allocates nothing.
+// past the K tile), so it allocates nothing, on either strip path.
 func TestMatMulIntoInlineZeroAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	forEachStripPath(t, testMatMulIntoInlineZeroAllocs)
+}
+
+func testMatMulIntoInlineZeroAllocs(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	in := newIntoInputs()
 	small, smallB := NewRNG(1).Randn(1, 3, 300), NewRNG(2).Randn(1, 300, 5)
@@ -402,11 +410,16 @@ func TestMatMulIntoInlineZeroAllocs(t *testing.T) {
 }
 
 // TestAggregateRowsIntoInlineZeroAllocs: the destination-row aggregation,
-// plain and weighted, allocates nothing on the inline path.
+// plain and weighted, allocates nothing on the inline path, on either strip
+// path.
 func TestAggregateRowsIntoInlineZeroAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	forEachStripPath(t, testAggregateRowsIntoInlineZeroAllocs)
+}
+
+func testAggregateRowsIntoInlineZeroAllocs(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	in := newIntoInputs()
 	c := in.aggCSR

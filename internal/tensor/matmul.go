@@ -11,13 +11,12 @@ import (
 //
 // Each product is an Into kernel that writes a caller-provided destination,
 // so pooled buffers can be reused with zero allocations. The kernels fully
-// define the result (accumulating forms zero dst first); dst must not alias
-// either operand.
+// define the result; dst must not alias either operand.
 //
-// The inner loops are cache-blocked and unrolled or register-blocked, but
-// always accumulate each output element over p in strictly increasing order —
-// the same order the original straight-line kernels used — so results stay
-// bit-identical to serial execution for any worker count and any block size.
+// All three products run one kernel (mmArgs.rows): each output element builds
+// up in a register over its terms in strictly increasing p — the order of
+// the straight-line kernels they replaced — so results stay bit-identical to
+// serial execution for any worker count and any block size.
 //
 // Kernels that would normally run through parallel.For call their range
 // function directly when parallel.Inline says the work stays serial: a
@@ -31,13 +30,16 @@ const (
 	// lives on the stack.
 	mmBlockK = 128
 	mmBlockJ = 256
-	// stripWidth is how many output columns MatMulInto and
-	// AggregateRowsInto keep in registers per pass over a row's terms.
-	// Go/amd64 has 15 usable XMM registers; at eight the compiler loads and
-	// multiplies all eight terms before adding them and keeps two
-	// accumulators on the stack, an L1 round trip each per term. Four and
-	// six wide do not spill and measured no faster (DESIGN §12.2).
+	// stripWidth is how many output columns the pure-Go strips (mmStrip8,
+	// aggStrip8) keep in registers per pass over a row's terms. Go/amd64 has
+	// 15 usable XMM registers; at eight the compiler loads and multiplies all
+	// eight terms before adding them and keeps two accumulators on the
+	// stack, an L1 round trip each per term. Four and six wide do not spill
+	// and measured no faster (DESIGN §12.2).
 	stripWidth = 8
+	// vecStripWidth is the AVX2 strips' width: four YMM accumulators of four
+	// doubles each (strip_amd64.s).
+	vecStripWidth = 16
 )
 
 // allFinite reports whether every element is finite (no NaN, no ±Inf).
@@ -56,9 +58,9 @@ func allFinite(d []float64) bool {
 //
 // Each output element builds up in a register: for one row of a and one
 // block of K, the kernel lists the terms a[i,p]·b[p,:] once and then sweeps
-// strips of stripWidth output columns, adding the terms to one accumulator
-// per column in increasing p. Partial sums carry through dst between K blocks,
-// so every element still adds its terms in increasing p, the order of the
+// strips of output columns, adding the terms to one accumulator per column
+// in increasing p. Partial sums carry through dst between K blocks, so every
+// element still adds its terms in increasing p, the order of the
 // straight-line kernel, for any worker count and block size. Tiling p and j
 // keeps an mmBlockK×mmBlockJ panel of b hot across every row a worker owns.
 //
@@ -79,127 +81,14 @@ func MatMulInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v @ %v", a.Shape(), b.Shape()))
 	}
 	checkDst("MatMul", dst, m, n)
-	skipZero := allFinite(b.Data)
-	grain := parallel.RowGrain(2 * k * n)
-	if parallel.Inline(m, grain) {
-		matMulRange(dst.Data, a.Data, b.Data, k, n, skipZero, 0, m)
-		return
-	}
-	parallel.For(m, grain, func(lo, hi int) {
-		matMulRange(dst.Data, a.Data, b.Data, k, n, skipZero, lo, hi)
-	})
-}
-
-// matMulRange computes rows [lo,hi) of dst = a @ b with p/j tiling.
-func matMulRange(dst, a, b []float64, k, n int, skipZero bool, lo, hi int) {
-	if k == 0 {
-		zero(dst[lo*n : hi*n])
-		return
-	}
-	var terms mmTerms
-	for j0 := 0; j0 < n; j0 += mmBlockJ {
-		j1 := min(j0+mmBlockJ, n)
-		for p0 := 0; p0 < k; p0 += mmBlockK {
-			p1 := min(p0+mmBlockK, k)
-			for i := lo; i < hi; i++ {
-				off, coef := terms.list(a[i*k+p0:i*k+p1], p0, n, skipZero)
-				orow := dst[i*n : (i+1)*n]
-				j := j0
-				for ; j+stripWidth <= j1; j += stripWidth {
-					mmStrip8(orow[j:j+stripWidth], b[j:], off, coef, p0 == 0)
-				}
-				for ; j < j1; j++ {
-					acc := 0.0
-					if p0 > 0 {
-						acc = orow[j]
-					}
-					for q, o := range off {
-						acc += coef[q] * b[o+j]
-					}
-					orow[j] = acc
-				}
-			}
-		}
-	}
-}
-
-// mmTerms lists one row block's terms: b row offset p·N and coefficient
-// a[i,p], in increasing p.
-type mmTerms struct {
-	off  [mmBlockK]int
-	coef [mmBlockK]float64
-}
-
-// list fills t from arow = a[i, p0:p0+len(arow)], leaving out ±0
-// coefficients when skipZero, and returns the filled prefixes. It does not
-// branch on the data: every entry is written, and the count advances only
-// past nonzeros.
-func (t *mmTerms) list(arow []float64, p0, n int, skipZero bool) ([]int, []float64) {
-	cnt := 0
-	for q, av := range arow {
-		t.off[cnt] = (p0 + q) * n
-		t.coef[cnt] = av
-		if !skipZero {
-			cnt++
-			continue
-		}
-		bits := math.Float64bits(av) << 1 // drops the sign: ±0 → 0
-		cnt += int((bits | -bits) >> 63)  // 1 unless bits == 0
-	}
-	return t.off[:cnt], t.coef[:cnt]
-}
-
-// mmStrip8 adds the listed terms to eight output columns: o[c] +=
-// Σ_q coef[q]·b[off[q]+c] in increasing q, with o's eight sums held in
-// registers. fresh starts them at +0 instead of loading o, on a row's first
-// K block.
-func mmStrip8(o, b []float64, off []int, coef []float64, fresh bool) {
-	o = o[:stripWidth]
-	var c0, c1, c2, c3, c4, c5, c6, c7 float64
-	if !fresh {
-		c0, c1, c2, c3, c4, c5, c6, c7 = o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
-	}
-	coef = coef[:len(off)]
-	for q, p := range off {
-		av := coef[q]
-		r := b[p : p+stripWidth]
-		c0 += av * r[0]
-		c1 += av * r[1]
-		c2 += av * r[2]
-		c3 += av * r[3]
-		c4 += av * r[4]
-		c5 += av * r[5]
-		c6 += av * r[6]
-		c7 += av * r[7]
-	}
-	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c0, c1, c2, c3, c4, c5, c6, c7
-}
-
-// axpyUnrolled performs orow[j] += av * brow[j] with 4-way unrolling. The
-// four lanes touch distinct elements, so each element still sees one add —
-// bit-identical to the rolled loop — while the CPU overlaps the chains.
-func axpyUnrolled(orow, brow []float64, av float64) {
-	j, w := 0, len(orow)
-	if len(brow) < w {
-		w = len(brow) // bounds hint for the compiler; lengths are equal
-	}
-	for ; j+4 <= w; j += 4 {
-		orow[j] += av * brow[j]
-		orow[j+1] += av * brow[j+1]
-		orow[j+2] += av * brow[j+2]
-		orow[j+3] += av * brow[j+3]
-	}
-	for ; j < w; j++ {
-		orow[j] += av * brow[j]
-	}
+	mm := mmArgs{dst: dst.Data, a: a.Data, b: b.Data, as0: k, as1: 1, k: k, n: n}
+	mm.run(m)
 }
 
 // MatMulTAInto computes dst = aᵀ @ b for a [K,M], b [K,N], dst [M,N].
-// dst is fully overwritten and must not alias a or b. Workers own contiguous
-// ranges of output rows; within a range the p loop stays outermost (rows of a
-// and b stream contiguously) and tiled, so every output element accumulates
-// over p in increasing order. The zero-skip carries the same finiteness guard
-// as MatMulInto.
+// dst is fully overwritten and must not alias a or b. It is MatMulInto's
+// kernel reading a with its strides swapped: row i's terms are column i of
+// a. Zero terms are skipped under the same finiteness guard.
 func MatMulTAInto(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTA wants rank-2 operands, got %v and %v", a.Shape(), b.Shape()))
@@ -210,44 +99,14 @@ func MatMulTAInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulTA dimension mismatch %v and %v", a.Shape(), b.Shape()))
 	}
 	checkDst("MatMulTA", dst, m, n)
-	skipZero := allFinite(b.Data)
-	grain := parallel.RowGrain(2 * k * n)
-	if parallel.Inline(m, grain) {
-		matMulTARange(dst.Data, a.Data, b.Data, k, m, n, skipZero, 0, m)
-		return
-	}
-	parallel.For(m, grain, func(lo, hi int) {
-		matMulTARange(dst.Data, a.Data, b.Data, k, m, n, skipZero, lo, hi)
-	})
-}
-
-// matMulTARange computes rows [lo,hi) of dst = aᵀ @ b with p tiling.
-func matMulTARange(dst, a, b []float64, k, m, n int, skipZero bool, lo, hi int) {
-	zero(dst[lo*n : hi*n])
-	for p0 := 0; p0 < k; p0 += mmBlockK {
-		p1 := p0 + mmBlockK
-		if p1 > k {
-			p1 = k
-		}
-		for p := p0; p < p1; p++ {
-			arow := a[p*m : (p+1)*m]
-			brow := b[p*n : (p+1)*n]
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 && skipZero {
-					continue
-				}
-				axpyUnrolled(dst[i*n:(i+1)*n], brow, av)
-			}
-		}
-	}
+	mm := mmArgs{dst: dst.Data, a: a.Data, b: b.Data, as0: 1, as1: m, k: k, n: n}
+	mm.run(m)
 }
 
 // MatMulTBInto computes dst = a @ bᵀ for a [M,K], b [N,K], dst [M,N].
-// dst is fully overwritten and must not alias a or b. Each output element is
-// an independent dot product with a single sequential accumulator (bit-exact
-// with the original kernel); the j loop is 4-way unrolled so four dot chains
-// run concurrently over the same streamed row of a.
+// dst is fully overwritten and must not alias a or b. It is MatMulInto's
+// kernel over panels of bᵀ, K block by vecStripWidth columns, packed onto
+// the stack. Zero terms are skipped under the same finiteness guard.
 func MatMulTBInto(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTB wants rank-2 operands, got %v and %v", a.Shape(), b.Shape()))
@@ -258,46 +117,195 @@ func MatMulTBInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulTB dimension mismatch %v and %v", a.Shape(), b.Shape()))
 	}
 	checkDst("MatMulTB", dst, m, n)
-	grain := parallel.RowGrain(2 * k * n)
-	if parallel.Inline(m, grain) {
-		matMulTBRange(dst.Data, a.Data, b.Data, k, n, 0, m)
-		return
-	}
-	parallel.For(m, grain, func(lo, hi int) {
-		matMulTBRange(dst.Data, a.Data, b.Data, k, n, lo, hi)
-	})
+	mm := mmArgs{dst: dst.Data, a: a.Data, b: b.Data, as0: k, as1: 1, bT: true, k: k, n: n}
+	mm.run(m)
 }
 
-// matMulTBRange computes rows [lo,hi) of dst = a @ bᵀ.
-func matMulTBRange(dst, a, b []float64, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := dst[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[j*k : (j+1)*k]
-			b1 := b[(j+1)*k : (j+2)*k]
-			b2 := b[(j+2)*k : (j+3)*k]
-			b3 := b[(j+3)*k : (j+4)*k]
-			var s0, s1, s2, s3 float64
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+// mmArgs is one product dst [M,N] = A·B. A's element (i,p) is
+// a[i*as0+p*as1]; B's element (p,j) is b[p*n+j], or b[j*k+p] when bT.
+type mmArgs struct {
+	dst, a, b []float64
+	as0, as1  int
+	bT        bool
+	k, n      int
+	skipZero  bool
+}
+
+// run computes all m rows of the product, on the worker pool when the
+// product is large enough.
+func (mm *mmArgs) run(m int) {
+	mm.skipZero = allFinite(mm.b)
+	grain := parallel.RowGrain(2 * mm.k * mm.n)
+	if parallel.Inline(m, grain) {
+		mm.rows(0, m)
+		return
+	}
+	c := *mm // the closure holds this copy, so mm stays on the caller's stack
+	parallel.For(m, grain, func(lo, hi int) { c.rows(lo, hi) })
+}
+
+// rows computes rows [lo,hi) of the product with p/j tiling. A transposed b
+// is packed, one K block by vecStripWidth columns at a time, into a stack
+// panel laid out as an untransposed b would be.
+func (mm mmArgs) rows(lo, hi int) {
+	k, n := mm.k, mm.n
+	if k == 0 {
+		zero(mm.dst[lo*n : hi*n])
+		return
+	}
+	var terms mmTerms
+	if !mm.bT {
+		for j0 := 0; j0 < n; j0 += mmBlockJ {
+			j1 := min(j0+mmBlockJ, n)
+			for p0 := 0; p0 < k; p0 += mmBlockK {
+				mm.block(&terms, mm.b[p0*n+j0:], n, lo, hi, p0, min(p0+mmBlockK, k), j0, j1)
 			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
-		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s float64
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
+		return
+	}
+	var panel [mmBlockK * vecStripWidth]float64
+	for j0 := 0; j0 < n; j0 += vecStripWidth {
+		j1 := min(j0+vecStripWidth, n)
+		w := j1 - j0
+		for p0 := 0; p0 < k; p0 += mmBlockK {
+			p1 := min(p0+mmBlockK, k)
+			for c := 0; c < w; c++ {
+				brow := mm.b[(j0+c)*k+p0 : (j0+c)*k+p1]
+				for q, v := range brow {
+					panel[q*w+c] = v
+				}
 			}
-			orow[j] = s
+			mm.block(&terms, panel[:], w, lo, hi, p0, p1, j0, j1)
 		}
 	}
+}
+
+// block adds K block [p0,p1) of rows [lo,hi) into dst's columns [j0,j1).
+// Row p of B's block, from column j0 on, starts at bp[(p-p0)*bs]. On the
+// first K block the accumulators start at +0 instead of loading dst.
+func (mm *mmArgs) block(t *mmTerms, bp []float64, bs, lo, hi, p0, p1, j0, j1 int) {
+	for i := lo; i < hi; i++ {
+		var off []int
+		var coef []float64
+		if s := i*mm.as0 + p0*mm.as1; mm.as1 == 1 {
+			off, coef = t.list(mm.a[s:s+p1-p0], bs, mm.skipZero)
+		} else {
+			off, coef = t.listStrided(mm.a, s, mm.as1, p1-p0, bs, mm.skipZero)
+		}
+		mmStrips(mm.dst[i*mm.n+j0:i*mm.n+j1], bp, off, coef, p0 == 0)
+	}
+}
+
+// mmTerms lists one row block's terms: offset q·bs of the term's row in the
+// block of b, and coefficient a[i,p0+q], in increasing q.
+type mmTerms struct {
+	off  [mmBlockK]int
+	coef [mmBlockK]float64
+}
+
+// list fills t from arow = a[i, p0:p0+len(arow)], leaving out ±0
+// coefficients when skipZero, and returns the filled prefixes. It does not
+// branch on the data: every entry is written, and the count advances only
+// past nonzeros. It stays out of line, where its few live values fit in
+// registers; inlined into block's loop it spilled them to the stack.
+//
+//go:noinline
+func (t *mmTerms) list(arow []float64, bs int, skipZero bool) ([]int, []float64) {
+	if len(arow) > mmBlockK {
+		panic("tensor: term list longer than the K block")
+	}
+	if !skipZero {
+		for q, av := range arow {
+			t.off[q] = q * bs
+			t.coef[q] = av
+		}
+		return t.off[:len(arow)], t.coef[:len(arow)]
+	}
+	cnt, o := 0, 0
+	for _, av := range arow {
+		c := cnt & (mmBlockK - 1) // cnt < mmBlockK: no bounds check
+		t.off[c] = o
+		t.coef[c] = av
+		o += bs
+		bits := math.Float64bits(av) << 1 // drops the sign: ±0 → 0
+		cnt += int((bits | -bits) >> 63)  // 1 unless bits == 0
+	}
+	return t.off[:cnt], t.coef[:cnt]
+}
+
+// listStrided is list over the nq coefficients a[s], a[s+stride], ….
+func (t *mmTerms) listStrided(a []float64, s, stride, nq, bs int, skipZero bool) ([]int, []float64) {
+	cnt := 0
+	for q := 0; q < nq; q++ {
+		av := a[s+q*stride]
+		t.off[cnt] = q * bs
+		t.coef[cnt] = av
+		if !skipZero {
+			cnt++
+			continue
+		}
+		bits := math.Float64bits(av) << 1
+		cnt += int((bits | -bits) >> 63)
+	}
+	return t.off[:cnt], t.coef[:cnt]
+}
+
+// mmStrips adds the listed terms to the output columns o: o[c] +=
+// Σ_q coef[q]·bp[off[q]+c] in increasing q, or o[c] = that sum when fresh.
+// It sweeps AVX2 strips of vecStripWidth columns where the CPU has them,
+// then pure-Go strips of stripWidth, then single columns.
+func mmStrips(o, bp []float64, off []int, coef []float64, fresh bool) {
+	coef = coef[:len(off)]
+	if len(off) > 0 {
+		// The offsets increase, so this one check puts every address the
+		// strips read inside bp, as mmStrips16 needs.
+		_ = bp[off[len(off)-1]+len(o)-1]
+	}
+	j := 0
+	if haveAVX2 {
+		j = len(o) &^ (vecStripWidth - 1)
+		mmStrips16(o[:j], bp, off, coef, fresh)
+	}
+	for ; j+stripWidth <= len(o); j += stripWidth {
+		mmStrip8(o[j:j+stripWidth], bp[j:], off, coef, fresh)
+	}
+	for ; j < len(o); j++ {
+		acc := 0.0
+		if !fresh {
+			acc = o[j]
+		}
+		for q, p := range off {
+			acc += float64(coef[q] * bp[p+j])
+		}
+		o[j] = acc
+	}
+}
+
+// mmStrip8 adds the listed terms to eight output columns: o[c] +=
+// Σ_q coef[q]·b[off[q]+c] in increasing q, with o's eight sums held in
+// registers. fresh starts them at +0 instead of loading o, on a row's first
+// K block. The conversions round each product before the add, so no
+// architecture fuses them into a multiply-add.
+func mmStrip8(o, b []float64, off []int, coef []float64, fresh bool) {
+	o = o[:stripWidth]
+	var c0, c1, c2, c3, c4, c5, c6, c7 float64
+	if !fresh {
+		c0, c1, c2, c3, c4, c5, c6, c7 = o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
+	}
+	coef = coef[:len(off)]
+	for q, p := range off {
+		av := coef[q]
+		r := b[p : p+stripWidth]
+		c0 += float64(av * r[0])
+		c1 += float64(av * r[1])
+		c2 += float64(av * r[2])
+		c3 += float64(av * r[3])
+		c4 += float64(av * r[4])
+		c5 += float64(av * r[5])
+		c6 += float64(av * r[6])
+		c7 += float64(av * r[7])
+	}
+	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c0, c1, c2, c3, c4, c5, c6, c7
 }
 
 // checkDst panics unless dst is a rank-2 [m,n] tensor.

@@ -56,7 +56,7 @@ func Dot(a, b *Tensor) float64 {
 	assertSameShape("Dot", a, b)
 	var s float64
 	for i := range a.Data {
-		s += a.Data[i] * b.Data[i]
+		s += float64(a.Data[i] * b.Data[i])
 	}
 	return s
 }
@@ -70,7 +70,7 @@ func AllClose(a, b *Tensor, rtol, atol float64) bool {
 	}
 	for i := range a.Data {
 		d := math.Abs(a.Data[i] - b.Data[i])
-		if d > atol+rtol*math.Abs(b.Data[i]) {
+		if d > atol+float64(rtol*math.Abs(b.Data[i])) {
 			return false
 		}
 	}

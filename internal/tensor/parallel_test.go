@@ -32,8 +32,13 @@ func bitIdentical(a, b *Tensor) bool {
 
 // TestParallelKernelsBitIdenticalToSerial sweeps every parallelized tensor
 // kernel over worker counts {1, 2, 3, GOMAXPROCS} on odd sizes chosen so the
-// pool genuinely splits the work, asserting bitwise-equal float64 output.
+// pool genuinely splits the work, asserting bitwise-equal float64 output,
+// on both strip paths.
 func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
+	forEachStripPath(t, testParallelKernelsBitIdenticalToSerial)
+}
+
+func testParallelKernelsBitIdenticalToSerial(t *testing.T) {
 	rng := NewRNG(7)
 	// Odd matmul shapes with rows cheap enough to split across chunks.
 	a := rng.Randn(1, 37, 129)

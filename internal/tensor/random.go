@@ -54,7 +54,7 @@ func (g *RNG) Randn(std float64, shape ...int) *Tensor {
 func (g *RNG) Uniform(lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
-		t.Data[i] = lo + (hi-lo)*g.r.Float64()
+		t.Data[i] = lo + float64((hi-lo)*g.r.Float64())
 	}
 	return t
 }

@@ -60,7 +60,7 @@ func ArgMaxRows(t *Tensor) []int {
 func Norm(t *Tensor) float64 {
 	var s float64
 	for _, v := range t.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -109,7 +109,7 @@ func MeanStdInto(mean, std, t *Tensor) {
 		row := t.Data[i*f : (i+1)*f]
 		for j := 0; j < f; j++ {
 			d := row[j] - mean.Data[j]
-			std.Data[j] += d * d
+			std.Data[j] += float64(d * d)
 		}
 	}
 	for j := 0; j < f; j++ {

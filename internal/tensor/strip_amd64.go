@@ -1,0 +1,53 @@
+package tensor
+
+// haveAVX2 reports whether the product and aggregation kernels run their
+// AVX2 strips (strip_amd64.s). It is set once, at init, from CPUID and XCR0;
+// without it the pure-Go strips run, with the same bits.
+var haveAVX2 = detectAVX2()
+
+// detectAVX2 reports whether the CPU has AVX and AVX2 and the OS saves YMM
+// state: CPUID.1:ECX's OSXSAVE and AVX bits, XCR0's XMM and YMM bits, and
+// CPUID.(7,0):EBX's AVX2 bit.
+func detectAVX2() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv returns XCR0.
+func xgetbv() (eax, edx uint32)
+
+// mmStrips16 is mmStrip8 over each 16-column strip of o (len(o)/16 of
+// them), four doubles per instruction: o[c] += Σ_q coef[q]·b[off[q]+c] in
+// increasing q, or o[c] = that sum when fresh. It reads through raw
+// pointers: the caller guarantees len(coef) ≥ len(off) and, for every q,
+// b[off[q]+c] in range for each column c it writes.
+//
+//go:noescape
+func mmStrips16(o, b []float64, off []int, coef []float64, fresh bool)
+
+// aggStrips16 is aggStrip8's plain sum over each 16-column strip of o:
+// o[c] = Σ_q x[cols[q]·f+c]. The caller guarantees x[cols[q]·f+c] in range
+// for every q and each column c it writes.
+//
+//go:noescape
+func aggStrips16(o, x []float64, cols []int, f int)
+
+// aggStrips16W is aggStrip8's weighted sum over each 16-column strip of o:
+// o[c] = Σ_q w[eids[q]]·x[cols[q]·f+c]. The caller guarantees, besides
+// aggStrips16's condition, len(eids) ≥ len(cols) and every eids[q] < len(w).
+//
+//go:noescape
+func aggStrips16W(o, x, w []float64, cols, eids []int, f int)

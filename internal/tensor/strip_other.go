@@ -1,0 +1,19 @@
+//go:build !amd64
+
+package tensor
+
+// haveAVX2 is false off amd64: the pure-Go strips run, and nothing calls
+// the declarations below, which only keep the callers portable.
+var haveAVX2 = false
+
+func mmStrips16(o, b []float64, off []int, coef []float64, fresh bool) {
+	panic("tensor: no AVX2 strips on this architecture")
+}
+
+func aggStrips16(o, x []float64, cols []int, f int) {
+	panic("tensor: no AVX2 strips on this architecture")
+}
+
+func aggStrips16W(o, x, w []float64, cols, eids []int, f int) {
+	panic("tensor: no AVX2 strips on this architecture")
+}
