@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/datasets"
@@ -38,10 +39,22 @@ func measureBreakdowns(s Settings, d *datasets.Dataset, collectLayers bool) []Br
 		datasets.StratifiedKFold(tensor.NewRNG(s.Seed^0xb0), d.GraphLabels(), 5))
 	split := splits[0]
 
+	// One untimed collation per backend, at the largest batch size, first:
+	// the first measured row then does not pay alone for growing the heap
+	// that every later row reuses.
+	for _, be := range Backends() {
+		be.Batch(d.Graphs[:min(len(d.Graphs), 256)], device.Default())
+	}
 	var rows []BreakdownRow
 	for _, model := range models.AllNames() {
 		for _, be := range Backends() {
 			for _, bs := range batchSizes() {
+				// Start each row from a collected heap. Collation is charged
+				// at scaled wall time, so garbage left by the previous row's
+				// model would otherwise be swept by GC assists inside this
+				// row's batching and inflate its data loading by an amount
+				// that depends on which model ran before.
+				runtime.GC()
 				dev := device.Default()
 				m := buildModel(model, be, s.graphConfig(model, d, s.Seed))
 				fr := train.TrainGraphFold(m, d, split, train.GraphOptions{

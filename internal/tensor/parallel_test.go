@@ -35,10 +35,6 @@ func bitIdentical(a, b *Tensor) bool {
 // pool genuinely splits the work, asserting bitwise-equal float64 output,
 // on both strip paths.
 func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
-	forEachStripPath(t, testParallelKernelsBitIdenticalToSerial)
-}
-
-func testParallelKernelsBitIdenticalToSerial(t *testing.T) {
 	rng := NewRNG(7)
 	// Odd matmul shapes with rows cheap enough to split across chunks.
 	a := rng.Randn(1, 37, 129)
@@ -92,17 +88,19 @@ func testParallelKernelsBitIdenticalToSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			prev := parallel.SetWorkers(1)
-			defer parallel.SetWorkers(prev)
-			want := tc.f()
-			for _, w := range parallelWorkerCounts()[1:] {
-				parallel.SetWorkers(w)
-				got := tc.f()
-				if !bitIdentical(want, got) {
-					t.Fatalf("%s: %d-worker result differs from serial (max diff %g)",
-						tc.name, w, MaxAbsDiff(want, got))
+			forEachStripPath(t, func(t *testing.T) {
+				prev := parallel.SetWorkers(1)
+				defer parallel.SetWorkers(prev)
+				want := tc.f()
+				for _, w := range parallelWorkerCounts()[1:] {
+					parallel.SetWorkers(w)
+					got := tc.f()
+					if !bitIdentical(want, got) {
+						t.Fatalf("%s: %d-worker result differs from serial (max diff %g)",
+							tc.name, w, MaxAbsDiff(want, got))
+					}
 				}
-			}
+			})
 		})
 	}
 }
