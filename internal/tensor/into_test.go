@@ -36,6 +36,14 @@ type intoInputs struct {
 	aggX, aggW      *Tensor // [60,37] with -0 entries; one weight per arc
 	aggS, aggD      []int   // arcs into 53 rows: duplicates, self-loops, unsorted, rows 45.. empty
 	aggCSR          byDst   // (aggS, aggD) grouped by destination
+
+	// The aggregation epilogue's operands: a bias per column of aggX and of
+	// aggX75 (75 = 64 + 8 + 3 columns reach every strip width and the
+	// scalar tail) and a scale per destination row, 0 on the empty rows as
+	// DGL's inverse degree roots are.
+	aggBias, aggBias75 *Tensor // [37], [75]
+	aggScale           *Tensor // [53]
+	aggX75             *Tensor // [60,75] with -0 entries
 }
 
 func newIntoInputs() *intoInputs {
@@ -96,7 +104,36 @@ func newIntoInputs() *intoInputs {
 		in.aggW.Data[i] = negZero
 	}
 	in.aggCSR = newByDst(53, in.aggS, in.aggD)
+
+	in.aggBias = rng.Randn(1, 37)
+	in.aggBias.Data[3] = negZero
+	in.aggBias75 = rng.Randn(1, 75)
+	in.aggScale = rng.Randn(1, 53)
+	for v := 45; v < 53; v++ {
+		in.aggScale.Data[v] = 0
+	}
+	in.aggX75 = rng.Randn(1, 60, 75)
+	for i := 0; i < len(in.aggX75.Data); i += 5 {
+		in.aggX75.Data[i] = negZero
+	}
 	return in
+}
+
+// aggEpilogue is the destination-row aggregation of x (weighted by w when
+// not nil) over in.aggCSR followed by GCN's epilogue: row v times scale[v]
+// when scale is not nil, plus bias, then ReLU when relu is set.
+func (in *intoInputs) aggEpilogue(x *Tensor, w []float64, scale, bias *Tensor, relu bool) []*Tensor {
+	c := in.aggCSR
+	d := Full(math.NaN(), 53, x.Cols()) // fully overwritten
+	AggregateRowsInto(d, x, w, c.rowptr, c.col, c.eid)
+	if scale != nil {
+		MulColVectorInto(d, d, scale)
+	}
+	AddRowVectorInto(d, d, bias)
+	if relu {
+		ReLUInto(d, d)
+	}
+	return []*Tensor{d}
 }
 
 // intoCase is one kernel: run writes fresh destinations and returns them;
@@ -231,6 +268,26 @@ func intoCases(in *intoInputs) []intoCase {
 			AggregateRowsInto(d, in.aggX, in.aggW.Data, in.aggCSR.rowptr, in.aggCSR.col, in.aggCSR.eid)
 			return one(d)
 		}, nil},
+		// GCN's layer epilogues: PyG's weighted sum + bias (+ ReLU between
+		// layers), DGL's plain sum × inverse degree root + bias (+ ReLU).
+		{"AggregateRowsInto weighted bias ReLU", func() []*Tensor {
+			return in.aggEpilogue(in.aggX, in.aggW.Data, nil, in.aggBias, true)
+		}, nil},
+		{"AggregateRowsInto weighted bias", func() []*Tensor {
+			return in.aggEpilogue(in.aggX, in.aggW.Data, nil, in.aggBias, false)
+		}, nil},
+		{"AggregateRowsInto scale bias ReLU", func() []*Tensor {
+			return in.aggEpilogue(in.aggX, nil, in.aggScale, in.aggBias, true)
+		}, nil},
+		{"AggregateRowsInto scale bias", func() []*Tensor {
+			return in.aggEpilogue(in.aggX, nil, in.aggScale, in.aggBias, false)
+		}, nil},
+		{"AggregateRowsInto weighted bias ReLU 75 wide", func() []*Tensor {
+			return in.aggEpilogue(in.aggX75, in.aggW.Data, nil, in.aggBias75, true)
+		}, nil},
+		{"AggregateRowsInto scale bias ReLU 75 wide", func() []*Tensor {
+			return in.aggEpilogue(in.aggX75, nil, in.aggScale, in.aggBias75, true)
+		}, nil},
 	}
 }
 
@@ -291,7 +348,10 @@ func digest(name string, outs []*Tensor) string {
 // name; the other grad kernels from themselves), so it pins the collapse:
 // range kernels ≡ closure kernels, bit for bit. The rows from MatMulInto on
 // were appended at 7609054, from the accumulate-in-memory product and
-// aggregation kernels, to pin their register-accumulating rewrite. Each
+// aggregation kernels, to pin their register-accumulating rewrite. The
+// AggregateRowsInto epilogue rows were appended from the aggregation
+// followed by the separate MulColVectorInto, AddRowVectorInto and ReLUInto
+// passes, to pin the fused epilogue that replaced them. Each
 // aliasing a kernel's comment allows is applied in place and must give the
 // same bits. Both strip paths, AVX2 and pure Go, must match the file.
 func TestIntoKernelsMatchGolden(t *testing.T) {
