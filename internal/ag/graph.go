@@ -84,6 +84,10 @@ type Node struct {
 	fwd          func()
 	flops, bytes int64
 	label        string
+	// epi is the epilogue slot of an inference tape's destination-row
+	// aggregation (GatherScatter, GSpMMSum), which its kernel reads on
+	// every run; Epilogue fills it. nil on every other node.
+	epi *tensor.Epilogue
 }
 
 // Value returns the node's tensor.
@@ -186,10 +190,12 @@ func (g *Graph) op(out **tensor.Tensor, requiresGrad bool, label string, flops, 
 
 // deviceOnly records a kernel the simulated device is charged for but the
 // host does not run, whose output of outBytes the device holds until Finish:
-// an op an inference tape has fused into a later one. Replays charge it
-// again, so recorded and replayed passes see the same kernel stream.
-func (g *Graph) deviceOnly(label string, flops, bytes, outBytes int64) {
-	g.run(flops, bytes, nop)
+// an op an inference tape has fused into another. Replays charge it again,
+// so recorded and replayed passes see the same kernel stream. host is the
+// work this recording does in the kernel's place (nop when there is none);
+// replays run nop.
+func (g *Graph) deviceOnly(label string, flops, bytes, outBytes int64, host func()) {
+	g.run(flops, bytes, host)
 	g.charge(outBytes)
 	g.tape = append(g.tape, &Node{fwd: nop, flops: flops, bytes: bytes, label: label})
 }

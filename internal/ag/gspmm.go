@@ -19,20 +19,24 @@ import (
 // execution with zero atomics.
 
 // GSpMMSum computes out[v] = Σ_{k ∈ [rowptr[v], rowptr[v+1])} x[col[k]]
-// in one fused kernel.
+// in one fused kernel. On an inference tape, Epilogue can fold the row
+// scale, bias and ReLU that follow it into that kernel.
 func (g *Graph) GSpMMSum(x *Node, rowptr, col []int) *Node {
 	check2("GSpMMSum", x)
 	n := len(rowptr) - 1
 	f := x.T.Cols()
 	e := len(col)
 	sz := int64(e * f)
-	var out *tensor.Tensor
-	res := g.op(&out, x.requiresGrad, "gspmm-sum", sz, 24*sz, func() {
-		if out == nil {
-			out = g.get(n, f)
+	a := new(aggOut)
+	res := g.op(&a.out, x.requiresGrad, "gspmm-sum", sz, 24*sz, func() {
+		if a.out == nil {
+			a.out = g.get(n, f)
 		}
-		tensor.GSpMMSumInto(out, x.T, rowptr, col)
+		tensor.AggregateRowsInto(a.out, x.T, nil, rowptr, col, nil, a.ep)
 	})
+	if g.inference {
+		res.epi = &a.ep
+	}
 	res.backward = func(gr *Graph) {
 		var gx *tensor.Tensor
 		gr.run(sz, 24*sz, func() {
@@ -62,7 +66,7 @@ func (g *Graph) GSpMMWeightedSum(x, w *Node, rowptr, col, eid []int) *Node {
 		if out == nil {
 			out = g.get(n, f)
 		}
-		tensor.AggregateRowsInto(out, x.T, wd, rowptr, col, eid)
+		tensor.AggregateRowsInto(out, x.T, wd, rowptr, col, eid, tensor.Epilogue{})
 	})
 	res.backward = func(gr *Graph) {
 		var gx, gw *tensor.Tensor

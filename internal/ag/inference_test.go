@@ -243,3 +243,84 @@ func TestGatherScatterIndexRange(t *testing.T) {
 		}
 	}
 }
+
+// TestEpilogueKindsAgree: Epilogue after GatherScatter (PyG) or GSpMMSum
+// (DGL) gives a training tape's ScaleRows → AddBias → ReLU chain bit for
+// bit on an inference tape, with the device charged the same kernels, work
+// and memory, on the recording and on replays over new features and
+// scales. Fused, the inference tape draws fewer pool buffers. When another
+// op follows the aggregation, the inference tape records the chain too.
+func TestEpilogueKindsAgree(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	for _, c := range []struct {
+		name        string
+		dgl, scaled bool
+		relu, after bool
+	}{
+		{"PyG bias ReLU", false, false, true, false},
+		{"PyG bias", false, false, false, false},
+		{"DGL scale bias ReLU", true, true, true, false},
+		{"DGL scale bias", true, true, false, false},
+		{"PyG bias ReLU after another op", false, false, true, true},
+		{"DGL scale bias ReLU after another op", true, true, true, true},
+	} {
+		for _, workers := range []int{1, 3} {
+			parallel.SetWorkers(workers)
+			label := fmt.Sprintf("%s workers=%d", c.name, workers)
+			fx := newGSFixture(7, 120, 3001, 33, !c.dgl)
+			rng := tensor.NewRNG(8)
+			bias := NewParameter("b", rng.Randn(1, 33))
+			scale := rng.Randn(1, 120)
+			var sc *tensor.Tensor
+			if c.scaled {
+				sc = scale
+			}
+			record := func(g *Graph) *Node {
+				var agg *Node
+				if c.dgl {
+					rowptr, col, _ := fx.ByDst()
+					agg = g.GSpMMSum(g.Input(fx.x), rowptr, col)
+				} else {
+					agg = fx.record(g)
+				}
+				if c.after {
+					g.Square(agg)
+				}
+				return g.Epilogue(agg, sc, g.Param(bias), c.relu)
+			}
+			dt, di := device.Default(), device.Default()
+			tr, inf := New(dt), NewInference(di)
+			p0 := tensor.Pool()
+			want := record(tr)
+			p1 := tensor.Pool()
+			got := record(inf)
+			p2 := tensor.Pool()
+			drawn := func(a, b tensor.PoolStats) int64 { return b.Hits + b.Misses - a.Hits - a.Misses }
+			if dtr, dinf := drawn(p0, p1), drawn(p1, p2); !c.after && dinf >= dtr {
+				t.Errorf("%s: the inference tape drew %d buffers, the training tape %d", label, dinf, dtr)
+			}
+			check := func(stage string) {
+				t.Helper()
+				assertBits(t, label+" "+stage, got.Value(), want.Value())
+				if a, b := countedWork(di.Stats()), countedWork(dt.Stats()); a != b {
+					t.Errorf("%s %s: inference tape charged %+v, training tape %+v", label, stage, a, b)
+				}
+			}
+			check("record")
+			for r := 0; r < 2; r++ {
+				for i := range fx.x.Data {
+					fx.x.Data[i] = rng.NormFloat64()
+				}
+				for i := range scale.Data {
+					scale.Data[i] = rng.NormFloat64()
+				}
+				tr.ReplayForward()
+				inf.ReplayForward()
+				check(fmt.Sprintf("replay %d", r+1))
+			}
+			tr.Finish()
+			inf.Finish()
+		}
+	}
+}

@@ -84,7 +84,7 @@ func (g *Graph) GatherScatter(x, w *Node, src, dst []int, n int, arcs tensor.Arc
 	f := x.T.Cols()
 	sz := int64(len(src) * f)
 	requiresGrad := x.requiresGrad
-	g.deviceOnly("gather", 0, 16*sz, 8*sz)
+	g.deviceOnly("gather", 0, 16*sz, 8*sz, nop)
 	var wv *tensor.Tensor
 	if w != nil {
 		if w.T.Size() != len(src) {
@@ -92,15 +92,17 @@ func (g *Graph) GatherScatter(x, w *Node, src, dst []int, n int, arcs tensor.Arc
 		}
 		wv = w.T.Reshape(len(src))
 		requiresGrad = requiresGrad || w.requiresGrad
-		g.deviceOnly("mulbcol", sz, 24*sz, 8*sz)
+		g.deviceOnly("mulbcol", sz, 24*sz, 8*sz, nop)
 	}
-	var out *tensor.Tensor
-	return g.op(&out, requiresGrad, "scatteradd", sz, 24*sz, func() {
-		if out == nil {
-			out = g.get(n, x.T.Cols()) // not f: one word less to capture keeps the closure in its size class
+	a := new(aggOut)
+	res := g.op(&a.out, requiresGrad, "scatteradd", sz, 24*sz, func() {
+		if a.out == nil {
+			a.out = g.get(n, x.T.Cols()) // not f: one word less to capture keeps the closure in its size class
 		}
-		tensor.GatherScaleScatterInto(out, x.T, wv, src, dst, arcs)
+		tensor.GatherScaleScatterInto(a.out, x.T, wv, src, dst, arcs, a.ep)
 	})
+	res.epi = &a.ep
+	return res
 }
 
 // ScatterMean averages rows of x into n destination rows. Rows receiving no

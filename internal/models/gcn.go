@@ -74,21 +74,21 @@ func (m *GCN) Forward(g *ag.Graph, b *fw.Batch, training bool, lt *profile.Layer
 		l := l
 		timeLayerOn(g, m.be, lt, fmt.Sprintf("conv%d", l+1), func() {
 			x = m.drop.Apply(g, x, training)
+			var scale *tensor.Tensor
 			if m.be.GCNNormalizeBothSides() {
 				// DGL: norm -> transform -> fused aggregate -> norm.
 				h := g.ScaleRows(x, invDeg)
 				h = m.lins[l].Apply(g, h)
-				h = m.be.AggSum(g, b, h)
-				x = g.ScaleRows(h, invDeg)
+				x = m.be.AggSum(g, b, h)
+				scale = invDeg
 			} else {
 				// PyG: transform -> one weighted scatter pass.
 				h := m.lins[l].Apply(g, x)
 				x = m.be.AggWeightedSum(g, b, h, edgeW)
 			}
-			x = g.AddBias(x, g.Param(m.biases[l]))
-			if l < len(m.lins)-1 {
-				x = g.ReLU(x)
-			}
+			// (DGL's norm ->) bias -> ReLU between layers: on an inference
+			// tape, inside the aggregation's kernel.
+			x = g.Epilogue(x, scale, g.Param(m.biases[l]), l < len(m.lins)-1)
 		})
 	}
 	return m.head.apply(g, m.be, b, x, lt)

@@ -190,7 +190,7 @@ func BenchmarkGatherScaleScatterInto(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GatherScaleScatterInto(out, x, w, src, dst, &arcs)
+		GatherScaleScatterInto(out, x, w, src, dst, &arcs, Epilogue{})
 	}
 }
 
@@ -292,7 +292,7 @@ func BenchmarkServeAggregate(b *testing.B) {
 		run  func()
 	}{
 		{"gspmm_sum", func() { GSpMMSumInto(dst, x, arcs.rowptr, arcs.col) }},
-		{"pyg_weighted", func() { GatherScaleScatterInto(dst, x, w, s, d, &arcs) }},
+		{"pyg_weighted", func() { GatherScaleScatterInto(dst, x, w, s, d, &arcs, Epilogue{}) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			defer parallel.SetWorkers(parallel.SetWorkers(1))

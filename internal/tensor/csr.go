@@ -31,26 +31,85 @@ func CSRGrain(edges, rows, f int) int {
 	return parallel.RowGrain(avg)
 }
 
+// Epilogue is what AggregateRowsInto does to each destination row once its
+// sum is complete and before the row is stored: GCN's layer tail. In order,
+// row v is multiplied by Scale[v], Bias[j] is added to column j, and ReLU
+// (math.Max(0, ·), bit for bit) is applied. A nil Scale or Bias and a false
+// ReLU skip their step, so the zero Epilogue stores the plain sum. Each step
+// rounds once with the row value as its first operand, the operand order of
+// the separate MulColVectorInto, AddRowVectorInto and ReLUInto passes, so
+// the result matches that chain bit for bit, NaN payloads included.
+type Epilogue struct {
+	Scale []float64 // one per destination row
+	Bias  []float64 // one per column
+	ReLU  bool
+}
+
+// The epilogue steps as the AVX2 strips take them: one bit each.
+const (
+	epiScale = 1 << iota
+	epiBias
+	epiReLU
+)
+
+// mode returns the epilogue's steps as epi* bits.
+func (ep *Epilogue) mode() int {
+	m := 0
+	if ep.Scale != nil {
+		m |= epiScale
+	}
+	if ep.Bias != nil {
+		m |= epiBias
+	}
+	if ep.ReLU {
+		m |= epiReLU
+	}
+	return m
+}
+
+// apply runs the epilogue over o, columns [j0, j0+len(o)) of a destination
+// row whose scale is s, on the row just stored.
+func (ep *Epilogue) apply(o []float64, s float64, j0 int) {
+	if ep.Scale != nil {
+		for i, v := range o {
+			o[i] = v * s
+		}
+	}
+	if ep.Bias != nil {
+		b := ep.Bias[j0 : j0+len(o)]
+		for i, v := range o {
+			o[i] = v + b[i]
+		}
+	}
+	if ep.ReLU {
+		reluRange(o, o, 0, len(o))
+	}
+}
+
 // AggregateRowsInto is the destination-row aggregation both backends run,
 // DGL's u_mul_e/sum GSpMM when weighted:
 // dst[v] = Σ_{q ∈ [rowptr[v], rowptr[v+1])} w[eid[q]]·x[col[q]] for x [S,F]
 // and dst [n,F] with n = len(rowptr)-1, or the plain sum of x[col[q]] when w
-// is nil (eid is then unused). dst is fully overwritten.
+// is nil (eid is then unused), each row then finished by ep. dst is fully
+// overwritten; a row with no arcs sums to +0 before ep runs.
 //
 // Each output element builds up in a register, over strips of columns, and
 // adds its terms in q order. Each product is rounded before it is added
 // (no fused multiply-add), as a materialised message buffer would round it.
-// Workers own destination rows, so the result is bit-identical for any
-// worker count. Every index is range-checked before any row is written.
-func AggregateRowsInto(dst, x *Tensor, w []float64, rowptr, col, eid []int) {
+// The AVX2 strips run ep in their registers before the store; the pure-Go
+// strips and the columns past the last AVX2 strip run it on the row just
+// stored. Workers own destination rows, so the result is bit-identical for
+// any worker count. Every index is range-checked before any row is written.
+func AggregateRowsInto(dst, x *Tensor, w []float64, rowptr, col, eid []int, ep Epilogue) {
 	n, f := dst.Rows(), dst.Cols()
 	checkArcs(x, f, w, rowptr, col, eid, n)
+	checkEpilogue(ep, n, f)
 	grain := CSRGrain(len(col), n, f)
 	if parallel.Inline(n, grain) {
-		aggregateRowsRange(dst.Data, x.Data, w, rowptr, col, eid, f, 0, n)
+		aggregateRowsRange(dst.Data, x.Data, w, rowptr, col, eid, ep, f, 0, n)
 		return
 	}
-	parallel.For(n, grain, func(lo, hi int) { aggregateRowsRange(dst.Data, x.Data, w, rowptr, col, eid, f, lo, hi) })
+	parallel.For(n, grain, func(lo, hi int) { aggregateRowsRange(dst.Data, x.Data, w, rowptr, col, eid, ep, f, lo, hi) })
 }
 
 // checkArcs panics unless AggregateRowsInto's operands are consistent: x is
@@ -90,29 +149,28 @@ func checkArcs(x *Tensor, f int, w []float64, rowptr, col, eid []int, n int) {
 	}
 }
 
-func aggregateRowsRange(dst, x, w []float64, rowptr, col, eid []int, f, lo, hi int) {
+func aggregateRowsRange(dst, x, w []float64, rowptr, col, eid []int, ep Epilogue, f, lo, hi int) {
+	mode := ep.mode()
 	for v := lo; v < hi; v++ {
 		orow := dst[v*f : (v+1)*f]
 		q0, q1 := rowptr[v], rowptr[v+1]
-		if q0 == q1 {
-			zero(orow)
-			continue
-		}
 		cols := col[q0:q1]
 		var eids []int
 		if w != nil {
 			eids = eid[q0:q1]
 		}
+		s := 0.0
+		if ep.Scale != nil {
+			s = ep.Scale[v]
+		}
 		j := 0
 		if haveAVX2 {
-			// checkArcs put every cols[q] inside x, as the strips need.
+			// checkArcs put every cols[q] inside x, and AggregateRowsInto
+			// made a non-nil ep.Bias f long, as the strips need.
 			j = f &^ (vecStripWidth - 1)
-			if w == nil {
-				aggStrips16(orow[:j], x, cols, f)
-			} else {
-				aggStrips16W(orow[:j], x, w, cols, eids, f)
-			}
+			aggStrips16(orow[:j], x, w, cols, eids, f, ep.Bias, s, mode)
 		}
+		j0 := j
 		for ; j+stripWidth <= f; j += stripWidth {
 			aggStrip8(orow[j:j+stripWidth], x[j:], w, cols, eids, f)
 		}
@@ -126,6 +184,9 @@ func aggregateRowsRange(dst, x, w []float64, rowptr, col, eid []int, f, lo, hi i
 				}
 			}
 			orow[j] = acc
+		}
+		if mode != 0 {
+			ep.apply(orow[j0:], s, j0)
 		}
 	}
 }
@@ -167,11 +228,41 @@ func aggStrip8(o, x, w []float64, cols, eids []int, f int) {
 	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c0, c1, c2, c3, c4, c5, c6, c7
 }
 
+// EpilogueInPlace runs ep over every row of t ([n,F]) in place: the rows
+// AggregateRowsInto would have stored had it been given ep.
+func EpilogueInPlace(t *Tensor, ep Epilogue) {
+	n, f := t.Rows(), t.Cols()
+	checkEpilogue(ep, n, f)
+	grain := parallel.RowGrain(f)
+	if parallel.Inline(n, grain) {
+		epilogueRange(t.Data, ep, f, 0, n)
+		return
+	}
+	parallel.For(n, grain, func(lo, hi int) { epilogueRange(t.Data, ep, f, lo, hi) })
+}
+
+func epilogueRange(d []float64, ep Epilogue, f, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		s := 0.0
+		if ep.Scale != nil {
+			s = ep.Scale[v]
+		}
+		ep.apply(d[v*f:(v+1)*f], s, 0)
+	}
+}
+
+// checkEpilogue panics unless ep fits [n,f] rows.
+func checkEpilogue(ep Epilogue, n, f int) {
+	if (ep.Scale != nil && len(ep.Scale) != n) || (ep.Bias != nil && len(ep.Bias) != f) {
+		panic(fmt.Sprintf("tensor: epilogue has %d scales and %d biases for [%d %d]", len(ep.Scale), len(ep.Bias), n, f))
+	}
+}
+
 // GSpMMSumInto is DGL's copy_u/sum GSpMM: dst[v] = Σ_{k ∈ [rowptr[v],
 // rowptr[v+1])} x[col[k]] for x [S,F], dst [n,F] with n = len(rowptr)-1,
 // fully overwritten. It is AggregateRowsInto without weights.
 func GSpMMSumInto(dst, x *Tensor, rowptr, col []int) {
-	AggregateRowsInto(dst, x, nil, rowptr, col, nil)
+	AggregateRowsInto(dst, x, nil, rowptr, col, nil, Epilogue{})
 }
 
 // ArcsByDst supplies a graph's arcs s[k] → d[k] grouped by destination, as a
@@ -188,10 +279,10 @@ type ArcsByDst interface {
 // MulColVectorInto and ScatterAddRowsInto, without the two [len(s), F]
 // message buffers. It range-checks s and d with those kernels' messages
 // before arcs is consulted or any row is written, then runs
-// AggregateRowsInto over arcs' CSR of (s, d). Because each CSR row lists its
-// arcs in increasing k, every element adds the chain's products in the
-// chain's order.
-func GatherScaleScatterInto(dst, x, w *Tensor, s, d []int, arcs ArcsByDst) {
+// AggregateRowsInto over arcs' CSR of (s, d), with ep finishing each row.
+// Because each CSR row lists its arcs in increasing k, every element adds
+// the chain's products in the chain's order.
+func GatherScaleScatterInto(dst, x, w *Tensor, s, d []int, arcs ArcsByDst, ep Epilogue) {
 	assertRank2("GatherScaleScatterInto", x)
 	n, f := dst.Rows(), dst.Cols()
 	if dst.Rank() != 2 || f != x.Cols() {
@@ -219,7 +310,7 @@ func GatherScaleScatterInto(dst, x, w *Tensor, s, d []int, arcs ArcsByDst) {
 		}
 	}
 	rowptr, col, eid := arcs.ByDst()
-	AggregateRowsInto(dst, x, wd, rowptr, col, eid)
+	AggregateRowsInto(dst, x, wd, rowptr, col, eid, ep)
 }
 
 // GSpMMSumGradInto scatters the output gradient back to source rows:

@@ -74,7 +74,7 @@ func TestGatherScaleScatterIntoMatchesChain(t *testing.T) {
 			parallel.SetWorkers(w)
 			got := New(c.n, c.x.Cols())
 			got.Fill(math.NaN())
-			GatherScaleScatterInto(got, c.x, c.w, c.s, c.d, arcs)
+			GatherScaleScatterInto(got, c.x, c.w, c.s, c.d, arcs, Epilogue{})
 			if !bitIdentical(got, want) {
 				t.Errorf("%s at %d workers: fused %v, chain %v", c.name, w, got.Data, want.Data)
 			}
@@ -114,7 +114,7 @@ func TestGatherScaleScatterIntoPanics(t *testing.T) {
 					msg, _ = r.(string)
 				}
 			}()
-			GatherScaleScatterInto(dst, x, c.w, c.s, c.d, unconsulted{})
+			GatherScaleScatterInto(dst, x, c.w, c.s, c.d, unconsulted{}, Epilogue{})
 			return ""
 		}()
 		if !strings.Contains(msg, c.want) {
@@ -148,7 +148,7 @@ func TestGatherScaleScatterIntoInlineZeroAllocs(t *testing.T) {
 		}
 		for _, w := range workers {
 			parallel.SetWorkers(w)
-			if a := testing.AllocsPerRun(20, func() { GatherScaleScatterInto(dst, c.x, c.w, c.s, c.d, &arcs) }); a != 0 {
+			if a := testing.AllocsPerRun(20, func() { GatherScaleScatterInto(dst, c.x, c.w, c.s, c.d, &arcs, Epilogue{}) }); a != 0 {
 				t.Errorf("%s at %d workers: %v allocs per call on the inline path, want 0", c.name, w, a)
 			}
 		}

@@ -120,19 +120,16 @@ func newIntoInputs() *intoInputs {
 }
 
 // aggEpilogue is the destination-row aggregation of x (weighted by w when
-// not nil) over in.aggCSR followed by GCN's epilogue: row v times scale[v]
-// when scale is not nil, plus bias, then ReLU when relu is set.
+// not nil) over in.aggCSR with GCN's epilogue: row v times scale[v] when
+// scale is not nil, plus bias, then ReLU when relu is set.
 func (in *intoInputs) aggEpilogue(x *Tensor, w []float64, scale, bias *Tensor, relu bool) []*Tensor {
 	c := in.aggCSR
 	d := Full(math.NaN(), 53, x.Cols()) // fully overwritten
-	AggregateRowsInto(d, x, w, c.rowptr, c.col, c.eid)
+	ep := Epilogue{Bias: bias.Data, ReLU: relu}
 	if scale != nil {
-		MulColVectorInto(d, d, scale)
+		ep.Scale = scale.Data
 	}
-	AddRowVectorInto(d, d, bias)
-	if relu {
-		ReLUInto(d, d)
-	}
+	AggregateRowsInto(d, x, w, c.rowptr, c.col, c.eid, ep)
 	return []*Tensor{d}
 }
 
@@ -255,17 +252,17 @@ func intoCases(in *intoInputs) []intoCase {
 		}, nil},
 		{"GatherScaleScatterInto", func() []*Tensor {
 			d := Full(math.NaN(), 53, 37)
-			GatherScaleScatterInto(d, in.aggX, nil, in.aggS, in.aggD, in.aggCSR)
+			GatherScaleScatterInto(d, in.aggX, nil, in.aggS, in.aggD, in.aggCSR, Epilogue{})
 			return one(d)
 		}, nil},
 		{"GatherScaleScatterInto weighted", func() []*Tensor {
 			d := Full(math.NaN(), 53, 37)
-			GatherScaleScatterInto(d, in.aggX, in.aggW, in.aggS, in.aggD, in.aggCSR)
+			GatherScaleScatterInto(d, in.aggX, in.aggW, in.aggS, in.aggD, in.aggCSR, Epilogue{})
 			return one(d)
 		}, nil},
 		{"GSpMMWeightedSumInto", func() []*Tensor { // DGL's weighted GSpMM, since folded into AggregateRowsInto
 			d := Full(math.NaN(), 53, 37)
-			AggregateRowsInto(d, in.aggX, in.aggW.Data, in.aggCSR.rowptr, in.aggCSR.col, in.aggCSR.eid)
+			AggregateRowsInto(d, in.aggX, in.aggW.Data, in.aggCSR.rowptr, in.aggCSR.col, in.aggCSR.eid, Epilogue{})
 			return one(d)
 		}, nil},
 		// GCN's layer epilogues: PyG's weighted sum + bias (+ ReLU between
@@ -470,8 +467,8 @@ func testMatMulIntoInlineZeroAllocs(t *testing.T) {
 }
 
 // TestAggregateRowsIntoInlineZeroAllocs: the destination-row aggregation,
-// plain and weighted, allocates nothing on the inline path, on either strip
-// path.
+// plain and weighted, with and without an epilogue, allocates nothing on the
+// inline path, on either strip path.
 func TestAggregateRowsIntoInlineZeroAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -485,14 +482,16 @@ func testAggregateRowsIntoInlineZeroAllocs(t *testing.T) {
 	c := in.aggCSR
 	dst := New(53, in.aggX.Cols())
 	for _, w := range [][]float64{nil, in.aggW.Data} {
-		if a := testing.AllocsPerRun(20, func() { AggregateRowsInto(dst, in.aggX, w, c.rowptr, c.col, c.eid) }); a != 0 {
-			t.Errorf("weighted=%v: %v allocs per call on the inline path, want 0", w != nil, a)
+		for _, ep := range []Epilogue{{}, {Scale: in.aggScale.Data, Bias: in.aggBias.Data, ReLU: true}} {
+			if a := testing.AllocsPerRun(20, func() { AggregateRowsInto(dst, in.aggX, w, c.rowptr, c.col, c.eid, ep) }); a != 0 {
+				t.Errorf("weighted=%v epilogue=%v: %v allocs per call on the inline path, want 0", w != nil, ep.ReLU, a)
+			}
 		}
 	}
 	parallel.SetWorkers(7) // three arcs into two rows: under one grain
 	tiny := newByDst(2, []int{0, 1, 1}, []int{1, 0, 1})
 	small := New(2, in.aggX.Cols())
-	if a := testing.AllocsPerRun(20, func() { AggregateRowsInto(small, in.aggX, nil, tiny.rowptr, tiny.col, tiny.eid) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { AggregateRowsInto(small, in.aggX, nil, tiny.rowptr, tiny.col, tiny.eid, Epilogue{}) }); a != 0 {
 		t.Errorf("at 7 workers under one grain: %v allocs per call, want 0", a)
 	}
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/parallel"
 )
@@ -221,14 +222,42 @@ func (t *mmTerms) list(arow []float64, bs int, skipZero bool) ([]int, []float64)
 		}
 		return t.off[:len(arow)], t.coef[:len(arow)]
 	}
+	if haveAVX2 {
+		return t.listMasked(arow, bs)
+	}
 	cnt, o := 0, 0
 	for _, av := range arow {
 		c := cnt & (mmBlockK - 1) // cnt < mmBlockK: no bounds check
 		t.off[c] = o
 		t.coef[c] = av
 		o += bs
-		bits := math.Float64bits(av) << 1 // drops the sign: ±0 → 0
-		cnt += int((bits | -bits) >> 63)  // 1 unless bits == 0
+		u := math.Float64bits(av) << 1 // drops the sign: ±0 → 0
+		cnt += int((u | -u) >> 63)     // 1 unless u == 0
+	}
+	return t.off[:cnt], t.coef[:cnt]
+}
+
+// listMasked is list's skipZero branch on AVX2 CPUs: for each group of up
+// to 64 coefficients, one vector compare per four gives a mask of the
+// nonzeros (nonzeroMask), and only its set bits are visited, lowest first,
+// so the list comes out in the same increasing q as the scalar loop's.
+func (t *mmTerms) listMasked(arow []float64, bs int) ([]int, []float64) {
+	cnt := 0
+	for g := 0; g < len(arow); g += 64 {
+		grp := arow[g:min(g+64, len(arow))]
+		m := nonzeroMask(grp)
+		for q := len(grp) &^ 3; q < len(grp); q++ {
+			if math.Float64bits(grp[q])<<1 != 0 { // ±0 → 0
+				m |= 1 << q
+			}
+		}
+		for ; m != 0; m &= m - 1 {
+			q := bits.TrailingZeros64(m)
+			c := cnt & (mmBlockK - 1) // cnt < mmBlockK: no bounds check
+			t.off[c] = (g + q) * bs
+			t.coef[c] = grp[q]
+			cnt++
+		}
 	}
 	return t.off[:cnt], t.coef[:cnt]
 }
@@ -244,8 +273,8 @@ func (t *mmTerms) listStrided(a []float64, s, stride, nq, bs int, skipZero bool)
 			cnt++
 			continue
 		}
-		bits := math.Float64bits(av) << 1
-		cnt += int((bits | -bits) >> 63)
+		u := math.Float64bits(av) << 1
+		cnt += int((u | -u) >> 63)
 	}
 	return t.off[:cnt], t.coef[:cnt]
 }

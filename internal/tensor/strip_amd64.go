@@ -38,16 +38,20 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func mmStrips16(o, b []float64, off []int, coef []float64, fresh bool)
 
-// aggStrips16 is aggStrip8's plain sum over each 16-column strip of o:
-// o[c] = Σ_q x[cols[q]·f+c]. The caller guarantees x[cols[q]·f+c] in range
-// for every q and each column c it writes.
+// aggStrips16 is aggStrip8 over each 16-column strip of o, followed by the
+// epilogue steps whose epi* bits are set in epi: o[c] = Σ_q
+// w[eids[q]]·x[cols[q]·f+c] in increasing q, or the plain sum when w is nil,
+// then ×scale, +bias[c] and ReLU, in registers, before the store. The caller
+// guarantees x[cols[q]·f+c] in range for every q and each column c it
+// writes; when weighted, len(eids) ≥ len(cols) and every eids[q] < len(w);
+// with epiBias, len(bias) ≥ len(o).
 //
 //go:noescape
-func aggStrips16(o, x []float64, cols []int, f int)
+func aggStrips16(o, x, w []float64, cols, eids []int, f int, bias []float64, scale float64, epi int)
 
-// aggStrips16W is aggStrip8's weighted sum over each 16-column strip of o:
-// o[c] = Σ_q w[eids[q]]·x[cols[q]·f+c]. The caller guarantees, besides
-// aggStrips16's condition, len(eids) ≥ len(cols) and every eids[q] < len(w).
+// nonzeroMask returns a mask whose bit q is set when a[q] is not ±0 (NaN
+// and subnormals count as nonzero), for q < len(a)&^3; the caller sets the
+// bits of the last len(a)%4 coefficients itself. len(a) must be at most 64.
 //
 //go:noescape
-func aggStrips16W(o, x, w []float64, cols, eids []int, f int)
+func nonzeroMask(a []float64) uint64

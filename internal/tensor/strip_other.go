@@ -10,10 +10,10 @@ func mmStrips16(o, b []float64, off []int, coef []float64, fresh bool) {
 	panic("tensor: no AVX2 strips on this architecture")
 }
 
-func aggStrips16(o, x []float64, cols []int, f int) {
+func aggStrips16(o, x, w []float64, cols, eids []int, f int, bias []float64, scale float64, epi int) {
 	panic("tensor: no AVX2 strips on this architecture")
 }
 
-func aggStrips16W(o, x, w []float64, cols, eids []int, f int) {
+func nonzeroMask(a []float64) uint64 {
 	panic("tensor: no AVX2 strips on this architecture")
 }
