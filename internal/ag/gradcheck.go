@@ -39,7 +39,7 @@ func GradCheck(params []*Parameter, build func(g *Graph) *Node, h, rtol, atol fl
 			numeric := (up - down) / (2 * h)
 			analytic := p.Grad.Data[i]
 			diff := math.Abs(numeric - analytic)
-			if diff > atol+rtol*math.Max(math.Abs(numeric), math.Abs(analytic)) {
+			if diff > atol+float64(rtol*math.Max(math.Abs(numeric), math.Abs(analytic))) {
 				return fmt.Errorf("ag: gradcheck failed for %s[%d]: analytic=%.8g numeric=%.8g (diff %.3g)",
 					p.Name, i, analytic, numeric, diff)
 			}

@@ -63,7 +63,7 @@ func (g *Graph) HeadDot(x, a *Node) *Node {
 					for hh := 0; hh < h; hh++ {
 						garow := ga.Row(hh)
 						for dd := 0; dd < d; dd++ {
-							garow[dd] += grow[hh] * xrow[hh*d+dd]
+							garow[dd] += float64(grow[hh] * xrow[hh*d+dd])
 						}
 					}
 				}
@@ -84,7 +84,7 @@ func headDotRange(out, x, a []float64, h, d, lo, hi int) {
 			arow := a[hh*d : (hh+1)*d]
 			var s float64
 			for dd := 0; dd < d; dd++ {
-				s += xrow[hh*d+dd] * arow[dd]
+				s += float64(xrow[hh*d+dd] * arow[dd])
 			}
 			orow[hh] = s
 		}
@@ -205,7 +205,7 @@ func mulHeadsGradWRange(gw, grad, x []float64, h, d, lo, hi int) {
 		for hh := 0; hh < h; hh++ {
 			var s float64
 			for dd := 0; dd < d; dd++ {
-				s += grow[hh*d+dd] * xrow[hh*d+dd]
+				s += float64(grow[hh*d+dd] * xrow[hh*d+dd])
 			}
 			wrow[hh] = s
 		}
@@ -266,7 +266,7 @@ func meanHeadsRange(out, x []float64, heads, d int, inv float64, lo, hi int) {
 		orow := out[i*d : (i+1)*d]
 		for hh := 0; hh < heads; hh++ {
 			for dd := 0; dd < d; dd++ {
-				orow[dd] += xrow[hh*d+dd] * inv
+				orow[dd] += float64(xrow[hh*d+dd] * inv)
 			}
 		}
 	}

@@ -45,8 +45,8 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 			tensor.SquareInto(bvar, bstd)
 			// update running statistics
 			for j := 0; j < f; j++ {
-				runMean.Data[j] = (1-momentum)*runMean.Data[j] + momentum*bmean.Data[j]
-				runVar.Data[j] = (1-momentum)*runVar.Data[j] + momentum*bvar.Data[j]
+				runMean.Data[j] = float64((1-momentum)*runMean.Data[j]) + float64(momentum*bmean.Data[j])
+				runVar.Data[j] = float64((1-momentum)*runVar.Data[j]) + float64(momentum*bvar.Data[j])
 			}
 			mean, varr = bmean, bvar
 		}
@@ -76,7 +76,7 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 					grow := res.grad.Row(i)
 					hrow := xhat.Row(i)
 					for j := 0; j < f; j++ {
-						gg.Data[j] += grow[j] * hrow[j]
+						gg.Data[j] += float64(grow[j] * hrow[j])
 					}
 				}
 			})
@@ -110,7 +110,7 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 						hrow := xhat.Row(i)
 						for j := 0; j < f; j++ {
 							sdy[j] += grow[j]
-							sdyx[j] += grow[j] * hrow[j]
+							sdyx[j] += float64(grow[j] * hrow[j])
 						}
 					}
 					inv := 1 / float64(n)
@@ -154,7 +154,7 @@ func batchNormRange(out, xhat, x, mean, invstd, gamma, beta []float64, f, lo, hi
 		for j := 0; j < f; j++ {
 			h := (xrow[j] - mean[j]) * invstd[j]
 			hrow[j] = h
-			orow[j] = gamma[j]*h + beta[j]
+			orow[j] = float64(gamma[j]*h) + beta[j]
 		}
 	}
 }
@@ -166,7 +166,7 @@ func batchNormGradXRange(gx, grad, xhat, gamma, invstd, sumDy, sumDyXhat []float
 		xrow := gx[i*f : (i+1)*f]
 		for j := 0; j < f; j++ {
 			xrow[j] = gamma[j] * invstd[j] * inv *
-				(float64(n)*grow[j] - sumDy[j] - hrow[j]*sumDyXhat[j])
+				(float64(float64(n)*grow[j]) - sumDy[j] - float64(hrow[j]*sumDyXhat[j]))
 		}
 	}
 }
@@ -229,7 +229,7 @@ func l2normRange(out, norms, x []float64, eps float64, f, lo, hi int) {
 		xrow := x[i*f : (i+1)*f]
 		var s float64
 		for _, v := range xrow {
-			s += v * v
+			s += float64(v * v)
 		}
 		nv := math.Sqrt(s)
 		if nv < eps {
@@ -250,11 +250,11 @@ func l2normGradRange(gx, grad, y, norms []float64, f, lo, hi int) {
 		xrow := gx[i*f : (i+1)*f]
 		var dot float64
 		for j := 0; j < f; j++ {
-			dot += grow[j] * yrow[j]
+			dot += float64(grow[j] * yrow[j])
 		}
 		inv := 1 / norms[i]
 		for j := 0; j < f; j++ {
-			xrow[j] = inv * (grow[j] - yrow[j]*dot)
+			xrow[j] = inv * (grow[j] - float64(yrow[j]*dot))
 		}
 	}
 }
@@ -298,9 +298,9 @@ func (g *Graph) GaussianWeight(u *tensor.Tensor, mu, isig *Node) *Node {
 					diff := urow[j] - mu.T.Data[j]
 					is := isig.T.Data[j]
 					// dw/dmu_j  = w * diff * isig^2
-					gmu.Data[j] += dw * diff * is * is
+					gmu.Data[j] += float64(dw * diff * is * is)
 					// dw/disig_j = -w * diff^2 * isig
-					gsig.Data[j] += -dw * diff * diff * is
+					gsig.Data[j] += float64(-dw * diff * diff * is)
 				}
 			}
 		})
@@ -317,7 +317,7 @@ func gaussianWeightRange(out, u, mu, isig []float64, d, lo, hi int) {
 		var s float64
 		for j := 0; j < d; j++ {
 			z := (urow[j] - mu[j]) * isig[j]
-			s += z * z
+			s += float64(z * z)
 		}
 		out[k] = math.Exp(-0.5 * s)
 	}
