@@ -15,7 +15,8 @@
 // every op's backward closure. NewInference returns a forward-only tape —
 // models.Infer and models.CompiledInfer are its only callers — on which
 // Backward and BeginStep panic, and which may execute an op chain on the host
-// in fewer passes than the kernels it charges the device for (GatherScatter).
+// in fewer passes than the kernels it charges the device for (GatherScatter,
+// Epilogue).
 // Both kinds charge the device the same kernel stream and produce the same
 // bits.
 //
@@ -114,7 +115,8 @@ func New(dev *device.Device) *Graph {
 }
 
 // NewInference returns an empty forward-only tape on dev: Backward and
-// BeginStep panic on it, and GatherScatter runs as one host pass. It is for
+// BeginStep panic on it, GatherScatter runs as one host pass, and Epilogue
+// folds GCN's layer tail into the aggregation before it. It is for
 // models.Infer and models.CompiledInfer; everything else records on New.
 func NewInference(dev *device.Device) *Graph {
 	return &Graph{dev: dev, inference: true}

@@ -71,7 +71,8 @@ func (g *Graph) ScatterAdd(x *Node, idx []int, n int) *Node {
 // buffer. Only an inference tape consults arcs, once per run of the op, so a
 // replay reads whatever CSR arcs holds then. Each CSR row lists its arcs in
 // increasing k, so the products and the per-element summation order are the
-// chain's, and both kinds give the same bits.
+// chain's, and both kinds give the same bits. On an inference tape, Epilogue
+// can fold the bias and ReLU that follow into the same pass.
 func (g *Graph) GatherScatter(x, w *Node, src, dst []int, n int, arcs tensor.ArcsByDst) *Node {
 	if !g.inference {
 		m := g.Gather(x, src)

@@ -185,9 +185,7 @@ func aggregateRowsRange(dst, x, w []float64, rowptr, col, eid []int, ep Epilogue
 			}
 			orow[j] = acc
 		}
-		if mode != 0 {
-			ep.apply(orow[j0:], s, j0)
-		}
+		ep.apply(orow[j0:], s, j0)
 	}
 }
 

@@ -54,8 +54,8 @@ func TestReLUMatchesMathMax(t *testing.T) {
 }
 
 // TestAggregateRowsIntoRangeChecks: an out-of-range source, edge id or row
-// pointer panics, on either strip path, before any destination row is
-// written.
+// pointer, or an epilogue of the wrong length, panics, on either strip path,
+// before any destination row is written.
 func TestAggregateRowsIntoRangeChecks(t *testing.T) {
 	forEachStripPath(t, func(t *testing.T) {
 		x := NewRNG(9).Randn(1, 5, 37)
@@ -67,15 +67,18 @@ func TestAggregateRowsIntoRangeChecks(t *testing.T) {
 			col, eid []int
 			want     string
 			xCols    int
+			ep       Epilogue
 		}{
-			{"source past the end", nil, []int{0, 2, 4}, []int{0, 1, 2, 5}, nil, "source 5", 37},
-			{"negative source", w, []int{0, 2, 4}, []int{0, -1, 2, 3}, []int{0, 1, 2, 3}, "source -1", 37},
-			{"edge id past the weights", w, []int{0, 2, 4}, []int{0, 1, 2, 3}, []int{0, 1, 2, 4}, "edge id 4", 37},
-			{"negative edge id", w, []int{0, 2, 4}, []int{0, 1, 2, 3}, []int{0, -3, 2, 1}, "edge id -3", 37},
-			{"row pointers decrease", nil, []int{0, 3, 2}, []int{0, 1, 2, 3}, nil, "decrease", 37},
-			{"arcs past the list", w, []int{0, 2, 5}, []int{0, 1, 2, 3, 4}, []int{0, 1, 2, 3}, "out of range", 37},
-			{"row pointers for other rows", nil, []int{0, 2}, []int{0, 1}, nil, "row pointers", 37},
-			{"x narrower than dst", nil, []int{0, 2, 4}, []int{0, 1, 2, 3}, nil, "37-wide", 36},
+			{"source past the end", nil, []int{0, 2, 4}, []int{0, 1, 2, 5}, nil, "source 5", 37, Epilogue{}},
+			{"negative source", w, []int{0, 2, 4}, []int{0, -1, 2, 3}, []int{0, 1, 2, 3}, "source -1", 37, Epilogue{}},
+			{"edge id past the weights", w, []int{0, 2, 4}, []int{0, 1, 2, 3}, []int{0, 1, 2, 4}, "edge id 4", 37, Epilogue{}},
+			{"negative edge id", w, []int{0, 2, 4}, []int{0, 1, 2, 3}, []int{0, -3, 2, 1}, "edge id -3", 37, Epilogue{}},
+			{"row pointers decrease", nil, []int{0, 3, 2}, []int{0, 1, 2, 3}, nil, "decrease", 37, Epilogue{}},
+			{"arcs past the list", w, []int{0, 2, 5}, []int{0, 1, 2, 3, 4}, []int{0, 1, 2, 3}, "out of range", 37, Epilogue{}},
+			{"row pointers for other rows", nil, []int{0, 2}, []int{0, 1}, nil, "row pointers", 37, Epilogue{}},
+			{"x narrower than dst", nil, []int{0, 2, 4}, []int{0, 1, 2, 3}, nil, "37-wide", 36, Epilogue{}},
+			{"bias narrower than dst", nil, []int{0, 2, 4}, []int{0, 1, 2, 3}, nil, "36 biases", 37, Epilogue{Bias: make([]float64, 36)}},
+			{"scale for other rows", w, []int{0, 2, 4}, []int{0, 1, 2, 3}, []int{0, 1, 2, 3}, "3 scales", 37, Epilogue{Scale: make([]float64, 3)}},
 		} {
 			dst := Full(-7, 2, 37)
 			xx := x
@@ -89,7 +92,7 @@ func TestAggregateRowsIntoRangeChecks(t *testing.T) {
 						t.Errorf("%s: panic %v, want one naming %q", c.name, r, c.want)
 					}
 				}()
-				AggregateRowsInto(dst, xx, c.w, c.rowptr, c.col, c.eid, Epilogue{})
+				AggregateRowsInto(dst, xx, c.w, c.rowptr, c.col, c.eid, c.ep)
 			}()
 			for _, v := range dst.Data {
 				if v != -7 {
@@ -190,30 +193,6 @@ func testAggregateEpilogueMatchesChain(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestEpilogueInPlaceMatchesKernel: EpilogueInPlace over stored sums gives
-// the rows AggregateRowsInto stores when it runs the epilogue itself.
-func TestEpilogueInPlaceMatchesKernel(t *testing.T) {
-	forEachStripPath(t, func(t *testing.T) {
-		in := newIntoInputs()
-		c := in.aggCSR
-		for _, ep := range []Epilogue{
-			{Bias: in.aggBias.Data, ReLU: true},
-			{Scale: in.aggScale.Data, Bias: in.aggBias.Data, ReLU: true},
-			{Scale: in.aggScale.Data},
-		} {
-			want := New(53, 37)
-			AggregateRowsInto(want, in.aggX, in.aggW.Data, c.rowptr, c.col, c.eid, ep)
-			got := New(53, 37)
-			AggregateRowsInto(got, in.aggX, in.aggW.Data, c.rowptr, c.col, c.eid, Epilogue{})
-			EpilogueInPlace(got, ep)
-			if !bitIdentical(got, want) {
-				t.Errorf("scale=%v bias=%v relu=%v: in place %v, in the kernel %v",
-					ep.Scale != nil, ep.Bias != nil, ep.ReLU, got.Data, want.Data)
-			}
-		}
-	})
 }
 
 // TestTermListMatchesScalar: on AVX2 CPUs, the product's term list from
