@@ -11,6 +11,14 @@ import (
 // D-wide head blocks per row, the layout real GAT implementations use so all
 // heads ride one kernel instead of H separate chains.
 
+// headArgs is a multi-head kernel's operands, rows of h head blocks d wide:
+// the kernel writes dst from a, b and the scalar inv, whichever it reads.
+type headArgs struct {
+	dst, a, b []float64
+	h, d      int
+	inv       float64
+}
+
 // HeadDot contracts each head block with its head's weight vector:
 // out[r,h] = sum_d x[r, h*D+d] * a[h,d] for x [R, H*D] and a [H, D].
 func (g *Graph) HeadDot(x, a *Node) *Node {
@@ -28,25 +36,14 @@ func (g *Graph) HeadDot(x, a *Node) *Node {
 		if out == nil {
 			out = g.get(r, h)
 		}
-		if parallel.Inline(r, grain) {
-			headDotRange(out.Data, x.T.Data, a.T.Data, h, d, 0, r)
-			return
-		}
-		parallel.For(r, grain, func(lo, hi int) { headDotRange(out.Data, x.T.Data, a.T.Data, h, d, lo, hi) })
+		parallel.For(r, grain, headArgs{dst: out.Data, a: x.T.Data, b: a.T.Data, h: h, d: d}, headDotRange)
 	})
 	res.backward = func(gr *Graph) {
 		if x.requiresGrad {
 			var gx *tensor.Tensor
 			gr.run(2*sz, 24*sz, func() {
 				gx = gr.tempLike(x.T)
-				gxd := gx.Data // read-only capture keeps gx's cell off the heap
-				if parallel.Inline(r, grain) {
-					headDotGradXRange(gxd, res.grad.Data, a.T.Data, h, d, 0, r)
-					return
-				}
-				parallel.For(r, grain, func(lo, hi int) {
-					headDotGradXRange(gxd, res.grad.Data, a.T.Data, h, d, lo, hi)
-				})
+				parallel.For(r, grain, headArgs{dst: gx.Data, a: res.grad.Data, b: a.T.Data, h: h, d: d}, headDotGradXRange)
 			})
 			gr.accum(x, gx)
 			gr.freeTemp(gx)
@@ -75,7 +72,8 @@ func (g *Graph) HeadDot(x, a *Node) *Node {
 	return res
 }
 
-func headDotRange(out, x, a []float64, h, d, lo, hi int) {
+func headDotRange(k headArgs, lo, hi int) {
+	out, x, a, h, d := k.dst, k.a, k.b, k.h, k.d
 	w := h * d
 	for i := lo; i < hi; i++ {
 		xrow := x[i*w : (i+1)*w]
@@ -91,7 +89,8 @@ func headDotRange(out, x, a []float64, h, d, lo, hi int) {
 	}
 }
 
-func headDotGradXRange(gx, grad, a []float64, h, d, lo, hi int) {
+func headDotGradXRange(k headArgs, lo, hi int) {
+	gx, grad, a, h, d := k.dst, k.a, k.b, k.h, k.d
 	w := h * d
 	for i := lo; i < hi; i++ {
 		grow := grad[i*h : (i+1)*h]
@@ -123,25 +122,14 @@ func (g *Graph) MulHeads(x, w *Node) *Node {
 		if out == nil {
 			out = g.get(r, h*d)
 		}
-		if parallel.Inline(r, grain) {
-			mulHeadsRange(out.Data, x.T.Data, w.T.Data, h, d, 0, r)
-			return
-		}
-		parallel.For(r, grain, func(lo, hi int) { mulHeadsRange(out.Data, x.T.Data, w.T.Data, h, d, lo, hi) })
+		parallel.For(r, grain, headArgs{dst: out.Data, a: x.T.Data, b: w.T.Data, h: h, d: d}, mulHeadsRange)
 	})
 	res.backward = func(gr *Graph) {
 		if x.requiresGrad {
 			var gx *tensor.Tensor
 			gr.run(sz, 32*sz, func() {
 				gx = gr.tempLike(x.T)
-				gxd := gx.Data // read-only capture keeps gx's cell off the heap
-				if parallel.Inline(r, grain) {
-					mulHeadsGradXRange(gxd, res.grad.Data, w.T.Data, h, d, 0, r)
-					return
-				}
-				parallel.For(r, grain, func(lo, hi int) {
-					mulHeadsGradXRange(gxd, res.grad.Data, w.T.Data, h, d, lo, hi)
-				})
+				parallel.For(r, grain, headArgs{dst: gx.Data, a: res.grad.Data, b: w.T.Data, h: h, d: d}, mulHeadsGradXRange)
 			})
 			gr.accum(x, gx)
 			gr.freeTemp(gx)
@@ -150,14 +138,7 @@ func (g *Graph) MulHeads(x, w *Node) *Node {
 			var gw *tensor.Tensor
 			gr.run(sz, 32*sz, func() {
 				gw = gr.tempLike(w.T)
-				gwd := gw.Data // read-only capture keeps gw's cell off the heap
-				if parallel.Inline(r, grain) {
-					mulHeadsGradWRange(gwd, res.grad.Data, x.T.Data, h, d, 0, r)
-					return
-				}
-				parallel.For(r, grain, func(lo, hi int) {
-					mulHeadsGradWRange(gwd, res.grad.Data, x.T.Data, h, d, lo, hi)
-				})
+				parallel.For(r, grain, headArgs{dst: gw.Data, a: res.grad.Data, b: x.T.Data, h: h, d: d}, mulHeadsGradWRange)
 			})
 			gr.accum(w, gw)
 			gr.freeTemp(gw)
@@ -166,7 +147,8 @@ func (g *Graph) MulHeads(x, w *Node) *Node {
 	return res
 }
 
-func mulHeadsRange(out, x, w []float64, h, d, lo, hi int) {
+func mulHeadsRange(k headArgs, lo, hi int) {
+	out, x, w, h, d := k.dst, k.a, k.b, k.h, k.d
 	wd := h * d
 	for i := lo; i < hi; i++ {
 		xrow := x[i*wd : (i+1)*wd]
@@ -181,7 +163,8 @@ func mulHeadsRange(out, x, w []float64, h, d, lo, hi int) {
 	}
 }
 
-func mulHeadsGradXRange(gx, grad, w []float64, h, d, lo, hi int) {
+func mulHeadsGradXRange(k headArgs, lo, hi int) {
+	gx, grad, w, h, d := k.dst, k.a, k.b, k.h, k.d
 	wd := h * d
 	for i := lo; i < hi; i++ {
 		grow := grad[i*wd : (i+1)*wd]
@@ -196,7 +179,8 @@ func mulHeadsGradXRange(gx, grad, w []float64, h, d, lo, hi int) {
 	}
 }
 
-func mulHeadsGradWRange(gw, grad, x []float64, h, d, lo, hi int) {
+func mulHeadsGradWRange(k headArgs, lo, hi int) {
+	gw, grad, x, h, d := k.dst, k.a, k.b, k.h, k.d
 	wd := h * d
 	for i := lo; i < hi; i++ {
 		grow := grad[i*wd : (i+1)*wd]
@@ -229,24 +213,13 @@ func (g *Graph) MeanHeads(x *Node, heads int) *Node {
 		if out == nil {
 			out = g.get(r, d)
 		}
-		if parallel.Inline(r, grain) {
-			meanHeadsRange(out.Data, x.T.Data, heads, d, inv, 0, r)
-			return
-		}
-		parallel.For(r, grain, func(lo, hi int) { meanHeadsRange(out.Data, x.T.Data, heads, d, inv, lo, hi) })
+		parallel.For(r, grain, headArgs{dst: out.Data, a: x.T.Data, h: heads, d: d, inv: inv}, meanHeadsRange)
 	})
 	res.backward = func(gr *Graph) {
 		var gx *tensor.Tensor
 		gr.run(sz, 24*sz, func() {
 			gx = gr.tempLike(x.T)
-			gxd := gx.Data // read-only capture keeps gx's cell off the heap
-			if parallel.Inline(r, grain) {
-				meanHeadsGradRange(gxd, res.grad.Data, heads, d, inv, 0, r)
-				return
-			}
-			parallel.For(r, grain, func(lo, hi int) {
-				meanHeadsGradRange(gxd, res.grad.Data, heads, d, inv, lo, hi)
-			})
+			parallel.For(r, grain, headArgs{dst: gx.Data, a: res.grad.Data, h: heads, d: d, inv: inv}, meanHeadsGradRange)
 		})
 		gr.accum(x, gx)
 		gr.freeTemp(gx)
@@ -254,7 +227,8 @@ func (g *Graph) MeanHeads(x *Node, heads int) *Node {
 	return res
 }
 
-func meanHeadsRange(out, x []float64, heads, d int, inv float64, lo, hi int) {
+func meanHeadsRange(k headArgs, lo, hi int) {
+	out, x, heads, d, inv := k.dst, k.a, k.h, k.d, k.inv
 	w := heads * d
 	// Accumulating kernel: zero the owned output rows first so a reused
 	// pooled buffer replays identically to a fresh one.
@@ -272,7 +246,8 @@ func meanHeadsRange(out, x []float64, heads, d int, inv float64, lo, hi int) {
 	}
 }
 
-func meanHeadsGradRange(gx, grad []float64, heads, d int, inv float64, lo, hi int) {
+func meanHeadsGradRange(k headArgs, lo, hi int) {
+	gx, grad, heads, d, inv := k.dst, k.a, k.h, k.d, k.inv
 	w := heads * d
 	for i := lo; i < hi; i++ {
 		grow := grad[i*d : (i+1)*d]

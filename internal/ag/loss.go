@@ -47,14 +47,7 @@ func (g *Graph) CrossEntropy(logits *Node, labels []int, rows []int) *Node {
 			out = g.get(1)
 			nll = make([]float64, len(rows))
 		}
-		grain := parallel.RowGrain(5 * c)
-		if parallel.Inline(len(rows), grain) {
-			ceForwardRange(probs.Data, logits.T.Data, nll, rows, labels, c, 0, len(rows))
-		} else {
-			parallel.For(len(rows), grain, func(lo, hi int) {
-				ceForwardRange(probs.Data, logits.T.Data, nll, rows, labels, c, lo, hi)
-			})
-		}
+		parallel.For(len(rows), parallel.RowGrain(5*c), lossArgs{dst: probs.Data, x: logits.T.Data, nll: nll, rows: rows, labels: labels, c: c}, ceForwardRange)
 		var total float64
 		for _, v := range nll {
 			total += v
@@ -70,21 +63,9 @@ func (g *Graph) CrossEntropy(logits *Node, labels []int, rows []int) *Node {
 		var gx *tensor.Tensor
 		gr.run(2*sz, 24*sz, func() {
 			gx = gr.tempLike(logits.T)
-			// gxd is read-only for the For closure: capturing gx itself (a
-			// variable the closure's enclosing scope assigns) would force its
-			// cell to the heap on every backward run, because parallel.For's
-			// closure argument escapes even on the inline path.
-			gxd := gx.Data
 			scale := res.grad.Data[0] / float64(len(rows))
 			avg := (len(rows)*c)/n + 1
-			grain := parallel.RowGrain(avg)
-			if parallel.Inline(n, grain) {
-				ceGradRange(gxd, probs.Data, rows, labels, scale, c, 0, n)
-				return
-			}
-			parallel.For(n, grain, func(lo, hi int) {
-				ceGradRange(gxd, probs.Data, rows, labels, scale, c, lo, hi)
-			})
+			parallel.For(n, parallel.RowGrain(avg), lossArgs{dst: gx.Data, x: probs.Data, rows: rows, labels: labels, scale: scale, c: c}, ceGradRange)
 		})
 		gr.accum(logits, gx)
 		gr.freeTemp(gx)
@@ -92,7 +73,17 @@ func (g *Graph) CrossEntropy(logits *Node, labels []int, rows []int) *Node {
 	return res
 }
 
-func ceForwardRange(probs, logits []float64, nll []float64, rows, labels []int, c, lo, hi int) {
+// lossArgs is a cross-entropy kernel's operands: c-wide rows of x, the
+// selected rows and their labels, written to dst (and nll, one per row).
+type lossArgs struct {
+	dst, x, nll  []float64
+	rows, labels []int
+	scale        float64
+	c            int
+}
+
+func ceForwardRange(k lossArgs, lo, hi int) {
+	probs, logits, nll, rows, labels, c := k.dst, k.x, k.nll, k.rows, k.labels, k.c
 	for k := lo; k < hi; k++ {
 		i := rows[k]
 		row := logits[i*c : (i+1)*c]
@@ -116,7 +107,8 @@ func ceForwardRange(probs, logits []float64, nll []float64, rows, labels []int, 
 	}
 }
 
-func ceGradRange(gx, probs []float64, rows, labels []int, scale float64, c, lo, hi int) {
+func ceGradRange(k lossArgs, lo, hi int) {
+	gx, probs, rows, labels, scale, c := k.dst, k.x, k.rows, k.labels, k.scale, k.c
 	for k, i := range rows {
 		if i < lo || i >= hi {
 			continue

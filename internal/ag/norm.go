@@ -8,9 +8,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// The normalization kernels keep their fused loop bodies in package-level
-// range functions, so the serial path (parallel.Inline) runs them without
-// constructing the escaping closure parallel.For requires.
+// normArgs is a normalization kernel's operands over n rows of f columns,
+// which each range function names after their roles: dst and aux are written,
+// the rest read, s is a scalar.
+type normArgs struct {
+	dst, aux, x, y, a, b, c []float64
+	s                       float64
+	n, f                    int
+}
 
 // BatchNorm applies 1-D batch normalization over the rows of x ([N,F]) with
 // learnable gamma and beta ([F] parameters). In training mode it normalizes
@@ -53,14 +58,7 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 		for j := 0; j < f; j++ {
 			invstd.Data[j] = 1 / math.Sqrt(varr.Data[j]+eps)
 		}
-		grain := parallel.RowGrain(4 * f)
-		if parallel.Inline(n, grain) {
-			batchNormRange(out.Data, xhat.Data, x.T.Data, mean.Data, invstd.Data, gamma.T.Data, beta.T.Data, f, 0, n)
-			return
-		}
-		parallel.For(n, grain, func(lo, hi int) {
-			batchNormRange(out.Data, xhat.Data, x.T.Data, mean.Data, invstd.Data, gamma.T.Data, beta.T.Data, f, lo, hi)
-		})
+		parallel.For(n, parallel.RowGrain(4*f), normArgs{dst: out.Data, aux: xhat.Data, x: x.T.Data, y: mean.Data, a: invstd.Data, b: gamma.T.Data, c: beta.T.Data, f: f}, batchNormRange)
 	}
 	g.run(6*sz, 48*sz, fwd)
 	g.alloc(xhat)
@@ -100,9 +98,7 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 					gx = gr.tempLike(x.T)
 					sumDy = gr.tempLike(gamma.T)
 					sumDyXhat = gr.tempLike(gamma.T)
-					// Read-only captures keep the temps' cells off the heap
-					// (parallel.For's closure escapes even when inlined away).
-					gxd, sdy, sdyx := gx.Data, sumDy.Data, sumDyXhat.Data
+					sdy, sdyx := sumDy.Data, sumDyXhat.Data
 					// Standard batch-norm input gradient with batch statistics:
 					// dx = (gamma*invstd/N) * (N*dy - sum(dy) - xhat*sum(dy*xhat))
 					for i := 0; i < n; i++ {
@@ -114,29 +110,14 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 						}
 					}
 					inv := 1 / float64(n)
-					grain := parallel.RowGrain(6 * f)
-					if parallel.Inline(n, grain) {
-						batchNormGradXRange(gxd, res.grad.Data, xhat.Data, gamma.T.Data, invstd.Data, sdy, sdyx, inv, n, f, 0, n)
-						return
-					}
-					parallel.For(n, grain, func(lo, hi int) {
-						batchNormGradXRange(gxd, res.grad.Data, xhat.Data, gamma.T.Data, invstd.Data, sdy, sdyx, inv, n, f, lo, hi)
-					})
+					parallel.For(n, parallel.RowGrain(6*f), normArgs{dst: gx.Data, x: res.grad.Data, aux: xhat.Data, a: gamma.T.Data, b: invstd.Data, y: sdy, c: sdyx, s: inv, n: n, f: f}, batchNormGradXRange)
 				})
 				gr.freeTemp(sumDy, sumDyXhat)
 			} else {
 				gr.run(6*sz, 48*sz, func() {
 					gx = gr.tempLike(x.T)
-					gxd := gx.Data // read-only capture keeps gx's cell off the heap
 					// Running statistics are constants: dx = dy*gamma*invstd.
-					grain := parallel.RowGrain(2 * f)
-					if parallel.Inline(n, grain) {
-						batchNormGradXEvalRange(gxd, res.grad.Data, gamma.T.Data, invstd.Data, f, 0, n)
-						return
-					}
-					parallel.For(n, grain, func(lo, hi int) {
-						batchNormGradXEvalRange(gxd, res.grad.Data, gamma.T.Data, invstd.Data, f, lo, hi)
-					})
+					parallel.For(n, parallel.RowGrain(2*f), normArgs{dst: gx.Data, x: res.grad.Data, a: gamma.T.Data, b: invstd.Data, f: f}, batchNormGradXEvalRange)
 				})
 			}
 			gr.accum(x, gx)
@@ -146,7 +127,8 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 	return res
 }
 
-func batchNormRange(out, xhat, x, mean, invstd, gamma, beta []float64, f, lo, hi int) {
+func batchNormRange(k normArgs, lo, hi int) {
+	out, xhat, x, mean, invstd, gamma, beta, f := k.dst, k.aux, k.x, k.y, k.a, k.b, k.c, k.f
 	for i := lo; i < hi; i++ {
 		xrow := x[i*f : (i+1)*f]
 		hrow := xhat[i*f : (i+1)*f]
@@ -159,7 +141,8 @@ func batchNormRange(out, xhat, x, mean, invstd, gamma, beta []float64, f, lo, hi
 	}
 }
 
-func batchNormGradXRange(gx, grad, xhat, gamma, invstd, sumDy, sumDyXhat []float64, inv float64, n, f, lo, hi int) {
+func batchNormGradXRange(k normArgs, lo, hi int) {
+	gx, grad, xhat, gamma, invstd, sumDy, sumDyXhat, inv, n, f := k.dst, k.x, k.aux, k.a, k.b, k.y, k.c, k.s, k.n, k.f
 	for i := lo; i < hi; i++ {
 		grow := grad[i*f : (i+1)*f]
 		hrow := xhat[i*f : (i+1)*f]
@@ -171,7 +154,8 @@ func batchNormGradXRange(gx, grad, xhat, gamma, invstd, sumDy, sumDyXhat []float
 	}
 }
 
-func batchNormGradXEvalRange(gx, grad, gamma, invstd []float64, f, lo, hi int) {
+func batchNormGradXEvalRange(k normArgs, lo, hi int) {
+	gx, grad, gamma, invstd, f := k.dst, k.x, k.a, k.b, k.f
 	for i := lo; i < hi; i++ {
 		grow := grad[i*f : (i+1)*f]
 		xrow := gx[i*f : (i+1)*f]
@@ -193,12 +177,7 @@ func (g *Graph) L2NormalizeRows(x *Node, eps float64) *Node {
 			norms = g.get(n)
 			out = g.get(n, f)
 		}
-		grain := parallel.RowGrain(3 * f)
-		if parallel.Inline(n, grain) {
-			l2normRange(out.Data, norms.Data, x.T.Data, eps, f, 0, n)
-			return
-		}
-		parallel.For(n, grain, func(lo, hi int) { l2normRange(out.Data, norms.Data, x.T.Data, eps, f, lo, hi) })
+		parallel.For(n, parallel.RowGrain(3*f), normArgs{dst: out.Data, aux: norms.Data, x: x.T.Data, s: eps, f: f}, l2normRange)
 	}
 	g.run(2*sz, 32*sz, fwd)
 	g.alloc(norms)
@@ -208,15 +187,7 @@ func (g *Graph) L2NormalizeRows(x *Node, eps float64) *Node {
 		var gx *tensor.Tensor
 		gr.run(4*sz, 40*sz, func() {
 			gx = gr.tempLike(x.T)
-			gxd := gx.Data // read-only capture keeps gx's cell off the heap
-			grain := parallel.RowGrain(4 * f)
-			if parallel.Inline(n, grain) {
-				l2normGradRange(gxd, res.grad.Data, out.Data, norms.Data, f, 0, n)
-				return
-			}
-			parallel.For(n, grain, func(lo, hi int) {
-				l2normGradRange(gxd, res.grad.Data, out.Data, norms.Data, f, lo, hi)
-			})
+			parallel.For(n, parallel.RowGrain(4*f), normArgs{dst: gx.Data, x: res.grad.Data, y: out.Data, aux: norms.Data, f: f}, l2normGradRange)
 		})
 		gr.accum(x, gx)
 		gr.freeTemp(gx)
@@ -224,7 +195,8 @@ func (g *Graph) L2NormalizeRows(x *Node, eps float64) *Node {
 	return res
 }
 
-func l2normRange(out, norms, x []float64, eps float64, f, lo, hi int) {
+func l2normRange(k normArgs, lo, hi int) {
+	out, norms, x, eps, f := k.dst, k.aux, k.x, k.s, k.f
 	for i := lo; i < hi; i++ {
 		xrow := x[i*f : (i+1)*f]
 		var s float64
@@ -243,7 +215,8 @@ func l2normRange(out, norms, x []float64, eps float64, f, lo, hi int) {
 	}
 }
 
-func l2normGradRange(gx, grad, y, norms []float64, f, lo, hi int) {
+func l2normGradRange(k normArgs, lo, hi int) {
+	gx, grad, y, norms, f := k.dst, k.x, k.y, k.aux, k.f
 	for i := lo; i < hi; i++ {
 		grow := grad[i*f : (i+1)*f]
 		yrow := y[i*f : (i+1)*f]
@@ -277,14 +250,7 @@ func (g *Graph) GaussianWeight(u *tensor.Tensor, mu, isig *Node) *Node {
 		if out == nil {
 			out = g.get(e, 1)
 		}
-		grain := parallel.RowGrain(6 * d)
-		if parallel.Inline(e, grain) {
-			gaussianWeightRange(out.Data, u.Data, mu.T.Data, isig.T.Data, d, 0, e)
-			return
-		}
-		parallel.For(e, grain, func(lo, hi int) {
-			gaussianWeightRange(out.Data, u.Data, mu.T.Data, isig.T.Data, d, lo, hi)
-		})
+		parallel.For(e, parallel.RowGrain(6*d), normArgs{dst: out.Data, x: u.Data, a: mu.T.Data, b: isig.T.Data, f: d}, gaussianWeightRange)
 	})
 	res.backward = func(gr *Graph) {
 		var gmu, gsig *tensor.Tensor
@@ -311,7 +277,8 @@ func (g *Graph) GaussianWeight(u *tensor.Tensor, mu, isig *Node) *Node {
 	return res
 }
 
-func gaussianWeightRange(out, u, mu, isig []float64, d, lo, hi int) {
+func gaussianWeightRange(k normArgs, lo, hi int) {
+	out, u, mu, isig, d := k.dst, k.x, k.a, k.b, k.f
 	for k := lo; k < hi; k++ {
 		urow := u[k*d : (k+1)*d]
 		var s float64

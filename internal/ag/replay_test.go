@@ -1,6 +1,7 @@
 package ag
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -153,40 +154,102 @@ func TestReplayTracksRefreshedInputs(t *testing.T) {
 	}
 }
 
+// stepFixture is a GAT-style layer with a batch-normalised, row-normalised
+// head: every kernel class of the replay fixture plus the multi-head,
+// normalization and loss kernels, at a row count given by the caller.
+type stepFixture struct {
+	x                *tensor.Tensor
+	w1, b1, att, w2  *Parameter
+	gamma, beta      *Parameter
+	runMean, runVar  *tensor.Tensor
+	src, dst, labels []int
+}
+
+const stepHeads, stepDim = 2, 4
+
+func newStepFixture(n int) *stepFixture {
+	rng := tensor.NewRNG(11)
+	const f, c = 6, 3
+	fx := &stepFixture{
+		x:       rng.Randn(1, n, f),
+		w1:      NewParameter("w1", rng.Randn(0.3, f, stepHeads*stepDim)),
+		b1:      NewParameter("b1", rng.Randn(0.1, stepHeads*stepDim)),
+		att:     NewParameter("att", rng.Randn(0.3, stepHeads, stepDim)),
+		w2:      NewParameter("w2", rng.Randn(0.3, stepDim, c)),
+		gamma:   NewParameter("gamma", tensor.Full(1, stepDim)),
+		beta:    NewParameter("beta", tensor.New(stepDim)),
+		runMean: tensor.New(stepDim),
+		runVar:  tensor.Full(1, stepDim),
+		labels:  make([]int, n),
+	}
+	for e := 0; e < 3*n; e++ {
+		fx.src = append(fx.src, rng.IntN(n))
+		fx.dst = append(fx.dst, rng.IntN(n))
+	}
+	for i := range fx.labels {
+		fx.labels[i] = rng.IntN(c)
+	}
+	return fx
+}
+
+func (fx *stepFixture) record(g *Graph) *Node {
+	n := fx.x.Rows()
+	h := g.ReLU(g.AddBias(g.MatMul(g.Input(fx.x), g.Param(fx.w1)), g.Param(fx.b1)))
+	msg := g.Gather(h, fx.src)
+	alpha := g.EdgeSoftmax(g.HeadDot(msg, g.Param(fx.att)), fx.dst, n)
+	z := g.MeanHeads(g.ScatterAdd(g.MulHeads(msg, alpha), fx.dst, n), stepHeads)
+	z = g.BatchNorm(z, g.Param(fx.gamma), g.Param(fx.beta), fx.runMean, fx.runVar, 0.1, 1e-5, true)
+	logits := g.MatMul(g.L2NormalizeRows(z, 1e-12), g.Param(fx.w2))
+	return g.CrossEntropy(logits, fx.labels, nil)
+}
+
+func (fx *stepFixture) params() []*Parameter {
+	return []*Parameter{fx.w1, fx.b1, fx.att, fx.w2, fx.gamma, fx.beta}
+}
+
 // TestTrainingStepZeroAllocs is the tentpole acceptance test at the autograd
 // layer: once the tape is warm, a full training step — gradient recycling,
-// forward replay, backward, SGD update — performs zero heap allocations.
+// forward replay, backward, SGD update — performs zero heap allocations, at
+// one worker and fanned out over two and seven. 4 500 rows put every kernel
+// of stepFixture past its grain (the loss gradient's is the widest, 4 096),
+// and the test checks that chunks were handed to pool workers.
 func TestTrainingStepZeroAllocs(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
 	poison := tensor.SetPoolPoison(true)
 	defer tensor.SetPoolPoison(poison)
+	for _, workers := range []int{1, 2, 7} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer parallel.SetWorkers(parallel.SetWorkers(workers))
+			fx := newStepFixture(4500)
+			g := New(nil)
+			loss := fx.record(g)
+			defer g.Finish()
+			params := fx.params()
 
-	fx := newReplayFixture()
-	g := New(nil)
-	loss := fx.record(g)
-	defer g.Finish()
-	params := fx.params()
-
-	step := func() {
-		g.BeginStep()
-		g.ReplayForward()
-		g.Backward(loss)
-		for _, p := range params {
-			for i, gv := range p.Grad.Data {
-				p.Value.Data[i] -= 1e-3 * gv
+			step := func() {
+				g.BeginStep()
+				g.ReplayForward()
+				g.Backward(loss)
+				for _, p := range params {
+					for i, gv := range p.Grad.Data {
+						p.Value.Data[i] -= 1e-3 * gv
+					}
+					p.Grad.Zero()
+				}
 			}
-			p.Grad.Zero()
-		}
-	}
-	step() // warm: first Backward draws gradient buffers from the pool
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Errorf("steady-state training step = %v allocs/op, want 0", allocs)
-	}
-	if v := loss.Value().Data[0]; math.IsNaN(v) {
-		t.Fatalf("loss went NaN under pool poisoning: a kernel read a released buffer")
+			step() // warm: first Backward draws gradient buffers from the pool
+			dispatched := parallel.ChunksDispatched()
+			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+				t.Errorf("steady-state training step = %v allocs/op, want 0", allocs)
+			}
+			if moved := parallel.ChunksDispatched() != dispatched; moved != (workers > 1) {
+				t.Errorf("chunks handed to pool workers: %v, want %v", moved, workers > 1)
+			}
+			if v := loss.Value().Data[0]; math.IsNaN(v) {
+				t.Fatalf("loss went NaN under pool poisoning: a kernel read a released buffer")
+			}
+		})
 	}
 }

@@ -138,35 +138,44 @@ func assertBitEqual(t *testing.T, label string, got, want *tensor.Tensor) {
 
 // TestCompiledInferZeroAllocs is the serve-side tentpole acceptance test:
 // once a shape's tape is warm, answering a /predict batch — copy payload in,
-// replay, read logits — performs zero heap allocations.
+// replay, read logits — performs zero heap allocations, at one worker and
+// fanned out over two and seven. 200 graphs (about 900 nodes) put the
+// products past their grain, and the test checks that chunks were handed to
+// pool workers.
 func TestCompiledInferZeroAllocs(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
 	poison := tensor.SetPoolPoison(true)
 	defer tensor.SetPoolPoison(poison)
+	for _, workers := range []int{1, 2, 7} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer parallel.SetWorkers(parallel.SetWorkers(workers))
+			be := pygeo.New()
+			cfg := graphCfg()
+			m := New("GCN", be, cfg)
+			ci := NewCompiledInfer(m, nil, tensor.F64)
+			defer ci.Close()
 
-	be := pygeo.New()
-	cfg := graphCfg()
-	m := New("GCN", be, cfg)
-	ci := NewCompiledInfer(m, nil, tensor.F64)
-	defer ci.Close()
-
-	b := tinyBatch(be, 40, 3, cfg.In)
-	ci.Forward(b)          // record
-	fresh := perturb(b, 5) // the "incoming request" payload
-	var out *tensor.Tensor
-	allocs := testing.AllocsPerRun(50, func() {
-		out = ci.Forward(fresh)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state compiled /predict batch = %v allocs/op, want 0", allocs)
-	}
-	for _, v := range out.Data {
-		if math.IsNaN(v) {
-			t.Fatal("compiled logits went NaN under pool poisoning: a kernel read a released buffer")
-		}
+			b := tinyBatch(be, 40, 200, cfg.In)
+			ci.Forward(b)          // record
+			fresh := perturb(b, 5) // the "incoming request" payload
+			var out *tensor.Tensor
+			dispatched := parallel.ChunksDispatched()
+			allocs := testing.AllocsPerRun(50, func() {
+				out = ci.Forward(fresh)
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state compiled /predict batch = %v allocs/op, want 0", allocs)
+			}
+			if moved := parallel.ChunksDispatched() != dispatched; moved != (workers > 1) {
+				t.Errorf("chunks handed to pool workers: %v, want %v", moved, workers > 1)
+			}
+			for _, v := range out.Data {
+				if math.IsNaN(v) {
+					t.Fatal("compiled logits went NaN under pool poisoning: a kernel read a released buffer")
+				}
+			}
+		})
 	}
 }

@@ -11,15 +11,20 @@
 //     behind an unbuffered dispatch channel. Kernels never spawn goroutines
 //     themselves; they partition work with For.
 //
-//   - For(n, grain, fn) splits the index range [0, n) into at most Workers()
-//     contiguous chunks and runs fn(lo, hi) on each. Chunk boundaries depend
-//     only on (n, grain, worker count) — never on scheduling — and every
-//     kernel written on top assigns each output element to exactly one chunk,
-//     so results are bit-identical to the serial path for any worker count.
+//   - For(n, grain, args, fn) splits the index range [0, n) into at most
+//     Workers() contiguous chunks and runs fn(args, lo, hi) on each. Chunk
+//     boundaries depend only on (n, grain, worker count) — never on
+//     scheduling — and every kernel written on top assigns each output
+//     element to exactly one chunk, so results are bit-identical to the
+//     serial path for any worker count.
 //
-//   - Small inputs (n <= grain) and single-worker configurations run fn(0, n)
-//     inline on the caller: no goroutines, no synchronization, identical
-//     code path to the pre-parallel kernels.
+//   - Small inputs (n <= grain) and single-worker configurations run
+//     fn(args, 0, n) inline on the caller: no goroutines, no synchronization.
+//
+//   - Neither path allocates: the operands travel as one value, the range
+//     function is a plain function, and the fan-out path reuses a job record
+//     per argument type, so kernels need no serial twin to stay
+//     allocation-free.
 //
 //   - Dispatch is non-blocking: if every pool worker is busy (including the
 //     nested case where a kernel running on the pool reaches another For),
@@ -48,9 +53,9 @@ const MinWork = 1 << 14
 var (
 	configured atomic.Int64 // worker count used to partition For calls
 
-	mu      sync.Mutex  // guards spawned
-	spawned int         // pool goroutines started so far
-	work    chan func() // unbuffered dispatch channel
+	mu      sync.Mutex // guards spawned
+	spawned int        // pool goroutines started so far
+	work    chan task  // unbuffered dispatch channel
 
 	// Occupancy telemetry, read by obs.RegisterPoolMetrics. Only the
 	// parallel (multi-chunk) path accounts here; the serial fast path stays
@@ -67,7 +72,7 @@ func init() {
 			n = v
 		}
 	}
-	work = make(chan func())
+	work = make(chan task)
 	configured.Store(int64(n))
 }
 
@@ -106,8 +111,8 @@ func ensure(n int) {
 	mu.Lock()
 	for spawned < n {
 		go func() {
-			for f := range work {
-				f()
+			for t := range work {
+				t.j.run(t.c, t.lo, t.hi)
 			}
 		}()
 		spawned++
@@ -115,16 +120,22 @@ func ensure(n int) {
 	mu.Unlock()
 }
 
-// For runs fn over [0, n) split into contiguous chunks. grain is the minimum
-// chunk size (and the serial threshold: n <= grain runs inline). fn must
-// treat [lo, hi) as exclusively owned — the kernels built on For write each
-// output element from exactly one chunk, which is what makes the parallel
-// path race-free without atomics and bit-identical to serial execution.
+// For runs fn(args, lo, hi) over [0, n) split into contiguous chunks. grain
+// is the minimum chunk size (and the serial threshold: n <= grain runs
+// inline). fn must treat [lo, hi) as exclusively owned — the kernels built on
+// For write each output element from exactly one chunk, which is what makes
+// the parallel path race-free without atomics and bit-identical to serial
+// execution.
+//
+// For allocates nothing on either path. args travels by value and fn is a
+// package-level function or method expression, so nothing on the caller's
+// stack escapes; the serial path calls fn(args, 0, n) directly, and the
+// fan-out path copies args into a recycled job record (see job).
 //
 // Panics inside fn propagate to the caller; when several chunks panic, the
 // lowest-indexed chunk's panic wins, matching what a serial left-to-right
 // execution would have raised first.
-func For(n, grain int, fn func(lo, hi int)) {
+func For[A any](n, grain int, args A, fn func(a A, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -132,31 +143,21 @@ func For(n, grain int, fn func(lo, hi int)) {
 		grain = 1
 	}
 	w := Workers()
-	chunks := (n + grain - 1) / grain
-	if chunks > w {
-		chunks = w
-	}
+	chunks := min((n+grain-1)/grain, w)
 	if chunks <= 1 {
-		fn(0, n)
+		fn(args, 0, n)
 		return
 	}
 	ensure(w)
 
-	var wg sync.WaitGroup
-	panics := make([]any, chunks)
-	base, rem := n/chunks, n%chunks
-	run := func(c, lo, hi int) {
-		busy.Add(1)
-		defer func() {
-			busy.Add(-1)
-			if r := recover(); r != nil {
-				panics[c] = r
-			}
-			wg.Done()
-		}()
-		fn(lo, hi)
+	j := acquire[A]()
+	j.fn, j.args = fn, args
+	if cap(j.panics) < chunks {
+		j.panics = make([]any, chunks)
 	}
-	wg.Add(chunks)
+	j.panics = j.panics[:chunks]
+	j.wg.Add(chunks)
+	base, rem := n/chunks, n%chunks
 	lo := 0
 	var lo0, hi0 int
 	for c := 0; c < chunks; c++ {
@@ -167,46 +168,110 @@ func For(n, grain int, fn func(lo, hi int)) {
 		if c == 0 {
 			lo0, hi0 = lo, hi // chunk 0 runs on the caller below
 		} else {
-			c, lo, hi := c, lo, hi
-			task := func() { run(c, lo, hi) }
 			select {
-			case work <- task:
+			case work <- task{j, c, lo, hi}:
 				chunksDispatched.Add(1)
 			default:
 				// Pool saturated (or nested For): execute inline.
 				chunksInline.Add(1)
-				task()
+				j.run(c, lo, hi)
 			}
 		}
 		lo = hi
 	}
 	chunksInline.Add(1)
-	run(0, lo0, hi0)
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
+	j.run(0, lo0, hi0)
+	j.wg.Wait()
+	var p any
+	for _, r := range j.panics {
+		if r != nil {
+			p = r
+			break
 		}
+	}
+	j.release()
+	if p != nil {
+		panic(p)
 	}
 }
 
-// Inline reports whether For(n, grain, fn) would run fn(0, n) serially on the
-// caller. Zero-allocation kernels use it to call their range function directly
-// on the serial path: a closure literal passed to For escapes to the heap
-// (For sends it to the worker channel), so hot kernels guard the closure
-// behind Inline and only construct it when the work will genuinely fan out.
-// The decision mirrors For's chunking exactly, so the dual-path kernels stay
-// bit-identical to a plain For call.
-func Inline(n, grain int) bool {
-	if n <= 0 {
-		return true
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
-	return chunks <= 1 || Workers() <= 1
+// A job is one fanned-out For call: its range function, its arguments, the
+// chunks still running and what each chunk panicked with. Pool workers
+// receive a task naming the job and the chunk, never a closure, so a For call
+// allocates nothing once its argument type has a record to reuse. Records are
+// kept per argument type for the life of the process; a released one holds
+// no argument, so it keeps nothing else alive.
+type job[A any] struct {
+	fn     func(A, int, int)
+	args   A
+	wg     sync.WaitGroup
+	panics []any // one slot per chunk
+	next   *job[A]
+	free   *jobs[A]
 }
+
+// jobs is the free list of one argument type's records.
+type jobs[A any] struct {
+	mu   sync.Mutex
+	head *job[A]
+}
+
+// stores maps a typed nil *job[A] (an interface value, so its dynamic type
+// tells the argument types apart) to that type's *jobs[A].
+var stores sync.Map
+
+func acquire[A any]() *job[A] {
+	key := any((*job[A])(nil))
+	s, ok := stores.Load(key)
+	if !ok {
+		s, _ = stores.LoadOrStore(key, new(jobs[A]))
+	}
+	free := s.(*jobs[A])
+	free.mu.Lock()
+	j := free.head
+	if j != nil {
+		free.head = j.next
+	}
+	free.mu.Unlock()
+	if j == nil {
+		j = &job[A]{free: free}
+	}
+	return j
+}
+
+// release clears j and returns it to its free list.
+func (j *job[A]) release() {
+	var zero A
+	j.fn, j.args = nil, zero
+	clear(j.panics)
+	free := j.free
+	free.mu.Lock()
+	j.next = free.head
+	free.head = j
+	free.mu.Unlock()
+}
+
+// run executes chunk c, [lo, hi), recording a panic instead of unwinding the
+// pool worker.
+func (j *job[A]) run(c, lo, hi int) {
+	busy.Add(1)
+	defer func() {
+		busy.Add(-1)
+		if r := recover(); r != nil {
+			j.panics[c] = r
+		}
+		j.wg.Done()
+	}()
+	j.fn(j.args, lo, hi)
+}
+
+// A task is one chunk handed to a pool worker.
+type task struct {
+	j         runner
+	c, lo, hi int
+}
+
+type runner interface{ run(c, lo, hi int) }
 
 // RowGrain converts a per-row operation cost (scalar ops per row) into a For
 // grain: the number of rows whose combined work reaches MinWork. Kernels that

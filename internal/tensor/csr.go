@@ -17,9 +17,7 @@ import (
 // kernels: forward kernels partition destination rows, backward kernels
 // partition the rows they scatter into (source rows or edge ids). Every
 // output element accumulates its contributions in serial edge order, so
-// results are bit-identical for any worker count — and, as everywhere in
-// this package, the serial path calls the range function directly instead of
-// building a closure for parallel.For.
+// results are bit-identical for any worker count.
 
 // CSRGrain estimates a For grain for a CSR kernel: rows whose combined
 // edge×feature work reaches the pool's minimum profitable work unit.
@@ -29,6 +27,17 @@ func CSRGrain(edges, rows, f int) int {
 	}
 	avg := (edges*f)/rows + 1
 	return parallel.RowGrain(avg)
+}
+
+// csrArgs is a CSR kernel's operands, which each range function names after
+// its own roles: dst is the buffer whose rows (or edge ids) the workers own,
+// x, y and w the dense inputs, rowptr, col and eid the graph's CSR, n the
+// CSR's rows and f the feature width.
+type csrArgs struct {
+	dst, x, y, w     []float64
+	rowptr, col, eid []int
+	ep               Epilogue
+	n, f             int
 }
 
 // Epilogue is what AggregateRowsInto does to each destination row once its
@@ -82,7 +91,7 @@ func (ep *Epilogue) apply(o []float64, s float64, j0 int) {
 		}
 	}
 	if ep.ReLU {
-		reluRange(o, o, 0, len(o))
+		reluRange(ew{dst: o, a: o}, 0, len(o))
 	}
 }
 
@@ -105,11 +114,7 @@ func AggregateRowsInto(dst, x *Tensor, w []float64, rowptr, col, eid []int, ep E
 	checkArcs(x, f, w, rowptr, col, eid, n)
 	checkEpilogue(ep, n, f)
 	grain := CSRGrain(len(col), n, f)
-	if parallel.Inline(n, grain) {
-		aggregateRowsRange(dst.Data, x.Data, w, rowptr, col, eid, ep, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { aggregateRowsRange(dst.Data, x.Data, w, rowptr, col, eid, ep, f, lo, hi) })
+	parallel.For(n, grain, csrArgs{dst: dst.Data, x: x.Data, w: w, rowptr: rowptr, col: col, eid: eid, ep: ep, f: f}, aggregateRowsRange)
 }
 
 // checkArcs panics unless AggregateRowsInto's operands are consistent: x is
@@ -149,7 +154,8 @@ func checkArcs(x *Tensor, f int, w []float64, rowptr, col, eid []int, n int) {
 	}
 }
 
-func aggregateRowsRange(dst, x, w []float64, rowptr, col, eid []int, ep Epilogue, f, lo, hi int) {
+func aggregateRowsRange(k csrArgs, lo, hi int) {
+	dst, x, w, rowptr, col, eid, ep, f := k.dst, k.x, k.w, k.rowptr, k.col, k.eid, k.ep, k.f
 	mode := ep.mode()
 	for v := lo; v < hi; v++ {
 		orow := dst[v*f : (v+1)*f]
@@ -232,14 +238,11 @@ func EpilogueInPlace(t *Tensor, ep Epilogue) {
 	n, f := t.Rows(), t.Cols()
 	checkEpilogue(ep, n, f)
 	grain := parallel.RowGrain(f)
-	if parallel.Inline(n, grain) {
-		epilogueRange(t.Data, ep, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { epilogueRange(t.Data, ep, f, lo, hi) })
+	parallel.For(n, grain, csrArgs{dst: t.Data, ep: ep, f: f}, epilogueRange)
 }
 
-func epilogueRange(d []float64, ep Epilogue, f, lo, hi int) {
+func epilogueRange(k csrArgs, lo, hi int) {
+	d, ep, f := k.dst, k.ep, k.f
 	for v := lo; v < hi; v++ {
 		s := 0.0
 		if ep.Scale != nil {
@@ -318,16 +321,11 @@ func GSpMMSumGradInto(gx, grad *Tensor, rowptr, col []int) {
 	srcRows, f := gx.Rows(), gx.Cols()
 	n := len(rowptr) - 1
 	grain := CSRGrain(len(col), srcRows, f)
-	if parallel.Inline(srcRows, grain) {
-		gspmmSumGradRange(gx.Data, grad.Data, rowptr, col, n, f, 0, srcRows)
-		return
-	}
-	parallel.For(srcRows, grain, func(lo, hi int) {
-		gspmmSumGradRange(gx.Data, grad.Data, rowptr, col, n, f, lo, hi)
-	})
+	parallel.For(srcRows, grain, csrArgs{dst: gx.Data, x: grad.Data, rowptr: rowptr, col: col, n: n, f: f}, gspmmSumGradRange)
 }
 
-func gspmmSumGradRange(gx, grad []float64, rowptr, col []int, n, f, lo, hi int) {
+func gspmmSumGradRange(k csrArgs, lo, hi int) {
+	gx, grad, rowptr, col, n, f := k.dst, k.x, k.rowptr, k.col, k.n, k.f
 	zero(gx[lo*f : hi*f])
 	for v := 0; v < n; v++ {
 		grow := grad[v*f : (v+1)*f]
@@ -350,16 +348,11 @@ func GSpMMWeightedSumGradXInto(gx, grad *Tensor, w []float64, rowptr, col, eid [
 	srcRows, f := gx.Rows(), gx.Cols()
 	n := len(rowptr) - 1
 	grain := CSRGrain(len(col), srcRows, f)
-	if parallel.Inline(srcRows, grain) {
-		gspmmWSumGradXRange(gx.Data, grad.Data, w, rowptr, col, eid, n, f, 0, srcRows)
-		return
-	}
-	parallel.For(srcRows, grain, func(lo, hi int) {
-		gspmmWSumGradXRange(gx.Data, grad.Data, w, rowptr, col, eid, n, f, lo, hi)
-	})
+	parallel.For(srcRows, grain, csrArgs{dst: gx.Data, x: grad.Data, w: w, rowptr: rowptr, col: col, eid: eid, n: n, f: f}, gspmmWSumGradXRange)
 }
 
-func gspmmWSumGradXRange(gx, grad, w []float64, rowptr, col, eid []int, n, f, lo, hi int) {
+func gspmmWSumGradXRange(k csrArgs, lo, hi int) {
+	gx, grad, w, rowptr, col, eid, n, f := k.dst, k.x, k.w, k.rowptr, k.col, k.eid, k.n, k.f
 	zero(gx[lo*f : hi*f])
 	for v := 0; v < n; v++ {
 		grow := grad[v*f : (v+1)*f]
@@ -385,16 +378,11 @@ func GSpMMWeightedSumGradWInto(gw, grad, x *Tensor, rowptr, col, eid []int) {
 	f := x.Cols()
 	n := len(rowptr) - 1
 	grain := parallel.RowGrain(2 * f)
-	if parallel.Inline(e, grain) {
-		gspmmWSumGradWRange(gw.Data, grad.Data, x.Data, rowptr, col, eid, n, f, 0, e)
-		return
-	}
-	parallel.For(e, grain, func(lo, hi int) {
-		gspmmWSumGradWRange(gw.Data, grad.Data, x.Data, rowptr, col, eid, n, f, lo, hi)
-	})
+	parallel.For(e, grain, csrArgs{dst: gw.Data, x: grad.Data, y: x.Data, rowptr: rowptr, col: col, eid: eid, n: n, f: f}, gspmmWSumGradWRange)
 }
 
-func gspmmWSumGradWRange(gw, grad, x []float64, rowptr, col, eid []int, n, f, lo, hi int) {
+func gspmmWSumGradWRange(k csrArgs, lo, hi int) {
+	gw, grad, x, rowptr, col, eid, n, f := k.dst, k.x, k.y, k.rowptr, k.col, k.eid, k.n, k.f
 	zero(gw[lo:hi])
 	for v := 0; v < n; v++ {
 		grow := grad[v*f : (v+1)*f]
@@ -418,14 +406,11 @@ func gspmmWSumGradWRange(gw, grad, x []float64, rowptr, col, eid []int, n, f, lo
 func GSpMMEdgeSumInto(dst, m *Tensor, rowptr, eid []int) {
 	n, f := dst.Rows(), dst.Cols()
 	grain := CSRGrain(m.Rows(), n, f)
-	if parallel.Inline(n, grain) {
-		gspmmEdgeSumRange(dst.Data, m.Data, rowptr, eid, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { gspmmEdgeSumRange(dst.Data, m.Data, rowptr, eid, f, lo, hi) })
+	parallel.For(n, grain, csrArgs{dst: dst.Data, x: m.Data, rowptr: rowptr, eid: eid, f: f}, gspmmEdgeSumRange)
 }
 
-func gspmmEdgeSumRange(dst, m []float64, rowptr, eid []int, f, lo, hi int) {
+func gspmmEdgeSumRange(k csrArgs, lo, hi int) {
+	dst, m, rowptr, eid, f := k.dst, k.x, k.rowptr, k.eid, k.f
 	zero(dst[lo*f : hi*f])
 	for v := lo; v < hi; v++ {
 		orow := dst[v*f : (v+1)*f]
@@ -445,16 +430,11 @@ func GSpMMEdgeSumGradInto(gm, grad *Tensor, rowptr, eid []int) {
 	e, f := gm.Rows(), gm.Cols()
 	n := len(rowptr) - 1
 	grain := parallel.RowGrain(f)
-	if parallel.Inline(e, grain) {
-		gspmmEdgeSumGradRange(gm.Data, grad.Data, rowptr, eid, n, f, 0, e)
-		return
-	}
-	parallel.For(e, grain, func(lo, hi int) {
-		gspmmEdgeSumGradRange(gm.Data, grad.Data, rowptr, eid, n, f, lo, hi)
-	})
+	parallel.For(e, grain, csrArgs{dst: gm.Data, x: grad.Data, rowptr: rowptr, eid: eid, n: n, f: f}, gspmmEdgeSumGradRange)
 }
 
-func gspmmEdgeSumGradRange(gm, grad []float64, rowptr, eid []int, n, f, lo, hi int) {
+func gspmmEdgeSumGradRange(k csrArgs, lo, hi int) {
+	gm, grad, rowptr, eid, n, f := k.dst, k.x, k.rowptr, k.eid, k.n, k.f
 	zero(gm[lo*f : hi*f])
 	for v := 0; v < n; v++ {
 		grow := grad[v*f : (v+1)*f]
@@ -478,16 +458,11 @@ func EdgeSoftmaxInto(out, scores *Tensor, dst []int, maxes, sums *Tensor) {
 	e, h := scores.Rows(), scores.Cols()
 	n := maxes.Rows()
 	grain := CSRGrain(e, n, 4*h)
-	if parallel.Inline(n, grain) {
-		edgeSoftmaxRange(out.Data, scores.Data, dst, maxes.Data, sums.Data, h, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) {
-		edgeSoftmaxRange(out.Data, scores.Data, dst, maxes.Data, sums.Data, h, lo, hi)
-	})
+	parallel.For(n, grain, csrArgs{dst: out.Data, x: scores.Data, col: dst, y: maxes.Data, w: sums.Data, f: h}, edgeSoftmaxRange)
 }
 
-func edgeSoftmaxRange(out, scores []float64, dst []int, maxes, sums []float64, h, lo, hi int) {
+func edgeSoftmaxRange(k csrArgs, lo, hi int) {
+	out, scores, dst, maxes, sums, h := k.dst, k.x, k.col, k.y, k.w, k.f
 	ninf := math.Inf(-1)
 	for i := lo * h; i < hi*h; i++ {
 		maxes[i] = ninf
@@ -538,16 +513,11 @@ func EdgeSoftmaxGradInto(gs, alpha, grad *Tensor, dst []int, dots *Tensor) {
 	e, h := alpha.Rows(), alpha.Cols()
 	n := dots.Rows()
 	grain := CSRGrain(e, n, 4*h)
-	if parallel.Inline(n, grain) {
-		edgeSoftmaxGradRange(gs.Data, alpha.Data, grad.Data, dst, dots.Data, h, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) {
-		edgeSoftmaxGradRange(gs.Data, alpha.Data, grad.Data, dst, dots.Data, h, lo, hi)
-	})
+	parallel.For(n, grain, csrArgs{dst: gs.Data, x: alpha.Data, y: grad.Data, col: dst, w: dots.Data, f: h}, edgeSoftmaxGradRange)
 }
 
-func edgeSoftmaxGradRange(gs, alpha, grad []float64, dst []int, dots []float64, h, lo, hi int) {
+func edgeSoftmaxGradRange(k csrArgs, lo, hi int) {
+	gs, alpha, grad, dst, dots, h := k.dst, k.x, k.y, k.col, k.w, k.f
 	zero(dots[lo*h : hi*h])
 	for k, d := range dst {
 		if d < lo || d >= hi {
@@ -580,14 +550,11 @@ func edgeSoftmaxGradRange(gs, alpha, grad []float64, dst []int, dots []float64, 
 func SegmentSumInto(dst, x *Tensor, offsets []int) {
 	segs, f := dst.Rows(), dst.Cols()
 	grain := CSRGrain(x.Rows(), segs, f)
-	if parallel.Inline(segs, grain) {
-		segmentSumRange(dst.Data, x.Data, offsets, f, 0, segs)
-		return
-	}
-	parallel.For(segs, grain, func(lo, hi int) { segmentSumRange(dst.Data, x.Data, offsets, f, lo, hi) })
+	parallel.For(segs, grain, csrArgs{dst: dst.Data, x: x.Data, rowptr: offsets, f: f}, segmentSumRange)
 }
 
-func segmentSumRange(dst, x []float64, offsets []int, f, lo, hi int) {
+func segmentSumRange(k csrArgs, lo, hi int) {
+	dst, x, offsets, f := k.dst, k.x, k.rowptr, k.f
 	zero(dst[lo*f : hi*f])
 	for s := lo; s < hi; s++ {
 		orow := dst[s*f : (s+1)*f]
@@ -606,14 +573,11 @@ func segmentSumRange(dst, x []float64, offsets []int, f, lo, hi int) {
 func SegmentSumGradInto(gx, grad *Tensor, offsets []int) {
 	segs, f := grad.Rows(), grad.Cols()
 	grain := CSRGrain(gx.Rows(), segs, f)
-	if parallel.Inline(segs, grain) {
-		segmentSumGradRange(gx.Data, grad.Data, offsets, f, 0, segs)
-		return
-	}
-	parallel.For(segs, grain, func(lo, hi int) { segmentSumGradRange(gx.Data, grad.Data, offsets, f, lo, hi) })
+	parallel.For(segs, grain, csrArgs{dst: gx.Data, x: grad.Data, rowptr: offsets, f: f}, segmentSumGradRange)
 }
 
-func segmentSumGradRange(gx, grad []float64, offsets []int, f, lo, hi int) {
+func segmentSumGradRange(k csrArgs, lo, hi int) {
+	gx, grad, offsets, f := k.dst, k.x, k.rowptr, k.f
 	for s := lo; s < hi; s++ {
 		grow := grad[s*f : (s+1)*f]
 		for r := offsets[s]; r < offsets[s+1]; r++ {
@@ -630,14 +594,11 @@ func segmentSumGradRange(gx, grad []float64, offsets []int, f, lo, hi int) {
 func ScatterMaxInto(dst *Tensor, arg []int, x *Tensor, idx []int) {
 	n, f := dst.Rows(), dst.Cols()
 	grain := CSRGrain(len(idx), n, f)
-	if parallel.Inline(n, grain) {
-		scatterMaxRange(dst.Data, arg, x.Data, idx, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { scatterMaxRange(dst.Data, arg, x.Data, idx, f, lo, hi) })
+	parallel.For(n, grain, csrArgs{dst: dst.Data, eid: arg, x: x.Data, col: idx, f: f}, scatterMaxRange)
 }
 
-func scatterMaxRange(dst []float64, arg []int, x []float64, idx []int, f, lo, hi int) {
+func scatterMaxRange(k csrArgs, lo, hi int) {
+	dst, arg, x, idx, f := k.dst, k.eid, k.x, k.col, k.f
 	ninf := math.Inf(-1)
 	for i := lo * f; i < hi*f; i++ {
 		dst[i] = ninf
@@ -674,14 +635,11 @@ func ScatterMaxGradInto(gx, grad *Tensor, arg []int) {
 	n, f := grad.Rows(), grad.Cols()
 	grain := CSRGrain(gx.Rows(), n, f)
 	zero(gx.Data)
-	if parallel.Inline(n, grain) {
-		scatterMaxGradRange(gx.Data, grad.Data, arg, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { scatterMaxGradRange(gx.Data, grad.Data, arg, f, lo, hi) })
+	parallel.For(n, grain, csrArgs{dst: gx.Data, x: grad.Data, eid: arg, f: f}, scatterMaxGradRange)
 }
 
-func scatterMaxGradRange(gx, grad []float64, arg []int, f, lo, hi int) {
+func scatterMaxGradRange(k csrArgs, lo, hi int) {
+	gx, grad, arg, f := k.dst, k.x, k.eid, k.f
 	for slot := lo * f; slot < hi*f; slot++ {
 		if k := arg[slot]; k >= 0 {
 			gx[k*f+slot%f] += grad[slot]

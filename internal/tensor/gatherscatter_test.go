@@ -130,9 +130,8 @@ func TestGatherScaleScatterIntoPanics(t *testing.T) {
 }
 
 // TestGatherScaleScatterIntoInlineZeroAllocs: on the inline path — one
-// worker, or work below one grain at seven — the kernel builds no
-// parallel.For closure, and the CSR it reads is the caller's, so it
-// allocates nothing.
+// worker, or work below one grain at seven — the CSR the kernel reads is the
+// caller's, so it allocates nothing.
 func TestGatherScaleScatterIntoInlineZeroAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates")

@@ -217,15 +217,18 @@ func Transpose(t *Tensor) *Tensor {
 	}
 	m, n := t.Dim(0), t.Dim(1)
 	out := New(n, m)
-	parallel.For(n, parallel.RowGrain(m), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			orow := out.Data[j*m : (j+1)*m]
-			for i := 0; i < m; i++ {
-				orow[i] = t.Data[i*n+j]
-			}
-		}
-	})
+	parallel.For(n, parallel.RowGrain(m), csrArgs{dst: out.Data, x: t.Data, n: m, f: n}, transposeRange)
 	return out
+}
+
+func transposeRange(k csrArgs, lo, hi int) {
+	m, n := k.n, k.f
+	for j := lo; j < hi; j++ {
+		orow := k.dst[j*m : (j+1)*m]
+		for i := 0; i < m; i++ {
+			orow[i] = k.x[i*n+j]
+		}
+	}
 }
 
 // SumRows reduces an [N,F] tensor over rows, returning [F].
@@ -247,72 +250,81 @@ func SumCols(t *Tensor) *Tensor {
 func SoftmaxRows(t *Tensor) *Tensor {
 	n, f := t.Rows(), t.Cols()
 	out := New(t.shape...)
-	parallel.For(n, parallel.RowGrain(4*f), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := t.Data[i*f : (i+1)*f]
-			dst := out.Data[i*f : (i+1)*f]
-			m := math.Inf(-1)
-			for _, v := range row {
-				if v > m {
-					m = v
-				}
-			}
-			var z float64
-			for j, v := range row {
-				e := math.Exp(v - m)
-				dst[j] = e
-				z += e
-			}
-			for j := range dst {
-				dst[j] /= z
+	parallel.For(n, parallel.RowGrain(4*f), rowArgs{dst: out.Data, a: t.Data, f: f}, softmaxRowsRange)
+	return out
+}
+
+func softmaxRowsRange(k rowArgs, lo, hi int) {
+	out, t, f := k.dst, k.a, k.f
+	for i := lo; i < hi; i++ {
+		row := t[i*f : (i+1)*f]
+		dst := out[i*f : (i+1)*f]
+		m := math.Inf(-1)
+		for _, v := range row {
+			if v > m {
+				m = v
 			}
 		}
-	})
-	return out
+		var z float64
+		for j, v := range row {
+			e := math.Exp(v - m)
+			dst[j] = e
+			z += e
+		}
+		for j := range dst {
+			dst[j] /= z
+		}
+	}
 }
 
 // LogSoftmaxRows returns the row-wise log-softmax of an [N,F] tensor.
 func LogSoftmaxRows(t *Tensor) *Tensor {
 	n, f := t.Rows(), t.Cols()
 	out := New(t.shape...)
-	parallel.For(n, parallel.RowGrain(4*f), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := t.Data[i*f : (i+1)*f]
-			dst := out.Data[i*f : (i+1)*f]
-			m := math.Inf(-1)
-			for _, v := range row {
-				if v > m {
-					m = v
-				}
-			}
-			var z float64
-			for _, v := range row {
-				z += math.Exp(v - m)
-			}
-			lz := m + math.Log(z)
-			for j, v := range row {
-				dst[j] = v - lz
+	parallel.For(n, parallel.RowGrain(4*f), rowArgs{dst: out.Data, a: t.Data, f: f}, logSoftmaxRowsRange)
+	return out
+}
+
+func logSoftmaxRowsRange(k rowArgs, lo, hi int) {
+	out, t, f := k.dst, k.a, k.f
+	for i := lo; i < hi; i++ {
+		row := t[i*f : (i+1)*f]
+		dst := out[i*f : (i+1)*f]
+		m := math.Inf(-1)
+		for _, v := range row {
+			if v > m {
+				m = v
 			}
 		}
-	})
-	return out
+		var z float64
+		for _, v := range row {
+			z += math.Exp(v - m)
+		}
+		lz := m + math.Log(z)
+		for j, v := range row {
+			dst[j] = v - lz
+		}
+	}
 }
 
 // L2NormRows returns the [N] per-row Euclidean norms of an [N,F] tensor.
 func L2NormRows(t *Tensor) *Tensor {
 	n, f := t.Rows(), t.Cols()
 	out := New(n)
-	parallel.For(n, parallel.RowGrain(2*f), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := t.Data[i*f : (i+1)*f]
-			var s float64
-			for _, v := range row {
-				s += v * v
-			}
-			out.Data[i] = math.Sqrt(s)
-		}
-	})
+	parallel.For(n, parallel.RowGrain(2*f), rowArgs{dst: out.Data, a: t.Data, f: f}, l2NormRowsRange)
 	return out
+}
+
+func l2NormRowsRange(k rowArgs, lo, hi int) {
+	out, t, f := k.dst, k.a, k.f
+	for i := lo; i < hi; i++ {
+		row := t[i*f : (i+1)*f]
+		var s float64
+		for _, v := range row {
+			s += v * v
+		}
+		out[i] = math.Sqrt(s)
+	}
 }
 
 // MeanStd returns the mean and (population) standard deviation of each column
@@ -329,15 +341,11 @@ func SumColsInto(dst, t *Tensor) {
 	if dst.Size() != n {
 		panic(fmt.Sprintf("tensor: SumColsInto dst size %d, want %d", dst.Size(), n))
 	}
-	grain := parallel.RowGrain(f)
-	if parallel.Inline(n, grain) {
-		sumColsRange(dst.Data, t.Data, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { sumColsRange(dst.Data, t.Data, f, lo, hi) })
+	parallel.For(n, parallel.RowGrain(f), rowArgs{dst: dst.Data, a: t.Data, f: f}, sumColsRange)
 }
 
-func sumColsRange(dst, t []float64, f, lo, hi int) {
+func sumColsRange(k rowArgs, lo, hi int) {
+	dst, t, f := k.dst, k.a, k.f
 	for i := lo; i < hi; i++ {
 		row := t[i*f : (i+1)*f]
 		var s float64
@@ -357,15 +365,11 @@ func MulRowVectorInto(dst, m, v *Tensor) {
 	}
 	assertSameShape("MulRowVectorInto", dst, m)
 	n := m.Rows()
-	grain := parallel.RowGrain(f)
-	if parallel.Inline(n, grain) {
-		mulRowVectorRange(dst.Data, m.Data, v.Data, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { mulRowVectorRange(dst.Data, m.Data, v.Data, f, lo, hi) })
+	parallel.For(n, parallel.RowGrain(f), rowArgs{dst: dst.Data, a: m.Data, b: v.Data, f: f}, mulRowVectorRange)
 }
 
-func mulRowVectorRange(dst, m, v []float64, f, lo, hi int) {
+func mulRowVectorRange(k rowArgs, lo, hi int) {
+	dst, m, v, f := k.dst, k.a, k.b, k.f
 	for i := lo; i < hi; i++ {
 		row := m[i*f : (i+1)*f]
 		drow := dst[i*f : (i+1)*f]
@@ -389,14 +393,11 @@ func IsPoolPoison(v float64) bool { return math.Float64bits(v) == poolPoisonBits
 // AddScaled accumulates s*b into a (a += s*b).
 func AddScaled(a *Tensor, s float64, b *Tensor) {
 	assertSameShape("AddScaled", a, b)
-	if parallel.Inline(len(a.Data), elemGrain) {
-		addScaledRange(a.Data, b.Data, s, 0, len(a.Data))
-		return
-	}
-	parallel.For(len(a.Data), elemGrain, func(lo, hi int) { addScaledRange(a.Data, b.Data, s, lo, hi) })
+	parallel.For(len(a.Data), elemGrain, ew{dst: a.Data, a: b.Data, s: s}, addScaledRange)
 }
 
-func addScaledRange(a, b []float64, s float64, lo, hi int) {
+func addScaledRange(k ew, lo, hi int) {
+	a, b, s := k.dst, k.a, k.s
 	for i := lo; i < hi; i++ {
 		a[i] += s * b[i]
 	}

@@ -10,29 +10,40 @@ import (
 // so pooled buffers can be reused across training and serving steps with zero
 // heap traffic. They are the only loop body of each op.
 //
-// Two structural rules keep the kernels allocation-free:
+// Each kernel is one parallel.For call: its operands travel as one value of
+// an argument type shared by its family (ew for the flat elementwise kernels,
+// rowArgs for the row kernels) to a package-level range function, so neither
+// the serial nor the fan-out path allocates.
 //
-//   - The loop body lives in a package-level range function, and the closure
-//     handed to parallel.For is only constructed when parallel.Inline says
-//     the work will genuinely fan out (a closure passed to For always escapes
-//     to the heap; one constructed and discarded on the serial path does not).
-//
-//   - dst may alias an input where noted; kernels write dst[i] from index i
-//     only, so in-place application (dst == a) is safe for the elementwise
-//     family.
+// dst may alias an input where noted; kernels write dst[i] from index i
+// only, so in-place application (dst == a) is safe for the elementwise
+// family.
+
+// ew is a flat elementwise kernel's operands: dst[i] is computed from a[i],
+// b[i], c[i] and the scalar s, whichever the kernel reads. Range functions
+// copy the fields they read into locals before looping: a struct this wide
+// stays in memory, and a field read inside the loop is reloaded per element.
+type ew struct {
+	dst, a, b, c []float64
+	s            float64
+}
+
+// rowArgs is a row kernel's operands: rows of f columns of a, combined with
+// b, land in dst.
+type rowArgs struct {
+	dst, a, b []float64
+	f         int
+}
 
 // AddInto computes dst = a + b elementwise. dst may alias a or b.
 func AddInto(dst, a, b *Tensor) {
 	assertSameShape("AddInto", a, b)
 	assertSameShape("AddInto", dst, a)
-	if parallel.Inline(len(a.Data), elemGrain) {
-		addRange(dst.Data, a.Data, b.Data, 0, len(a.Data))
-		return
-	}
-	parallel.For(len(a.Data), elemGrain, func(lo, hi int) { addRange(dst.Data, a.Data, b.Data, lo, hi) })
+	parallel.For(len(a.Data), elemGrain, ew{dst: dst.Data, a: a.Data, b: b.Data}, addRange)
 }
 
-func addRange(dst, a, b []float64, lo, hi int) {
+func addRange(k ew, lo, hi int) {
+	dst, a, b := k.dst, k.a, k.b
 	for i := lo; i < hi; i++ {
 		dst[i] = a[i] + b[i]
 	}
@@ -42,14 +53,11 @@ func addRange(dst, a, b []float64, lo, hi int) {
 func SubInto(dst, a, b *Tensor) {
 	assertSameShape("SubInto", a, b)
 	assertSameShape("SubInto", dst, a)
-	if parallel.Inline(len(a.Data), elemGrain) {
-		subRange(dst.Data, a.Data, b.Data, 0, len(a.Data))
-		return
-	}
-	parallel.For(len(a.Data), elemGrain, func(lo, hi int) { subRange(dst.Data, a.Data, b.Data, lo, hi) })
+	parallel.For(len(a.Data), elemGrain, ew{dst: dst.Data, a: a.Data, b: b.Data}, subRange)
 }
 
-func subRange(dst, a, b []float64, lo, hi int) {
+func subRange(k ew, lo, hi int) {
+	dst, a, b := k.dst, k.a, k.b
 	for i := lo; i < hi; i++ {
 		dst[i] = a[i] - b[i]
 	}
@@ -59,14 +67,11 @@ func subRange(dst, a, b []float64, lo, hi int) {
 func MulInto(dst, a, b *Tensor) {
 	assertSameShape("MulInto", a, b)
 	assertSameShape("MulInto", dst, a)
-	if parallel.Inline(len(a.Data), elemGrain) {
-		mulRange(dst.Data, a.Data, b.Data, 0, len(a.Data))
-		return
-	}
-	parallel.For(len(a.Data), elemGrain, func(lo, hi int) { mulRange(dst.Data, a.Data, b.Data, lo, hi) })
+	parallel.For(len(a.Data), elemGrain, ew{dst: dst.Data, a: a.Data, b: b.Data}, mulRange)
 }
 
-func mulRange(dst, a, b []float64, lo, hi int) {
+func mulRange(k ew, lo, hi int) {
+	dst, a, b := k.dst, k.a, k.b
 	for i := lo; i < hi; i++ {
 		dst[i] = a[i] * b[i]
 	}
@@ -76,14 +81,11 @@ func mulRange(dst, a, b []float64, lo, hi int) {
 func DivInto(dst, a, b *Tensor) {
 	assertSameShape("DivInto", a, b)
 	assertSameShape("DivInto", dst, a)
-	if parallel.Inline(len(a.Data), elemGrain) {
-		divRange(dst.Data, a.Data, b.Data, 0, len(a.Data))
-		return
-	}
-	parallel.For(len(a.Data), elemGrain, func(lo, hi int) { divRange(dst.Data, a.Data, b.Data, lo, hi) })
+	parallel.For(len(a.Data), elemGrain, ew{dst: dst.Data, a: a.Data, b: b.Data}, divRange)
 }
 
-func divRange(dst, a, b []float64, lo, hi int) {
+func divRange(k ew, lo, hi int) {
+	dst, a, b := k.dst, k.a, k.b
 	for i := lo; i < hi; i++ {
 		dst[i] = a[i] / b[i]
 	}
@@ -95,16 +97,11 @@ func DivGradBInto(dst, dg, a, b *Tensor) {
 	assertSameShape("DivGradBInto", dg, a)
 	assertSameShape("DivGradBInto", a, b)
 	assertSameShape("DivGradBInto", dst, a)
-	if parallel.Inline(len(a.Data), elemGrain) {
-		divGradBRange(dst.Data, dg.Data, a.Data, b.Data, 0, len(a.Data))
-		return
-	}
-	parallel.For(len(a.Data), elemGrain, func(lo, hi int) {
-		divGradBRange(dst.Data, dg.Data, a.Data, b.Data, lo, hi)
-	})
+	parallel.For(len(a.Data), elemGrain, ew{dst: dst.Data, a: dg.Data, b: a.Data, c: b.Data}, divGradBRange)
 }
 
-func divGradBRange(dst, dg, a, b []float64, lo, hi int) {
+func divGradBRange(k ew, lo, hi int) {
+	dst, dg, a, b := k.dst, k.a, k.b, k.c
 	for i := lo; i < hi; i++ {
 		dst[i] = (-dg[i] / (b[i] * b[i])) * a[i]
 	}
@@ -113,14 +110,11 @@ func divGradBRange(dst, dg, a, b []float64, lo, hi int) {
 // ScaleInto computes dst = s * t elementwise. dst may alias t.
 func ScaleInto(dst, t *Tensor, s float64) {
 	assertSameShape("ScaleInto", dst, t)
-	if parallel.Inline(len(t.Data), elemGrain) {
-		scaleRange(dst.Data, t.Data, s, 0, len(t.Data))
-		return
-	}
-	parallel.For(len(t.Data), elemGrain, func(lo, hi int) { scaleRange(dst.Data, t.Data, s, lo, hi) })
+	parallel.For(len(t.Data), elemGrain, ew{dst: dst.Data, a: t.Data, s: s}, scaleRange)
 }
 
-func scaleRange(dst, t []float64, s float64, lo, hi int) {
+func scaleRange(k ew, lo, hi int) {
+	dst, t, s := k.dst, k.a, k.s
 	for i := lo; i < hi; i++ {
 		dst[i] = s * t[i]
 	}
@@ -133,14 +127,11 @@ func NegInto(dst, t *Tensor) { ScaleInto(dst, t, -1) }
 // AddScalarInto computes dst = t + s elementwise. dst may alias t.
 func AddScalarInto(dst, t *Tensor, s float64) {
 	assertSameShape("AddScalarInto", dst, t)
-	if parallel.Inline(len(t.Data), elemGrain) {
-		addScalarRange(dst.Data, t.Data, s, 0, len(t.Data))
-		return
-	}
-	parallel.For(len(t.Data), elemGrain, func(lo, hi int) { addScalarRange(dst.Data, t.Data, s, lo, hi) })
+	parallel.For(len(t.Data), elemGrain, ew{dst: dst.Data, a: t.Data, s: s}, addScalarRange)
 }
 
-func addScalarRange(dst, t []float64, s float64, lo, hi int) {
+func addScalarRange(k ew, lo, hi int) {
+	dst, t, s := k.dst, k.a, k.s
 	for i := lo; i < hi; i++ {
 		dst[i] = t[i] + s
 	}
@@ -149,14 +140,11 @@ func addScalarRange(dst, t []float64, s float64, lo, hi int) {
 // SigmoidInto computes dst = 1/(1+e^-t) elementwise. dst may alias t.
 func SigmoidInto(dst, t *Tensor) {
 	assertSameShape("SigmoidInto", dst, t)
-	if parallel.Inline(len(t.Data), mapGrain) {
-		sigmoidRange(dst.Data, t.Data, 0, len(t.Data))
-		return
-	}
-	parallel.For(len(t.Data), mapGrain, func(lo, hi int) { sigmoidRange(dst.Data, t.Data, lo, hi) })
+	parallel.For(len(t.Data), mapGrain, ew{dst: dst.Data, a: t.Data}, sigmoidRange)
 }
 
-func sigmoidRange(dst, t []float64, lo, hi int) {
+func sigmoidRange(k ew, lo, hi int) {
+	dst, t := k.dst, k.a
 	for i := lo; i < hi; i++ {
 		dst[i] = 1 / (1 + math.Exp(-t[i]))
 	}
@@ -167,14 +155,11 @@ func sigmoidRange(dst, t []float64, lo, hi int) {
 func SigmoidGradInto(dst, dg, y *Tensor) {
 	assertSameShape("SigmoidGradInto", dg, y)
 	assertSameShape("SigmoidGradInto", dst, y)
-	if parallel.Inline(len(y.Data), elemGrain) {
-		sigmoidGradRange(dst.Data, dg.Data, y.Data, 0, len(y.Data))
-		return
-	}
-	parallel.For(len(y.Data), elemGrain, func(lo, hi int) { sigmoidGradRange(dst.Data, dg.Data, y.Data, lo, hi) })
+	parallel.For(len(y.Data), elemGrain, ew{dst: dst.Data, a: dg.Data, b: y.Data}, sigmoidGradRange)
 }
 
-func sigmoidGradRange(dst, dg, y []float64, lo, hi int) {
+func sigmoidGradRange(k ew, lo, hi int) {
+	dst, dg, y := k.dst, k.a, k.b
 	for i := lo; i < hi; i++ {
 		dst[i] = dg[i] * y[i] * (1 - y[i])
 	}
@@ -184,19 +169,14 @@ func sigmoidGradRange(dst, dg, y []float64, lo, hi int) {
 // −0 gives +0 and every NaN gives math.NaN(). dst may alias t.
 func ReLUInto(dst, t *Tensor) {
 	assertSameShape("ReLUInto", dst, t)
-	if parallel.Inline(len(t.Data), mapGrain) {
-		reluRange(dst.Data, t.Data, 0, len(t.Data))
-		return
-	}
-	parallel.For(len(t.Data), mapGrain, func(lo, hi int) { reluRange(dst.Data, t.Data, lo, hi) })
+	parallel.For(len(t.Data), mapGrain, ew{dst: dst.Data, a: t.Data}, reluRange)
 }
 
 // reluRange works on the bit patterns, so no branch depends on the sign:
 // activations are about half negative, and a compare-and-branch form
 // mispredicts on every other element (slower than the math.Max call).
-func reluRange(dst, t []float64, lo, hi int) {
-	t = t[lo:hi]
-	dst = dst[lo:hi]
+func reluRange(k ew, lo, hi int) {
+	t, dst := k.a[lo:hi], k.dst[lo:hi]
 	for i, v := range t {
 		b := math.Float64bits(v)
 		r := b &^ uint64(int64(b)>>63) // a set sign bit (−0 too) gives +0
@@ -211,14 +191,11 @@ func reluRange(dst, t []float64, lo, hi int) {
 func ReLUGradInto(dst, dg, x *Tensor) {
 	assertSameShape("ReLUGradInto", dg, x)
 	assertSameShape("ReLUGradInto", dst, x)
-	if parallel.Inline(len(x.Data), elemGrain) {
-		reluGradRange(dst.Data, dg.Data, x.Data, 0, len(x.Data))
-		return
-	}
-	parallel.For(len(x.Data), elemGrain, func(lo, hi int) { reluGradRange(dst.Data, dg.Data, x.Data, lo, hi) })
+	parallel.For(len(x.Data), elemGrain, ew{dst: dst.Data, a: dg.Data, b: x.Data}, reluGradRange)
 }
 
-func reluGradRange(dst, dg, x []float64, lo, hi int) {
+func reluGradRange(k ew, lo, hi int) {
+	dst, dg, x := k.dst, k.a, k.b
 	for i := lo; i < hi; i++ {
 		if x[i] > 0 {
 			dst[i] = dg[i]
@@ -232,14 +209,11 @@ func reluGradRange(dst, dg, x []float64, lo, hi int) {
 // alias t.
 func LeakyReLUInto(dst, t *Tensor, slope float64) {
 	assertSameShape("LeakyReLUInto", dst, t)
-	if parallel.Inline(len(t.Data), mapGrain) {
-		leakyReLURange(dst.Data, t.Data, slope, 0, len(t.Data))
-		return
-	}
-	parallel.For(len(t.Data), mapGrain, func(lo, hi int) { leakyReLURange(dst.Data, t.Data, slope, lo, hi) })
+	parallel.For(len(t.Data), mapGrain, ew{dst: dst.Data, a: t.Data, s: slope}, leakyReLURange)
 }
 
-func leakyReLURange(dst, t []float64, slope float64, lo, hi int) {
+func leakyReLURange(k ew, lo, hi int) {
+	dst, t, slope := k.dst, k.a, k.s
 	for i := lo; i < hi; i++ {
 		if v := t[i]; v > 0 {
 			dst[i] = v
@@ -254,16 +228,11 @@ func leakyReLURange(dst, t []float64, slope float64, lo, hi int) {
 func LeakyReLUGradInto(dst, dg, x *Tensor, slope float64) {
 	assertSameShape("LeakyReLUGradInto", dg, x)
 	assertSameShape("LeakyReLUGradInto", dst, x)
-	if parallel.Inline(len(x.Data), elemGrain) {
-		leakyReLUGradRange(dst.Data, dg.Data, x.Data, slope, 0, len(x.Data))
-		return
-	}
-	parallel.For(len(x.Data), elemGrain, func(lo, hi int) {
-		leakyReLUGradRange(dst.Data, dg.Data, x.Data, slope, lo, hi)
-	})
+	parallel.For(len(x.Data), elemGrain, ew{dst: dst.Data, a: dg.Data, b: x.Data, s: slope}, leakyReLUGradRange)
 }
 
-func leakyReLUGradRange(dst, dg, x []float64, slope float64, lo, hi int) {
+func leakyReLUGradRange(k ew, lo, hi int) {
+	dst, dg, x, slope := k.dst, k.a, k.b, k.s
 	for i := lo; i < hi; i++ {
 		if x[i] > 0 {
 			dst[i] = dg[i]
@@ -277,14 +246,11 @@ func leakyReLUGradRange(dst, dg, x []float64, slope float64, lo, hi int) {
 // alias t.
 func ELUInto(dst, t *Tensor, alpha float64) {
 	assertSameShape("ELUInto", dst, t)
-	if parallel.Inline(len(t.Data), mapGrain) {
-		eluRange(dst.Data, t.Data, alpha, 0, len(t.Data))
-		return
-	}
-	parallel.For(len(t.Data), mapGrain, func(lo, hi int) { eluRange(dst.Data, t.Data, alpha, lo, hi) })
+	parallel.For(len(t.Data), mapGrain, ew{dst: dst.Data, a: t.Data, s: alpha}, eluRange)
 }
 
-func eluRange(dst, t []float64, alpha float64, lo, hi int) {
+func eluRange(k ew, lo, hi int) {
+	dst, t, alpha := k.dst, k.a, k.s
 	for i := lo; i < hi; i++ {
 		if v := t[i]; v > 0 {
 			dst[i] = v
@@ -299,14 +265,11 @@ func eluRange(dst, t []float64, alpha float64, lo, hi int) {
 func ELUGradInto(dst, dg, y *Tensor, alpha float64) {
 	assertSameShape("ELUGradInto", dg, y)
 	assertSameShape("ELUGradInto", dst, y)
-	if parallel.Inline(len(y.Data), elemGrain) {
-		eluGradRange(dst.Data, dg.Data, y.Data, alpha, 0, len(y.Data))
-		return
-	}
-	parallel.For(len(y.Data), elemGrain, func(lo, hi int) { eluGradRange(dst.Data, dg.Data, y.Data, alpha, lo, hi) })
+	parallel.For(len(y.Data), elemGrain, ew{dst: dst.Data, a: dg.Data, b: y.Data, s: alpha}, eluGradRange)
 }
 
-func eluGradRange(dst, dg, y []float64, alpha float64, lo, hi int) {
+func eluGradRange(k ew, lo, hi int) {
+	dst, dg, y, alpha := k.dst, k.a, k.b, k.s
 	for i := lo; i < hi; i++ {
 		if y[i] > 0 {
 			dst[i] = dg[i]
@@ -319,14 +282,11 @@ func eluGradRange(dst, dg, y []float64, alpha float64, lo, hi int) {
 // SquareInto computes dst = t*t elementwise. dst may alias t.
 func SquareInto(dst, t *Tensor) {
 	assertSameShape("SquareInto", dst, t)
-	if parallel.Inline(len(t.Data), mapGrain) {
-		squareRange(dst.Data, t.Data, 0, len(t.Data))
-		return
-	}
-	parallel.For(len(t.Data), mapGrain, func(lo, hi int) { squareRange(dst.Data, t.Data, lo, hi) })
+	parallel.For(len(t.Data), mapGrain, ew{dst: dst.Data, a: t.Data}, squareRange)
 }
 
-func squareRange(dst, t []float64, lo, hi int) {
+func squareRange(k ew, lo, hi int) {
+	dst, t := k.dst, k.a
 	for i := lo; i < hi; i++ {
 		dst[i] = t[i] * t[i]
 	}
@@ -336,14 +296,11 @@ func squareRange(dst, t []float64, lo, hi int) {
 func SquareGradInto(dst, dg, x *Tensor) {
 	assertSameShape("SquareGradInto", dg, x)
 	assertSameShape("SquareGradInto", dst, x)
-	if parallel.Inline(len(x.Data), elemGrain) {
-		squareGradRange(dst.Data, dg.Data, x.Data, 0, len(x.Data))
-		return
-	}
-	parallel.For(len(x.Data), elemGrain, func(lo, hi int) { squareGradRange(dst.Data, dg.Data, x.Data, lo, hi) })
+	parallel.For(len(x.Data), elemGrain, ew{dst: dst.Data, a: dg.Data, b: x.Data}, squareGradRange)
 }
 
-func squareGradRange(dst, dg, x []float64, lo, hi int) {
+func squareGradRange(k ew, lo, hi int) {
+	dst, dg, x := k.dst, k.a, k.b
 	for i := lo; i < hi; i++ {
 		dst[i] = 2 * dg[i] * x[i]
 	}
@@ -358,15 +315,11 @@ func AddRowVectorInto(dst, m, v *Tensor) {
 	}
 	assertSameShape("AddRowVectorInto", dst, m)
 	n := m.Rows()
-	grain := parallel.RowGrain(f)
-	if parallel.Inline(n, grain) {
-		addRowVectorRange(dst.Data, m.Data, v.Data, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { addRowVectorRange(dst.Data, m.Data, v.Data, f, lo, hi) })
+	parallel.For(n, parallel.RowGrain(f), rowArgs{dst.Data, m.Data, v.Data, f}, addRowVectorRange)
 }
 
-func addRowVectorRange(dst, m, v []float64, f, lo, hi int) {
+func addRowVectorRange(k rowArgs, lo, hi int) {
+	dst, m, v, f := k.dst, k.a, k.b, k.f
 	for i := lo; i < hi; i++ {
 		row := m[i*f : (i+1)*f]
 		drow := dst[i*f : (i+1)*f]
@@ -384,15 +337,11 @@ func MulColVectorInto(dst, m, v *Tensor) {
 		panic("tensor: MulColVectorInto vector length mismatch")
 	}
 	assertSameShape("MulColVectorInto", dst, m)
-	grain := parallel.RowGrain(f)
-	if parallel.Inline(n, grain) {
-		mulColVectorRange(dst.Data, m.Data, v.Data, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { mulColVectorRange(dst.Data, m.Data, v.Data, f, lo, hi) })
+	parallel.For(n, parallel.RowGrain(f), rowArgs{dst.Data, m.Data, v.Data, f}, mulColVectorRange)
 }
 
-func mulColVectorRange(dst, m, v []float64, f, lo, hi int) {
+func mulColVectorRange(k rowArgs, lo, hi int) {
+	dst, m, v, f := k.dst, k.a, k.b, k.f
 	for i := lo; i < hi; i++ {
 		s := v[i]
 		row := m[i*f : (i+1)*f]
@@ -412,15 +361,11 @@ func MulSumColsInto(dst, a, b *Tensor) {
 	if dst.Size() != n {
 		panic("tensor: MulSumColsInto dst length mismatch")
 	}
-	grain := parallel.RowGrain(2 * f)
-	if parallel.Inline(n, grain) {
-		mulSumColsRange(dst.Data, a.Data, b.Data, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { mulSumColsRange(dst.Data, a.Data, b.Data, f, lo, hi) })
+	parallel.For(n, parallel.RowGrain(2*f), rowArgs{dst.Data, a.Data, b.Data, f}, mulSumColsRange)
 }
 
-func mulSumColsRange(dst, a, b []float64, f, lo, hi int) {
+func mulSumColsRange(k rowArgs, lo, hi int) {
+	dst, a, b, f := k.dst, k.a, k.b, k.f
 	for i := lo; i < hi; i++ {
 		arow := a[i*f : (i+1)*f]
 		brow := b[i*f : (i+1)*f]

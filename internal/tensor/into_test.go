@@ -433,9 +433,9 @@ func TestMulRowVectorIntoAndSumColsInto(t *testing.T) {
 }
 
 // TestMatMulIntoInlineZeroAllocs: on the inline path — one worker, or a
-// product below one grain at seven — MatMulInto builds no parallel.For
-// closure and keeps its term lists on the stack, for every K (here 300,
-// past the K tile), so it allocates nothing, on either strip path.
+// product below one grain at seven — MatMulInto keeps its term lists on the
+// stack, for every K (here 300, past the K tile), so it allocates nothing,
+// on either strip path.
 func TestMatMulIntoInlineZeroAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates")

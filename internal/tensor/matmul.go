@@ -19,10 +19,9 @@ import (
 // the straight-line kernels they replaced — so results stay bit-identical to
 // serial execution for any worker count and any block size.
 //
-// Kernels that would normally run through parallel.For call their range
-// function directly when parallel.Inline says the work stays serial: a
-// closure passed to For escapes to the heap, and the zero-allocation
-// guarantee of the pooled path covers the kernels themselves.
+// The products reach the worker pool through one parallel.For call with mmArgs
+// as its argument and the method expression mmArgs.rows as its range
+// function, which allocates nothing at any worker count.
 
 const (
 	// mmBlockK × mmBlockJ is the panel of b kept hot while streaming rows of
@@ -134,15 +133,9 @@ type mmArgs struct {
 
 // run computes all m rows of the product, on the worker pool when the
 // product is large enough.
-func (mm *mmArgs) run(m int) {
+func (mm mmArgs) run(m int) {
 	mm.skipZero = allFinite(mm.b)
-	grain := parallel.RowGrain(2 * mm.k * mm.n)
-	if parallel.Inline(m, grain) {
-		mm.rows(0, m)
-		return
-	}
-	c := *mm // the closure holds this copy, so mm stays on the caller's stack
-	parallel.For(m, grain, func(lo, hi int) { c.rows(lo, hi) })
+	parallel.For(m, parallel.RowGrain(2*mm.k*mm.n), mm, mmArgs.rows)
 }
 
 // rows computes rows [lo,hi) of the product with p/j tiling. A transposed b

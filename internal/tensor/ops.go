@@ -16,19 +16,14 @@ const (
 	mapGrain  = parallel.MinWork / 8
 )
 
-// AddInPlace accumulates b into a. Gradient accumulation calls this every
-// backward step, so the serial path avoids constructing the For closure (see
-// into.go for the pattern).
+// AddInPlace accumulates b into a.
 func AddInPlace(a, b *Tensor) {
 	assertSameShape("AddInPlace", a, b)
-	if parallel.Inline(len(a.Data), elemGrain) {
-		addInPlaceRange(a.Data, b.Data, 0, len(a.Data))
-		return
-	}
-	parallel.For(len(a.Data), elemGrain, func(lo, hi int) { addInPlaceRange(a.Data, b.Data, lo, hi) })
+	parallel.For(len(a.Data), elemGrain, ew{dst: a.Data, a: b.Data}, addInPlaceRange)
 }
 
-func addInPlaceRange(a, b []float64, lo, hi int) {
+func addInPlaceRange(k ew, lo, hi int) {
+	a, b := k.dst, k.a
 	for i := lo; i < hi; i++ {
 		a[i] += b[i]
 	}
@@ -36,14 +31,11 @@ func addInPlaceRange(a, b []float64, lo, hi int) {
 
 // ScaleInPlace multiplies t by s.
 func ScaleInPlace(t *Tensor, s float64) {
-	if parallel.Inline(len(t.Data), elemGrain) {
-		scaleInPlaceRange(t.Data, s, 0, len(t.Data))
-		return
-	}
-	parallel.For(len(t.Data), elemGrain, func(lo, hi int) { scaleInPlaceRange(t.Data, s, lo, hi) })
+	parallel.For(len(t.Data), elemGrain, ew{dst: t.Data, s: s}, scaleInPlaceRange)
 }
 
-func scaleInPlaceRange(t []float64, s float64, lo, hi int) {
+func scaleInPlaceRange(k ew, lo, hi int) {
+	t, s := k.dst, k.s
 	for i := lo; i < hi; i++ {
 		t[i] *= s
 	}

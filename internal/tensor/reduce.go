@@ -33,20 +33,23 @@ func MaxCols(t *Tensor) (*Tensor, []int) {
 	}
 	out := New(n)
 	arg := make([]int, n)
-	parallel.For(n, parallel.RowGrain(f), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := t.Data[i*f : (i+1)*f]
-			best, bj := row[0], 0
-			for j := 1; j < f; j++ {
-				if row[j] > best {
-					best, bj = row[j], j
-				}
-			}
-			out.Data[i] = best
-			arg[i] = bj
-		}
-	})
+	parallel.For(n, parallel.RowGrain(f), csrArgs{dst: out.Data, eid: arg, x: t.Data, f: f}, maxColsRange)
 	return out, arg
+}
+
+func maxColsRange(k csrArgs, lo, hi int) {
+	out, arg, t, f := k.dst, k.eid, k.x, k.f
+	for i := lo; i < hi; i++ {
+		row := t[i*f : (i+1)*f]
+		best, bj := row[0], 0
+		for j := 1; j < f; j++ {
+			if row[j] > best {
+				best, bj = row[j], j
+			}
+		}
+		out[i] = best
+		arg[i] = bj
+	}
 }
 
 // ArgMaxRows returns, for each row of an [N,F] tensor, the index of its

@@ -15,14 +15,11 @@ func GatherRowsInto(dst, t *Tensor, idx []int) {
 		panic(fmt.Sprintf("tensor: GatherRowsInto dst %v, want [%d %d]", dst.Shape(), len(idx), f))
 	}
 	grain := parallel.RowGrain(f)
-	if parallel.Inline(len(idx), grain) {
-		gatherRowsRange(dst.Data, t.Data, idx, n, f, 0, len(idx))
-		return
-	}
-	parallel.For(len(idx), grain, func(lo, hi int) { gatherRowsRange(dst.Data, t.Data, idx, n, f, lo, hi) })
+	parallel.For(len(idx), grain, csrArgs{dst: dst.Data, x: t.Data, col: idx, n: n, f: f}, gatherRowsRange)
 }
 
-func gatherRowsRange(dst, t []float64, idx []int, n, f, lo, hi int) {
+func gatherRowsRange(k csrArgs, lo, hi int) {
+	dst, t, idx, n, f := k.dst, k.x, k.col, k.n, k.f
 	for k := lo; k < hi; k++ {
 		i := idx[k]
 		if i < 0 || i >= n {
@@ -59,14 +56,11 @@ func ScatterAddRowsInto(dst, src *Tensor, idx []int) {
 		avg = (len(idx)*f)/n + 1
 	}
 	grain := parallel.RowGrain(avg)
-	if parallel.Inline(n, grain) {
-		scatterAddRowsRange(dst.Data, src.Data, idx, f, 0, n)
-		return
-	}
-	parallel.For(n, grain, func(lo, hi int) { scatterAddRowsRange(dst.Data, src.Data, idx, f, lo, hi) })
+	parallel.For(n, grain, csrArgs{dst: dst.Data, x: src.Data, col: idx, f: f}, scatterAddRowsRange)
 }
 
-func scatterAddRowsRange(dst, src []float64, idx []int, f, lo, hi int) {
+func scatterAddRowsRange(k csrArgs, lo, hi int) {
+	dst, src, idx, f := k.dst, k.x, k.col, k.f
 	zero(dst[lo*f : hi*f])
 	for k, i := range idx {
 		if i < lo || i >= hi {

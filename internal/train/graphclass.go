@@ -312,14 +312,26 @@ func batchRanges(n, batchSize int) [][2]int {
 // which keeps every result identical for any worker count.
 func evalBatches(m models.Model, d *datasets.Dataset, idx []int, ranges [][2]int, dev *device.Device,
 	visit func(bi int, b *fw.Batch, logits *tensor.Tensor)) {
-	be := m.Backend()
-	parallel.For(len(ranges), 1, func(blo, bhi int) {
-		for bi := blo; bi < bhi; bi++ {
-			b := be.Batch(gatherGraphs(d, idx[ranges[bi][0]:ranges[bi][1]]), dev)
-			visit(bi, b, models.Infer(m, b, dev))
-			b.Release(dev)
-		}
-	})
+	parallel.For(len(ranges), 1, evalArgs{m, d, idx, ranges, dev, visit}, evalRange)
+}
+
+// evalArgs is evalBatches' operands, one value for parallel.For.
+type evalArgs struct {
+	m      models.Model
+	d      *datasets.Dataset
+	idx    []int
+	ranges [][2]int
+	dev    *device.Device
+	visit  func(bi int, b *fw.Batch, logits *tensor.Tensor)
+}
+
+func evalRange(a evalArgs, blo, bhi int) {
+	be := a.m.Backend()
+	for bi := blo; bi < bhi; bi++ {
+		b := be.Batch(gatherGraphs(a.d, a.idx[a.ranges[bi][0]:a.ranges[bi][1]]), a.dev)
+		a.visit(bi, b, models.Infer(a.m, b, a.dev))
+		b.Release(a.dev)
+	}
 }
 
 // EvalGraphAcc computes test accuracy over mini-batches in eval mode.
