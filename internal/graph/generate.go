@@ -102,7 +102,7 @@ func KNNFromPositions(pos *tensor.Tensor, k int) *Graph {
 				continue
 			}
 			dx, dy := pos.At(j, 0)-xi, pos.At(j, 1)-yi
-			buf = append(buf, distIdx{dx*dx + dy*dy, j})
+			buf = append(buf, distIdx{float64(dx*dx) + float64(dy*dy), j})
 		}
 		sort.Slice(buf, func(a, b int) bool { return buf[a].d < buf[b].d })
 		for _, e := range buf[:k] {
@@ -188,8 +188,8 @@ func GridPositions(rng *tensor.RNG, n int, jitter float64) *tensor.Tensor {
 		r, c := i/side, i%side
 		cx := (float64(c) + 0.5) / float64(side)
 		cy := (float64(r) + 0.5) / float64(side)
-		pos.Set(i, 0, clamp01(cx+jitter*(rng.Float64()-0.5)/float64(side)))
-		pos.Set(i, 1, clamp01(cy+jitter*(rng.Float64()-0.5)/float64(side)))
+		pos.Set(i, 0, clamp01(cx+jitter*(float64(rng.Float64())-0.5)/float64(side)))
+		pos.Set(i, 1, clamp01(cy+jitter*(float64(rng.Float64())-0.5)/float64(side)))
 	}
 	return pos
 }

@@ -73,10 +73,10 @@ func (a *Adam) update(i int, bc1, bc2 float64) {
 	for j := range p.Value.Data {
 		g := p.Grad.Data[j]
 		if a.WeightDecay != 0 {
-			g += a.WeightDecay * p.Value.Data[j]
+			g += float64(a.WeightDecay * p.Value.Data[j])
 		}
-		m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
-		v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
+		m.Data[j] = float64(a.Beta1*m.Data[j]) + float64((1-a.Beta1)*g)
+		v.Data[j] = float64(a.Beta2*v.Data[j]) + float64((1-a.Beta2)*g*g)
 		mhat := m.Data[j] / bc1
 		vhat := v.Data[j] / bc2
 		p.Value.Data[j] -= a.lr * mhat / (math.Sqrt(vhat) + a.Eps)

@@ -169,7 +169,7 @@ func Stats(values []float64) (mean, std float64) {
 	}
 	for _, v := range values {
 		d := v - mean
-		std += d * d
+		std += float64(d * d)
 	}
 	std = math.Sqrt(std / float64(len(values)-1))
 	return mean, std

@@ -547,7 +547,7 @@ func (s *Server) coalesce() {
 		now, integral := s.shiftBusy(0)
 		if elapsed := now.Sub(lastClose); !lastClose.IsZero() && elapsed > 0 {
 			sample := float64(integral-lastIntegral) / (float64(elapsed) * float64(s.concurrency))
-			util += (min(max(sample, 0), 1) - util) * utilizationSmoothing
+			util += float64((min(max(sample, 0), 1) - util) * utilizationSmoothing)
 			s.met.utilization.Set(util)
 		}
 		lastClose, lastIntegral = now, integral
