@@ -155,8 +155,9 @@ func TestReplayTracksRefreshedInputs(t *testing.T) {
 }
 
 // stepFixture is a GAT-style layer with a batch-normalised, row-normalised
-// head: every kernel class of the replay fixture plus the multi-head,
-// normalization and loss kernels, at a row count given by the caller.
+// head: the replay fixture's transform, gather, edge softmax and scatter,
+// with the multi-head ops in place of its one attention column, plus batch
+// norm, L2 normalization and cross-entropy, at a row count the caller sets.
 type stepFixture struct {
 	x                *tensor.Tensor
 	w1, b1, att, w2  *Parameter
