@@ -155,15 +155,16 @@ func TestReplayTracksRefreshedInputs(t *testing.T) {
 }
 
 // stepFixture is a GAT-style layer with a batch-normalised, row-normalised
-// head: the replay fixture's transform, gather, edge softmax and scatter,
-// with the multi-head ops in place of its one attention column, plus batch
-// norm, L2 normalization and cross-entropy, at a row count the caller sets.
+// head: the replay fixture's transform, gather, one-column gate
+// (MatMul → MulBroadcastCol), edge softmax and scatter, with the multi-head
+// ops alongside, plus batch norm, L2 normalization and cross-entropy, at a
+// row count the caller sets.
 type stepFixture struct {
-	x                *tensor.Tensor
-	w1, b1, att, w2  *Parameter
-	gamma, beta      *Parameter
-	runMean, runVar  *tensor.Tensor
-	src, dst, labels []int
+	x                   *tensor.Tensor
+	w1, b1, wa, att, w2 *Parameter
+	gamma, beta         *Parameter
+	runMean, runVar     *tensor.Tensor
+	src, dst, labels    []int
 }
 
 const stepHeads, stepDim = 2, 4
@@ -175,6 +176,7 @@ func newStepFixture(n int) *stepFixture {
 		x:       rng.Randn(1, n, f),
 		w1:      NewParameter("w1", rng.Randn(0.3, f, stepHeads*stepDim)),
 		b1:      NewParameter("b1", rng.Randn(0.1, stepHeads*stepDim)),
+		wa:      NewParameter("wa", rng.Randn(0.3, stepHeads*stepDim, 1)),
 		att:     NewParameter("att", rng.Randn(0.3, stepHeads, stepDim)),
 		w2:      NewParameter("w2", rng.Randn(0.3, stepDim, c)),
 		gamma:   NewParameter("gamma", tensor.Full(1, stepDim)),
@@ -197,6 +199,7 @@ func (fx *stepFixture) record(g *Graph) *Node {
 	n := fx.x.Rows()
 	h := g.ReLU(g.AddBias(g.MatMul(g.Input(fx.x), g.Param(fx.w1)), g.Param(fx.b1)))
 	msg := g.Gather(h, fx.src)
+	msg = g.MulBroadcastCol(msg, g.MatMul(msg, g.Param(fx.wa)))
 	alpha := g.EdgeSoftmax(g.HeadDot(msg, g.Param(fx.att)), fx.dst, n)
 	z := g.MeanHeads(g.ScatterAdd(g.MulHeads(msg, alpha), fx.dst, n), stepHeads)
 	z = g.BatchNorm(z, g.Param(fx.gamma), g.Param(fx.beta), fx.runMean, fx.runVar, 0.1, 1e-5, true)
@@ -205,7 +208,7 @@ func (fx *stepFixture) record(g *Graph) *Node {
 }
 
 func (fx *stepFixture) params() []*Parameter {
-	return []*Parameter{fx.w1, fx.b1, fx.att, fx.w2, fx.gamma, fx.beta}
+	return []*Parameter{fx.w1, fx.b1, fx.wa, fx.att, fx.w2, fx.gamma, fx.beta}
 }
 
 // TestTrainingStepZeroAllocs is the tentpole acceptance test at the autograd
