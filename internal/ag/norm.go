@@ -10,7 +10,10 @@ import (
 
 // normArgs is a normalization kernel's operands over n rows of f columns,
 // which each range function names after their roles: dst and aux are written,
-// the rest read, s is a scalar.
+// the rest read, s is a scalar. Batch norm and L2 row normalization use it,
+// and so does GaussianWeight, which scores rows of x against the per-column
+// vectors a (mu) and b (isig) as batch norm's eval pass does with gamma and
+// invstd.
 type normArgs struct {
 	dst, aux, x, y, a, b, c []float64
 	s                       float64

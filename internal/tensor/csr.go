@@ -32,7 +32,9 @@ func CSRGrain(edges, rows, f int) int {
 // csrArgs is a CSR kernel's operands, which each range function names after
 // its own roles: dst is the buffer whose rows (or edge ids) the workers own,
 // x, y and w the dense inputs, rowptr, col and eid the graph's CSR, n the
-// CSR's rows and f the feature width.
+// CSR's rows and f the feature width. The aggregation, its epilogue, the
+// GSpMM gradients and the segment sums share it; a segment kernel's offsets
+// travel as rowptr.
 type csrArgs struct {
 	dst, x, y, w     []float64
 	rowptr, col, eid []int
@@ -448,6 +450,15 @@ func gspmmEdgeSumGradRange(k csrArgs, lo, hi int) {
 	}
 }
 
+// softmaxArgs is an edge-softmax kernel's operands: [E,h] per-edge rows of a
+// (and b), grouped by the destinations in dst, land in out; ws1 and ws2 are
+// [n,h] per-destination workspaces.
+type softmaxArgs struct {
+	out, a, b, ws1, ws2 []float64
+	dst                 []int
+	h                   int
+}
+
 // EdgeSoftmaxInto normalizes per-edge scores over the edges sharing a
 // destination: out[k] = exp(s_k - max_group) / Σ_group. scores and out are
 // [E,H]; dst names each edge's destination in [0, n); maxes and sums are
@@ -458,11 +469,11 @@ func EdgeSoftmaxInto(out, scores *Tensor, dst []int, maxes, sums *Tensor) {
 	e, h := scores.Rows(), scores.Cols()
 	n := maxes.Rows()
 	grain := CSRGrain(e, n, 4*h)
-	parallel.For(n, grain, csrArgs{dst: out.Data, x: scores.Data, col: dst, y: maxes.Data, w: sums.Data, f: h}, edgeSoftmaxRange)
+	parallel.For(n, grain, softmaxArgs{out: out.Data, a: scores.Data, dst: dst, ws1: maxes.Data, ws2: sums.Data, h: h}, edgeSoftmaxRange)
 }
 
-func edgeSoftmaxRange(k csrArgs, lo, hi int) {
-	out, scores, dst, maxes, sums, h := k.dst, k.x, k.col, k.y, k.w, k.f
+func edgeSoftmaxRange(k softmaxArgs, lo, hi int) {
+	out, scores, dst, maxes, sums, h := k.out, k.a, k.dst, k.ws1, k.ws2, k.h
 	ninf := math.Inf(-1)
 	for i := lo * h; i < hi*h; i++ {
 		maxes[i] = ninf
@@ -513,11 +524,11 @@ func EdgeSoftmaxGradInto(gs, alpha, grad *Tensor, dst []int, dots *Tensor) {
 	e, h := alpha.Rows(), alpha.Cols()
 	n := dots.Rows()
 	grain := CSRGrain(e, n, 4*h)
-	parallel.For(n, grain, csrArgs{dst: gs.Data, x: alpha.Data, y: grad.Data, col: dst, w: dots.Data, f: h}, edgeSoftmaxGradRange)
+	parallel.For(n, grain, softmaxArgs{out: gs.Data, a: alpha.Data, b: grad.Data, dst: dst, ws1: dots.Data, h: h}, edgeSoftmaxGradRange)
 }
 
-func edgeSoftmaxGradRange(k csrArgs, lo, hi int) {
-	gs, alpha, grad, dst, dots, h := k.dst, k.x, k.y, k.col, k.w, k.f
+func edgeSoftmaxGradRange(k softmaxArgs, lo, hi int) {
+	gs, alpha, grad, dst, dots, h := k.out, k.a, k.b, k.dst, k.ws1, k.h
 	zero(dots[lo*h : hi*h])
 	for k, d := range dst {
 		if d < lo || d >= hi {
@@ -594,11 +605,11 @@ func segmentSumGradRange(k csrArgs, lo, hi int) {
 func ScatterMaxInto(dst *Tensor, arg []int, x *Tensor, idx []int) {
 	n, f := dst.Rows(), dst.Cols()
 	grain := CSRGrain(len(idx), n, f)
-	parallel.For(n, grain, csrArgs{dst: dst.Data, eid: arg, x: x.Data, col: idx, f: f}, scatterMaxRange)
+	parallel.For(n, grain, idxArgs{dst: dst.Data, x: x.Data, idx: idx, arg: arg, f: f}, scatterMaxRange)
 }
 
-func scatterMaxRange(k csrArgs, lo, hi int) {
-	dst, arg, x, idx, f := k.dst, k.eid, k.x, k.col, k.f
+func scatterMaxRange(k idxArgs, lo, hi int) {
+	dst, arg, x, idx, f := k.dst, k.arg, k.x, k.idx, k.f
 	ninf := math.Inf(-1)
 	for i := lo * f; i < hi*f; i++ {
 		dst[i] = ninf
@@ -635,11 +646,11 @@ func ScatterMaxGradInto(gx, grad *Tensor, arg []int) {
 	n, f := grad.Rows(), grad.Cols()
 	grain := CSRGrain(gx.Rows(), n, f)
 	zero(gx.Data)
-	parallel.For(n, grain, csrArgs{dst: gx.Data, x: grad.Data, eid: arg, f: f}, scatterMaxGradRange)
+	parallel.For(n, grain, idxArgs{dst: gx.Data, x: grad.Data, arg: arg, f: f}, scatterMaxGradRange)
 }
 
-func scatterMaxGradRange(k csrArgs, lo, hi int) {
-	gx, grad, arg, f := k.dst, k.x, k.eid, k.f
+func scatterMaxGradRange(k idxArgs, lo, hi int) {
+	gx, grad, arg, f := k.dst, k.x, k.arg, k.f
 	for slot := lo * f; slot < hi*f; slot++ {
 		if k := arg[slot]; k >= 0 {
 			gx[k*f+slot%f] += grad[slot]

@@ -217,16 +217,17 @@ func Transpose(t *Tensor) *Tensor {
 	}
 	m, n := t.Dim(0), t.Dim(1)
 	out := New(n, m)
-	parallel.For(n, parallel.RowGrain(m), csrArgs{dst: out.Data, x: t.Data, n: m, f: n}, transposeRange)
+	parallel.For(n, parallel.RowGrain(m), rowArgs{dst: out.Data, a: t.Data, f: n}, transposeRange)
 	return out
 }
 
-func transposeRange(k csrArgs, lo, hi int) {
-	m, n := k.n, k.f
+func transposeRange(k rowArgs, lo, hi int) {
+	dst, t, n := k.dst, k.a, k.f
+	m := len(t) / n
 	for j := lo; j < hi; j++ {
-		orow := k.dst[j*m : (j+1)*m]
+		orow := dst[j*m : (j+1)*m]
 		for i := 0; i < m; i++ {
-			orow[i] = k.x[i*n+j]
+			orow[i] = t[i*n+j]
 		}
 	}
 }

@@ -33,12 +33,12 @@ func MaxCols(t *Tensor) (*Tensor, []int) {
 	}
 	out := New(n)
 	arg := make([]int, n)
-	parallel.For(n, parallel.RowGrain(f), csrArgs{dst: out.Data, eid: arg, x: t.Data, f: f}, maxColsRange)
+	parallel.For(n, parallel.RowGrain(f), idxArgs{dst: out.Data, x: t.Data, arg: arg, f: f}, maxColsRange)
 	return out, arg
 }
 
-func maxColsRange(k csrArgs, lo, hi int) {
-	out, arg, t, f := k.dst, k.eid, k.x, k.f
+func maxColsRange(k idxArgs, lo, hi int) {
+	out, arg, t, f := k.dst, k.arg, k.x, k.f
 	for i := lo; i < hi; i++ {
 		row := t[i*f : (i+1)*f]
 		best, bj := row[0], 0

@@ -6,6 +6,16 @@ import (
 	"repro/internal/parallel"
 )
 
+// idxArgs is an index-driven row kernel's operands: rows of f columns of x
+// (n rows, where the kernel bounds-checks), addressed through idx, land in
+// dst; arg, where the kernel keeps one, records a winning index per output
+// element. The gather, scatter-add, scatter-max and MaxCols kernels share it.
+type idxArgs struct {
+	dst, x   []float64
+	idx, arg []int
+	n, f     int
+}
+
 // GatherRowsInto writes out[k] = t[idx[k]] into dst ([len(idx), F]) without
 // allocating. Indices may repeat; they must be in [0, N).
 func GatherRowsInto(dst, t *Tensor, idx []int) {
@@ -15,11 +25,11 @@ func GatherRowsInto(dst, t *Tensor, idx []int) {
 		panic(fmt.Sprintf("tensor: GatherRowsInto dst %v, want [%d %d]", dst.Shape(), len(idx), f))
 	}
 	grain := parallel.RowGrain(f)
-	parallel.For(len(idx), grain, csrArgs{dst: dst.Data, x: t.Data, col: idx, n: n, f: f}, gatherRowsRange)
+	parallel.For(len(idx), grain, idxArgs{dst: dst.Data, x: t.Data, idx: idx, n: n, f: f}, gatherRowsRange)
 }
 
-func gatherRowsRange(k csrArgs, lo, hi int) {
-	dst, t, idx, n, f := k.dst, k.x, k.col, k.n, k.f
+func gatherRowsRange(k idxArgs, lo, hi int) {
+	dst, t, idx, n, f := k.dst, k.x, k.idx, k.n, k.f
 	for k := lo; k < hi; k++ {
 		i := idx[k]
 		if i < 0 || i >= n {
@@ -56,11 +66,11 @@ func ScatterAddRowsInto(dst, src *Tensor, idx []int) {
 		avg = (len(idx)*f)/n + 1
 	}
 	grain := parallel.RowGrain(avg)
-	parallel.For(n, grain, csrArgs{dst: dst.Data, x: src.Data, col: idx, f: f}, scatterAddRowsRange)
+	parallel.For(n, grain, idxArgs{dst: dst.Data, x: src.Data, idx: idx, f: f}, scatterAddRowsRange)
 }
 
-func scatterAddRowsRange(k csrArgs, lo, hi int) {
-	dst, src, idx, f := k.dst, k.x, k.col, k.f
+func scatterAddRowsRange(k idxArgs, lo, hi int) {
+	dst, src, idx, f := k.dst, k.x, k.idx, k.f
 	zero(dst[lo*f : hi*f])
 	for k, i := range idx {
 		if i < lo || i >= hi {
