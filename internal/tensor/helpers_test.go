@@ -398,8 +398,8 @@ func AddScaled(a *Tensor, s float64, b *Tensor) {
 }
 
 func addScaledRange(k ew, lo, hi int) {
-	a, b, s := k.dst, k.a, k.s
-	for i := lo; i < hi; i++ {
+	a, b, s := k.dst[lo:hi], k.a[lo:hi], k.s
+	for i := range a {
 		a[i] += s * b[i]
 	}
 }

@@ -43,8 +43,8 @@ func AddInto(dst, a, b *Tensor) {
 }
 
 func addRange(k ew, lo, hi int) {
-	dst, a, b := k.dst, k.a, k.b
-	for i := lo; i < hi; i++ {
+	dst, a, b := k.dst[lo:hi], k.a[lo:hi], k.b[lo:hi]
+	for i := range dst {
 		dst[i] = a[i] + b[i]
 	}
 }
@@ -57,8 +57,8 @@ func SubInto(dst, a, b *Tensor) {
 }
 
 func subRange(k ew, lo, hi int) {
-	dst, a, b := k.dst, k.a, k.b
-	for i := lo; i < hi; i++ {
+	dst, a, b := k.dst[lo:hi], k.a[lo:hi], k.b[lo:hi]
+	for i := range dst {
 		dst[i] = a[i] - b[i]
 	}
 }
@@ -71,8 +71,8 @@ func MulInto(dst, a, b *Tensor) {
 }
 
 func mulRange(k ew, lo, hi int) {
-	dst, a, b := k.dst, k.a, k.b
-	for i := lo; i < hi; i++ {
+	dst, a, b := k.dst[lo:hi], k.a[lo:hi], k.b[lo:hi]
+	for i := range dst {
 		dst[i] = a[i] * b[i]
 	}
 }
@@ -85,8 +85,8 @@ func DivInto(dst, a, b *Tensor) {
 }
 
 func divRange(k ew, lo, hi int) {
-	dst, a, b := k.dst, k.a, k.b
-	for i := lo; i < hi; i++ {
+	dst, a, b := k.dst[lo:hi], k.a[lo:hi], k.b[lo:hi]
+	for i := range dst {
 		dst[i] = a[i] / b[i]
 	}
 }
@@ -101,8 +101,8 @@ func DivGradBInto(dst, dg, a, b *Tensor) {
 }
 
 func divGradBRange(k ew, lo, hi int) {
-	dst, dg, a, b := k.dst, k.a, k.b, k.c
-	for i := lo; i < hi; i++ {
+	dst, dg, a, b := k.dst[lo:hi], k.a[lo:hi], k.b[lo:hi], k.c[lo:hi]
+	for i := range dst {
 		dst[i] = (-dg[i] / (b[i] * b[i])) * a[i]
 	}
 }
@@ -114,8 +114,8 @@ func ScaleInto(dst, t *Tensor, s float64) {
 }
 
 func scaleRange(k ew, lo, hi int) {
-	dst, t, s := k.dst, k.a, k.s
-	for i := lo; i < hi; i++ {
+	dst, t, s := k.dst[lo:hi], k.a[lo:hi], k.s
+	for i := range dst {
 		dst[i] = s * t[i]
 	}
 }
@@ -131,8 +131,8 @@ func AddScalarInto(dst, t *Tensor, s float64) {
 }
 
 func addScalarRange(k ew, lo, hi int) {
-	dst, t, s := k.dst, k.a, k.s
-	for i := lo; i < hi; i++ {
+	dst, t, s := k.dst[lo:hi], k.a[lo:hi], k.s
+	for i := range dst {
 		dst[i] = t[i] + s
 	}
 }
@@ -144,8 +144,8 @@ func SigmoidInto(dst, t *Tensor) {
 }
 
 func sigmoidRange(k ew, lo, hi int) {
-	dst, t := k.dst, k.a
-	for i := lo; i < hi; i++ {
+	dst, t := k.dst[lo:hi], k.a[lo:hi]
+	for i := range dst {
 		dst[i] = 1 / (1 + math.Exp(-t[i]))
 	}
 }
@@ -159,8 +159,8 @@ func SigmoidGradInto(dst, dg, y *Tensor) {
 }
 
 func sigmoidGradRange(k ew, lo, hi int) {
-	dst, dg, y := k.dst, k.a, k.b
-	for i := lo; i < hi; i++ {
+	dst, dg, y := k.dst[lo:hi], k.a[lo:hi], k.b[lo:hi]
+	for i := range dst {
 		dst[i] = dg[i] * y[i] * (1 - y[i])
 	}
 }
@@ -195,8 +195,8 @@ func ReLUGradInto(dst, dg, x *Tensor) {
 }
 
 func reluGradRange(k ew, lo, hi int) {
-	dst, dg, x := k.dst, k.a, k.b
-	for i := lo; i < hi; i++ {
+	dst, dg, x := k.dst[lo:hi], k.a[lo:hi], k.b[lo:hi]
+	for i := range dst {
 		if x[i] > 0 {
 			dst[i] = dg[i]
 		} else {
@@ -213,8 +213,8 @@ func LeakyReLUInto(dst, t *Tensor, slope float64) {
 }
 
 func leakyReLURange(k ew, lo, hi int) {
-	dst, t, slope := k.dst, k.a, k.s
-	for i := lo; i < hi; i++ {
+	dst, t, slope := k.dst[lo:hi], k.a[lo:hi], k.s
+	for i := range dst {
 		if v := t[i]; v > 0 {
 			dst[i] = v
 		} else {
@@ -232,8 +232,8 @@ func LeakyReLUGradInto(dst, dg, x *Tensor, slope float64) {
 }
 
 func leakyReLUGradRange(k ew, lo, hi int) {
-	dst, dg, x, slope := k.dst, k.a, k.b, k.s
-	for i := lo; i < hi; i++ {
+	dst, dg, x, slope := k.dst[lo:hi], k.a[lo:hi], k.b[lo:hi], k.s
+	for i := range dst {
 		if x[i] > 0 {
 			dst[i] = dg[i]
 		} else {
@@ -250,8 +250,8 @@ func ELUInto(dst, t *Tensor, alpha float64) {
 }
 
 func eluRange(k ew, lo, hi int) {
-	dst, t, alpha := k.dst, k.a, k.s
-	for i := lo; i < hi; i++ {
+	dst, t, alpha := k.dst[lo:hi], k.a[lo:hi], k.s
+	for i := range dst {
 		if v := t[i]; v > 0 {
 			dst[i] = v
 		} else {
@@ -269,8 +269,8 @@ func ELUGradInto(dst, dg, y *Tensor, alpha float64) {
 }
 
 func eluGradRange(k ew, lo, hi int) {
-	dst, dg, y, alpha := k.dst, k.a, k.b, k.s
-	for i := lo; i < hi; i++ {
+	dst, dg, y, alpha := k.dst[lo:hi], k.a[lo:hi], k.b[lo:hi], k.s
+	for i := range dst {
 		if y[i] > 0 {
 			dst[i] = dg[i]
 		} else {
@@ -286,8 +286,8 @@ func SquareInto(dst, t *Tensor) {
 }
 
 func squareRange(k ew, lo, hi int) {
-	dst, t := k.dst, k.a
-	for i := lo; i < hi; i++ {
+	dst, t := k.dst[lo:hi], k.a[lo:hi]
+	for i := range dst {
 		dst[i] = t[i] * t[i]
 	}
 }
@@ -300,8 +300,8 @@ func SquareGradInto(dst, dg, x *Tensor) {
 }
 
 func squareGradRange(k ew, lo, hi int) {
-	dst, dg, x := k.dst, k.a, k.b
-	for i := lo; i < hi; i++ {
+	dst, dg, x := k.dst[lo:hi], k.a[lo:hi], k.b[lo:hi]
+	for i := range dst {
 		dst[i] = 2 * dg[i] * x[i]
 	}
 }

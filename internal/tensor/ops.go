@@ -23,8 +23,8 @@ func AddInPlace(a, b *Tensor) {
 }
 
 func addInPlaceRange(k ew, lo, hi int) {
-	a, b := k.dst, k.a
-	for i := lo; i < hi; i++ {
+	a, b := k.dst[lo:hi], k.a[lo:hi]
+	for i := range a {
 		a[i] += b[i]
 	}
 }
@@ -35,8 +35,8 @@ func ScaleInPlace(t *Tensor, s float64) {
 }
 
 func scaleInPlaceRange(k ew, lo, hi int) {
-	t, s := k.dst, k.s
-	for i := lo; i < hi; i++ {
+	t, s := k.dst[lo:hi], k.s
+	for i := range t {
 		t[i] *= s
 	}
 }
