@@ -21,8 +21,10 @@ import (
 
 // ew is a flat elementwise kernel's operands: dst[i] is computed from a[i],
 // b[i], c[i] and the scalar s, whichever the kernel reads. Range functions
-// copy the fields they read into locals before looping: a struct this wide
-// stays in memory, and a field read inside the loop is reloaded per element.
+// copy the fields they read into locals before looping (a struct this wide
+// stays in memory, and a field read inside the loop is reloaded per
+// element), sliced to [lo:hi] so that a loop ranging over dst has no bounds
+// check.
 type ew struct {
 	dst, a, b, c []float64
 	s            float64
