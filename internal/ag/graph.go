@@ -145,24 +145,31 @@ func (g *Graph) run(flops, bytes int64, f func()) {
 	g.dev.Kernel(flops, bytes, f)
 }
 
-// get draws a zeroed op output or workspace buffer from the pool; the graph
-// owns it and releases it at Finish.
+// get draws an op output or workspace buffer from the pool, its contents
+// unspecified: every forward kernel writes its whole output (an
+// accumulating one clears its own rows first), and a replay re-runs it into
+// the same buffer. The graph owns the buffer and releases it at Finish.
 func (g *Graph) get(shape ...int) *tensor.Tensor {
-	t := tensor.Get(shape...)
+	t := tensor.GetUninit(shape...)
 	g.owned = append(g.owned, t)
 	return t
 }
 
 // getLike is get with t's shape, without copying the shape slice.
 func (g *Graph) getLike(t *tensor.Tensor) *tensor.Tensor {
-	o := tensor.GetLike(t)
+	o := tensor.GetUninitLike(t)
 	g.owned = append(g.owned, o)
 	return o
 }
 
-// tempLike draws zeroed backward scratch with t's shape from the pool; the
-// caller returns it with freeTemp after accumulating.
-func (g *Graph) tempLike(t *tensor.Tensor) *tensor.Tensor { return tensor.GetLike(t) }
+// tempLike draws backward scratch with t's shape and unspecified contents
+// from the pool, for a kernel that writes every element; the op hands it to
+// a gradient with give or returns it with freeTemp.
+func (g *Graph) tempLike(t *tensor.Tensor) *tensor.Tensor { return tensor.GetUninitLike(t) }
+
+// zeroTempLike is tempLike cleared, for scratch a kernel accumulates into
+// with += and nothing else.
+func (g *Graph) zeroTempLike(t *tensor.Tensor) *tensor.Tensor { return tensor.GetLike(t) }
 
 // freeTemp returns backward scratch to the pool.
 func (g *Graph) freeTemp(ts ...*tensor.Tensor) { tensor.Release(ts...) }
@@ -226,25 +233,50 @@ func (g *Graph) Param(p *Parameter) *Node {
 	return n
 }
 
-// accum adds grad into n's gradient buffer, allocating it on first touch.
-// Ops call this only for inputs that require gradients.
+// give hands n the gradient scratch an op drew with tempLike and filled.
+// On n's first touch the scratch becomes n's gradient buffer; after that it
+// is added in and released, as it is at once when n needs no gradient. The
+// device is charged one accumulation kernel either way, and the gradient
+// buffer's allocation on first touch.
+//
+// Taking the scratch over keeps a −0 that adding it to a zeroed buffer
+// (+0 + −0) would turn into +0. No result can tell: node gradients never
+// leave the tape, every parameter gradient reaches p.Grad by AddInPlace
+// into a buffer ZeroGrad cleared, and no backward kernel divides by a
+// gradient or reads its sign.
+func (g *Graph) give(n *Node, scratch *tensor.Tensor) {
+	size := int64(scratch.Size())
+	if n.requiresGrad && n.grad == nil {
+		g.run(size, 24*size, func() { n.grad = scratch })
+		g.alloc(scratch)
+		return
+	}
+	if n.requiresGrad {
+		g.run(size, 24*size, func() { tensor.AddInPlace(n.grad, scratch) })
+	}
+	g.freeTemp(scratch)
+}
+
+// accum adds grad, which the op does not own (the gradient an op passes
+// through unchanged), into n's gradient; on first touch it copies grad into
+// a fresh buffer. The device charge is give's.
 func (g *Graph) accum(n *Node, grad *tensor.Tensor) {
 	if !n.requiresGrad {
 		return
 	}
-	first := n.grad == nil
-	g.run(int64(grad.Size()), int64(grad.Size())*24, func() {
-		if first {
-			// Output-buffer allocation is the device allocator's job; it
-			// belongs inside the kernel accounting. A replayed step recycles
-			// the buffer released by the previous BeginStep.
-			n.grad = tensor.GetLike(n.T)
-		}
-		tensor.AddInPlace(n.grad, grad)
-	})
-	if first {
-		g.alloc(n.grad)
+	size := int64(grad.Size())
+	if n.grad != nil {
+		g.run(size, 24*size, func() { tensor.AddInPlace(n.grad, grad) })
+		return
 	}
+	g.run(size, 24*size, func() {
+		// Allocation is the device allocator's job, inside the kernel
+		// accounting; a replayed step recycles the buffer the previous
+		// BeginStep released.
+		n.grad = tensor.GetUninitLike(n.T)
+		tensor.CopyInto(n.grad, grad)
+	})
+	g.alloc(n.grad)
 }
 
 // Backward runs reverse-mode differentiation from loss, which must be a

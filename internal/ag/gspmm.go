@@ -43,8 +43,7 @@ func (g *Graph) GSpMMSum(x *Node, rowptr, col []int) *Node {
 			gx = gr.tempLike(x.T)
 			tensor.GSpMMSumGradInto(gx, res.grad, rowptr, col)
 		})
-		gr.accum(x, gx)
-		gr.freeTemp(gx)
+		gr.give(x, gx)
 	}
 	return res
 }
@@ -83,12 +82,10 @@ func (g *Graph) GSpMMWeightedSum(x, w *Node, rowptr, col, eid []int) *Node {
 			}
 		})
 		if gx != nil {
-			gr.accum(x, gx)
-			gr.freeTemp(gx)
+			gr.give(x, gx)
 		}
 		if gw != nil {
-			gr.accum(w, gw)
-			gr.freeTemp(gw)
+			gr.give(w, gw)
 		}
 	}
 	return res
@@ -114,8 +111,7 @@ func (g *Graph) GSpMMEdgeSum(m *Node, rowptr, eid []int) *Node {
 			gm = gr.tempLike(m.T)
 			tensor.GSpMMEdgeSumGradInto(gm, res.grad, rowptr, eid)
 		})
-		gr.accum(m, gm)
-		gr.freeTemp(gm)
+		gr.give(m, gm)
 	}
 	return res
 }

@@ -45,13 +45,12 @@ func (g *Graph) HeadDot(x, a *Node) *Node {
 				gx = gr.tempLike(x.T)
 				parallel.For(r, grain, headArgs{dst: gx.Data, a: res.grad.Data, b: a.T.Data, h: h, d: d}, headDotGradXRange)
 			})
-			gr.accum(x, gx)
-			gr.freeTemp(gx)
+			gr.give(x, gx)
 		}
 		if a.requiresGrad {
 			var ga *tensor.Tensor
 			gr.run(2*sz, 24*sz, func() {
-				ga = gr.tempLike(a.T)
+				ga = gr.zeroTempLike(a.T)
 				// Serial accumulation: every row contributes to every head's
 				// weight gradient, in increasing row order.
 				for i := 0; i < r; i++ {
@@ -65,8 +64,7 @@ func (g *Graph) HeadDot(x, a *Node) *Node {
 					}
 				}
 			})
-			gr.accum(a, ga)
-			gr.freeTemp(ga)
+			gr.give(a, ga)
 		}
 	}
 	return res
@@ -131,8 +129,7 @@ func (g *Graph) MulHeads(x, w *Node) *Node {
 				gx = gr.tempLike(x.T)
 				parallel.For(r, grain, headArgs{dst: gx.Data, a: res.grad.Data, b: w.T.Data, h: h, d: d}, mulHeadsGradXRange)
 			})
-			gr.accum(x, gx)
-			gr.freeTemp(gx)
+			gr.give(x, gx)
 		}
 		if w.requiresGrad {
 			var gw *tensor.Tensor
@@ -140,8 +137,7 @@ func (g *Graph) MulHeads(x, w *Node) *Node {
 				gw = gr.tempLike(w.T)
 				parallel.For(r, grain, headArgs{dst: gw.Data, a: res.grad.Data, b: x.T.Data, h: h, d: d}, mulHeadsGradWRange)
 			})
-			gr.accum(w, gw)
-			gr.freeTemp(gw)
+			gr.give(w, gw)
 		}
 	}
 	return res
@@ -221,8 +217,7 @@ func (g *Graph) MeanHeads(x *Node, heads int) *Node {
 			gx = gr.tempLike(x.T)
 			parallel.For(r, grain, headArgs{dst: gx.Data, a: res.grad.Data, h: heads, d: d, inv: inv}, meanHeadsGradRange)
 		})
-		gr.accum(x, gx)
-		gr.freeTemp(gx)
+		gr.give(x, gx)
 	}
 	return res
 }

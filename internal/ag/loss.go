@@ -62,13 +62,12 @@ func (g *Graph) CrossEntropy(logits *Node, labels []int, rows []int) *Node {
 		// gx starts zeroed; unselected rows contribute no gradient.
 		var gx *tensor.Tensor
 		gr.run(2*sz, 24*sz, func() {
-			gx = gr.tempLike(logits.T)
+			gx = gr.zeroTempLike(logits.T)
 			scale := res.grad.Data[0] / float64(len(rows))
 			avg := (len(rows)*c)/n + 1
 			parallel.For(n, parallel.RowGrain(avg), lossArgs{dst: gx.Data, x: probs.Data, rows: rows, labels: labels, scale: scale, c: c}, ceGradRange)
 		})
-		gr.accum(logits, gx)
-		gr.freeTemp(gx)
+		gr.give(logits, gx)
 	}
 	return res
 }

@@ -26,8 +26,7 @@ func (g *Graph) Gather(x *Node, idx []int) *Node {
 			gx = gr.tempLike(x.T)
 			tensor.ScatterAddRowsInto(gx, res.grad, idx)
 		})
-		gr.accum(x, gx)
-		gr.freeTemp(gx)
+		gr.give(x, gx)
 	}
 	return res
 }
@@ -51,8 +50,7 @@ func (g *Graph) ScatterAdd(x *Node, idx []int, n int) *Node {
 			gx = gr.tempLike(x.T)
 			tensor.GatherRowsInto(gx, res.grad, idx)
 		})
-		gr.accum(x, gx)
-		gr.freeTemp(gx)
+		gr.give(x, gx)
 	}
 	return res
 }
@@ -161,8 +159,7 @@ func (g *Graph) ScatterMax(x *Node, idx []int, n int) *Node {
 			gx = gr.tempLike(x.T)
 			tensor.ScatterMaxGradInto(gx, res.grad, arg)
 		})
-		gr.accum(x, gx)
-		gr.freeTemp(gx)
+		gr.give(x, gx)
 	}
 	return res
 }
@@ -189,8 +186,7 @@ func (g *Graph) scaleRowsConst(x *Node, s **tensor.Tensor, refresh func()) *Node
 			gx = gr.tempLike(x.T)
 			tensor.MulColVectorInto(gx, res.grad, *s)
 		})
-		gr.accum(x, gx)
-		gr.freeTemp(gx)
+		gr.give(x, gx)
 	}
 	return res
 }
@@ -237,8 +233,8 @@ func (g *Graph) EdgeSoftmax(scores *Node, dst []int, n int) *Node {
 			dots = gr.tempLike(maxes)
 			tensor.EdgeSoftmaxGradInto(gs, out, res.grad, dst, dots)
 		})
-		gr.accum(scores, gs)
-		gr.freeTemp(gs, dots)
+		gr.give(scores, gs)
+		gr.freeTemp(dots)
 	}
 	return res
 }
@@ -267,8 +263,7 @@ func (g *Graph) SegmentSum(x *Node, offsets []int) *Node {
 			gx = gr.tempLike(x.T)
 			tensor.SegmentSumGradInto(gx, res.grad, offsets)
 		})
-		gr.accum(x, gx)
-		gr.freeTemp(gx)
+		gr.give(x, gx)
 	}
 	return res
 }

@@ -72,7 +72,7 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 		if gamma.requiresGrad {
 			var gg *tensor.Tensor
 			gr.run(2*sz, 24*sz, func() {
-				gg = gr.tempLike(gamma.T)
+				gg = gr.zeroTempLike(gamma.T)
 				for i := 0; i < n; i++ {
 					grow := res.grad.Row(i)
 					hrow := xhat.Row(i)
@@ -81,8 +81,7 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 					}
 				}
 			})
-			gr.accum(gamma, gg)
-			gr.freeTemp(gg)
+			gr.give(gamma, gg)
 		}
 		if beta.requiresGrad {
 			var gb *tensor.Tensor
@@ -90,8 +89,7 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 				gb = gr.tempLike(beta.T)
 				tensor.SumRowsInto(gb, res.grad)
 			})
-			gr.accum(beta, gb)
-			gr.freeTemp(gb)
+			gr.give(beta, gb)
 		}
 		if x.requiresGrad {
 			var gx *tensor.Tensor
@@ -99,8 +97,8 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 				var sumDy, sumDyXhat *tensor.Tensor
 				gr.run(6*sz, 48*sz, func() {
 					gx = gr.tempLike(x.T)
-					sumDy = gr.tempLike(gamma.T)
-					sumDyXhat = gr.tempLike(gamma.T)
+					sumDy = gr.zeroTempLike(gamma.T)
+					sumDyXhat = gr.zeroTempLike(gamma.T)
 					sdy, sdyx := sumDy.Data, sumDyXhat.Data
 					// Standard batch-norm input gradient with batch statistics:
 					// dx = (gamma*invstd/N) * (N*dy - sum(dy) - xhat*sum(dy*xhat))
@@ -123,8 +121,7 @@ func (g *Graph) BatchNorm(x *Node, gamma, beta *Node, runMean, runVar *tensor.Te
 					parallel.For(n, parallel.RowGrain(2*f), normArgs{dst: gx.Data, x: res.grad.Data, a: gamma.T.Data, b: invstd.Data, f: f}, batchNormGradXEvalRange)
 				})
 			}
-			gr.accum(x, gx)
-			gr.freeTemp(gx)
+			gr.give(x, gx)
 		}
 	}
 	return res
@@ -192,8 +189,7 @@ func (g *Graph) L2NormalizeRows(x *Node, eps float64) *Node {
 			gx = gr.tempLike(x.T)
 			parallel.For(n, parallel.RowGrain(4*f), normArgs{dst: gx.Data, x: res.grad.Data, y: out.Data, aux: norms.Data, f: f}, l2normGradRange)
 		})
-		gr.accum(x, gx)
-		gr.freeTemp(gx)
+		gr.give(x, gx)
 	}
 	return res
 }
@@ -258,8 +254,8 @@ func (g *Graph) GaussianWeight(u *tensor.Tensor, mu, isig *Node) *Node {
 	res.backward = func(gr *Graph) {
 		var gmu, gsig *tensor.Tensor
 		gr.run(8*sz, 32*sz, func() {
-			gmu = gr.tempLike(mu.T)
-			gsig = gr.tempLike(isig.T)
+			gmu = gr.zeroTempLike(mu.T)
+			gsig = gr.zeroTempLike(isig.T)
 			for k := 0; k < e; k++ {
 				urow := u.Row(k)
 				dw := res.grad.Data[k] * out.Data[k]
@@ -273,9 +269,8 @@ func (g *Graph) GaussianWeight(u *tensor.Tensor, mu, isig *Node) *Node {
 				}
 			}
 		})
-		gr.accum(mu, gmu)
-		gr.accum(isig, gsig)
-		gr.freeTemp(gmu, gsig)
+		gr.give(mu, gmu)
+		gr.give(isig, gsig)
 	}
 	return res
 }

@@ -11,8 +11,13 @@ import (
 // is charged inside the kernel, exactly like the historical eager ops — and
 // writes it in place through the tensor Into kernels. g.op remembers the
 // closure so ReplayForward can re-execute it against the recorded buffers
-// without touching the allocator. Backward closures draw scratch from
-// gr.tempLike inside their kernel and return it with gr.freeTemp, so a
+// without touching the allocator. Output buffers come uninitialised
+// (g.get), since the kernel writes all of them. Backward closures draw
+// scratch from gr.tempLike inside their kernel (gr.zeroTempLike when the
+// kernel only adds into it) and hand it to the input's gradient with
+// gr.give, which on first touch makes the scratch the gradient instead of
+// adding it to zeros; a gradient the op passes through unchanged goes to
+// gr.accum, and scratch no gradient keeps goes back with gr.freeTemp. A
 // replayed step performs no heap allocation. Kernel FLOP/byte accounting and
 // floating-point evaluation order are identical to the historical eager
 // implementations.
@@ -38,8 +43,7 @@ func (g *Graph) MatMul(a, b *Node) *Node {
 				ga = gr.tempLike(a.T)
 				tensor.MatMulTBInto(ga, res.grad, b.T)
 			})
-			gr.accum(a, ga)
-			gr.freeTemp(ga)
+			gr.give(a, ga)
 		}
 		if b.requiresGrad {
 			var gb *tensor.Tensor
@@ -47,8 +51,7 @@ func (g *Graph) MatMul(a, b *Node) *Node {
 				gb = gr.tempLike(b.T)
 				tensor.MatMulTAInto(gb, a.T, res.grad)
 			})
-			gr.accum(b, gb)
-			gr.freeTemp(gb)
+			gr.give(b, gb)
 		}
 	}
 	return res
@@ -89,8 +92,7 @@ func (g *Graph) Sub(a, b *Node) *Node {
 				neg = gr.tempLike(b.T)
 				tensor.NegInto(neg, res.grad)
 			})
-			gr.accum(b, neg)
-			gr.freeTemp(neg)
+			gr.give(b, neg)
 		}
 	}
 	return res
@@ -113,8 +115,7 @@ func (g *Graph) Mul(a, b *Node) *Node {
 				ga = gr.tempLike(a.T)
 				tensor.MulInto(ga, res.grad, b.T)
 			})
-			gr.accum(a, ga)
-			gr.freeTemp(ga)
+			gr.give(a, ga)
 		}
 		if b.requiresGrad {
 			var gb *tensor.Tensor
@@ -122,8 +123,7 @@ func (g *Graph) Mul(a, b *Node) *Node {
 				gb = gr.tempLike(b.T)
 				tensor.MulInto(gb, res.grad, a.T)
 			})
-			gr.accum(b, gb)
-			gr.freeTemp(gb)
+			gr.give(b, gb)
 		}
 	}
 	return res
@@ -146,8 +146,7 @@ func (g *Graph) Div(a, b *Node) *Node {
 				ga = gr.tempLike(a.T)
 				tensor.DivInto(ga, res.grad, b.T)
 			})
-			gr.accum(a, ga)
-			gr.freeTemp(ga)
+			gr.give(a, ga)
 		}
 		if b.requiresGrad {
 			var gb *tensor.Tensor
@@ -155,8 +154,7 @@ func (g *Graph) Div(a, b *Node) *Node {
 				gb = gr.tempLike(b.T)
 				tensor.DivGradBInto(gb, res.grad, a.T, b.T)
 			})
-			gr.accum(b, gb)
-			gr.freeTemp(gb)
+			gr.give(b, gb)
 		}
 	}
 	return res
@@ -178,8 +176,7 @@ func (g *Graph) Scale(a *Node, s float64) *Node {
 			ga = gr.tempLike(a.T)
 			tensor.ScaleInto(ga, res.grad, s)
 		})
-		gr.accum(a, ga)
-		gr.freeTemp(ga)
+		gr.give(a, ga)
 	}
 	return res
 }
@@ -217,8 +214,7 @@ func (g *Graph) AddBias(m, b *Node) *Node {
 				gb = gr.tempLike(b.T)
 				tensor.SumRowsInto(gb, res.grad)
 			})
-			gr.accum(b, gb)
-			gr.freeTemp(gb)
+			gr.give(b, gb)
 		}
 	}
 	return res
@@ -249,8 +245,7 @@ func (g *Graph) MulBroadcastCol(x, w *Node) *Node {
 				gx = gr.tempLike(x.T)
 				tensor.MulColVectorInto(gx, res.grad, wv)
 			})
-			gr.accum(x, gx)
-			gr.freeTemp(gx)
+			gr.give(x, gx)
 		}
 		if w.requiresGrad {
 			var gw *tensor.Tensor
@@ -258,8 +253,7 @@ func (g *Graph) MulBroadcastCol(x, w *Node) *Node {
 				gw = gr.tempLike(w.T)
 				tensor.MulSumColsInto(gw, res.grad, x.T)
 			})
-			gr.accum(w, gw)
-			gr.freeTemp(gw)
+			gr.give(w, gw)
 		}
 	}
 	return res
@@ -281,8 +275,7 @@ func (g *Graph) ReLU(a *Node) *Node {
 			ga = gr.tempLike(a.T)
 			tensor.ReLUGradInto(ga, res.grad, a.T)
 		})
-		gr.accum(a, ga)
-		gr.freeTemp(ga)
+		gr.give(a, ga)
 	}
 	return res
 }
@@ -303,8 +296,7 @@ func (g *Graph) LeakyReLU(a *Node, slope float64) *Node {
 			ga = gr.tempLike(a.T)
 			tensor.LeakyReLUGradInto(ga, res.grad, a.T, slope)
 		})
-		gr.accum(a, ga)
-		gr.freeTemp(ga)
+		gr.give(a, ga)
 	}
 	return res
 }
@@ -325,8 +317,7 @@ func (g *Graph) ELU(a *Node, alpha float64) *Node {
 			ga = gr.tempLike(a.T)
 			tensor.ELUGradInto(ga, res.grad, out, alpha)
 		})
-		gr.accum(a, ga)
-		gr.freeTemp(ga)
+		gr.give(a, ga)
 	}
 	return res
 }
@@ -347,8 +338,7 @@ func (g *Graph) Sigmoid(a *Node) *Node {
 			ga = gr.tempLike(a.T)
 			tensor.SigmoidGradInto(ga, res.grad, out)
 		})
-		gr.accum(a, ga)
-		gr.freeTemp(ga)
+		gr.give(a, ga)
 	}
 	return res
 }
@@ -369,8 +359,7 @@ func (g *Graph) Square(a *Node) *Node {
 			ga = gr.tempLike(a.T)
 			tensor.SquareGradInto(ga, res.grad, a.T)
 		})
-		gr.accum(a, ga)
-		gr.freeTemp(ga)
+		gr.give(a, ga)
 	}
 	return res
 }
@@ -405,9 +394,8 @@ func (g *Graph) ConcatCols(parts ...*Node) *Node {
 			tensor.SplitColsInto(gtmp, res.grad)
 		})
 		for i, p := range parts {
-			gr.accum(p, gtmp[i])
+			gr.give(p, gtmp[i])
 		}
-		gr.freeTemp(gtmp...)
 	}
 	return res
 }
@@ -445,8 +433,7 @@ func (g *Graph) Dropout(a *Node, p float64, training bool, rng *tensor.RNG) *Nod
 			ga = gr.tempLike(a.T)
 			tensor.MulInto(ga, res.grad, mask)
 		})
-		gr.accum(a, ga)
-		gr.freeTemp(ga)
+		gr.give(a, ga)
 	}
 	return res
 }
@@ -472,8 +459,7 @@ func (g *Graph) ScaleByScalar(x, s *Node) *Node {
 				gx = gr.tempLike(x.T)
 				tensor.ScaleInto(gx, res.grad, s.T.Data[0])
 			})
-			gr.accum(x, gx)
-			gr.freeTemp(gx)
+			gr.give(x, gx)
 		}
 		if s.requiresGrad {
 			var gs *tensor.Tensor
@@ -481,8 +467,7 @@ func (g *Graph) ScaleByScalar(x, s *Node) *Node {
 				gs = gr.tempLike(s.T)
 				gs.Data[0] = tensor.Dot(res.grad, x.T)
 			})
-			gr.accum(s, gs)
-			gr.freeTemp(gs)
+			gr.give(s, gs)
 		}
 	}
 	return res
@@ -521,8 +506,7 @@ func (g *Graph) MeanAll(a *Node) *Node {
 			ga = gr.tempLike(a.T)
 			tensor.FillInto(ga, res.grad.Data[0]/float64(a.T.Size()))
 		})
-		gr.accum(a, ga)
-		gr.freeTemp(ga)
+		gr.give(a, ga)
 	}
 	return res
 }

@@ -59,7 +59,7 @@ func (a *accum) add(g *graph.Graph) {
 	}
 	for _, d := range deg {
 		a.degSum += d
-		a.degSqSum += d * d
+		a.degSqSum += float64(d * d)
 		if d > a.degMax {
 			a.degMax = d
 		}
@@ -73,7 +73,7 @@ func (a *accum) features() Features {
 	}
 	if a.nodes > 0 {
 		f.DegMean = a.degSum / a.nodes
-		f.DegVar = a.degSqSum/a.nodes - f.DegMean*f.DegMean
+		f.DegVar = a.degSqSum/a.nodes - float64(f.DegMean*f.DegMean)
 		if f.DegVar < 0 { // guard the subtraction against rounding
 			f.DegVar = 0
 		}

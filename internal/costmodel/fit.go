@@ -82,7 +82,7 @@ func Fit(samples []Sample, opt FitOptions) (*Predictor, error) {
 	p.TargetMean /= float64(n)
 	for _, s := range samples {
 		d := s.Seconds - p.TargetMean
-		p.TargetStd += d * d
+		p.TargetStd += float64(d * d)
 	}
 	p.TargetStd = math.Sqrt(p.TargetStd / float64(n))
 	if p.TargetStd <= 0 {
@@ -97,7 +97,7 @@ func Fit(samples []Sample, opt FitOptions) (*Predictor, error) {
 		mean /= float64(n)
 		for i := 0; i < n; i++ {
 			d := x.At(i, j) - mean
-			sq += d * d
+			sq += float64(d * d)
 		}
 		std := math.Sqrt(sq / float64(n))
 		if std <= 0 {
@@ -141,7 +141,7 @@ func (p *Predictor) PredictFeatures(f Features) time.Duration {
 	for j, c := range p.Coef {
 		yhat += c * (v[j] - p.FeatMean[j]) / p.FeatStd[j]
 	}
-	secs := yhat*p.TargetStd + p.TargetMean
+	secs := float64(yhat*p.TargetStd) + p.TargetMean
 	if secs < 0 {
 		secs = 0
 	}
@@ -170,8 +170,8 @@ func RSquared(p *Predictor, samples []Sample) float64 {
 	var ssRes, ssTot float64
 	for _, s := range samples {
 		pred := p.PredictFeatures(s.F).Seconds()
-		ssRes += (s.Seconds - pred) * (s.Seconds - pred)
-		ssTot += (s.Seconds - mean) * (s.Seconds - mean)
+		ssRes += float64((s.Seconds - pred) * (s.Seconds - pred))
+		ssTot += float64((s.Seconds - mean) * (s.Seconds - mean))
 	}
 	if ssTot == 0 {
 		if ssRes == 0 {

@@ -85,14 +85,14 @@ func sweepGraph(rng *tensor.RNG, opt SweepOptions, numFeatures int) *graph.Graph
 	switch rng.IntN(4) {
 	case 0:
 		// Target degree 2..8, converted to an edge probability.
-		deg := 2 + rng.Float64()*6
+		deg := 2 + float64(rng.Float64()*6)
 		p := deg / float64(n-1)
 		if p > 1 {
 			p = 1
 		}
 		g = graph.ErdosRenyi(rng, n, p)
 	case 1:
-		g, _ = graph.PlantedPartitionSparse(rng, n, 2+rng.IntN(3), 2+rng.Float64()*4, 0.5+rng.Float64()*1.5)
+		g, _ = graph.PlantedPartitionSparse(rng, n, 2+rng.IntN(3), 2+float64(rng.Float64()*4), 0.5+float64(rng.Float64()*1.5))
 	case 2:
 		g = graph.KNNGeometric(rng, n, 2+rng.IntN(7))
 	default:

@@ -84,7 +84,7 @@ func buildCitation(spec citationSpec, seed uint64) *Dataset {
 	for v := 0; v < spec.nodes; v++ {
 		value := func() float64 { return 1.0 }
 		if spec.weightedFeatures {
-			value = func() float64 { return 0.2 + rng.Float64() }
+			value = func() float64 { return 0.2 + float64(rng.Float64()) }
 		}
 		bagOfWords(rng, g.X.Row(v), pools[block[v]], spec.features, spec.wordsPerDoc, spec.topicBias, value)
 	}

@@ -39,16 +39,16 @@ func superpixelGraph(rng *tensor.RNG, digit int) *graph.Graph {
 	// Render the digit's stroke skeleton with small instance-specific
 	// distortion and sample intensity at each centroid.
 	strokes := digitStrokes(digit)
-	dx := 0.06 * rng.NormFloat64()
-	dy := 0.06 * rng.NormFloat64()
-	scale := 1 + 0.08*rng.NormFloat64()
+	dx := float64(0.06 * rng.NormFloat64())
+	dy := float64(0.06 * rng.NormFloat64())
+	scale := 1 + float64(0.08*rng.NormFloat64())
 	x := tensor.New(n, 1)
 	for v := 0; v < n; v++ {
 		px := (pos.At(v, 0)-0.5)/scale + 0.5 - dx
 		py := (pos.At(v, 1)-0.5)/scale + 0.5 - dy
 		dist := strokeDistance(strokes, px, py)
 		// Gaussian falloff around the stroke, plus sensor noise.
-		inten := math.Exp(-dist*dist/(2*0.045*0.045)) + 0.05*rng.NormFloat64()
+		inten := math.Exp(-dist*dist/(2*0.045*0.045)) + float64(0.05*rng.NormFloat64())
 		x.Set(v, 0, clamp01f(inten))
 	}
 
@@ -97,8 +97,8 @@ func ring(cx, cy, rx, ry float64, steps int) []segment {
 	for i := 0; i < steps; i++ {
 		a1 := 2 * math.Pi * float64(i) / float64(steps)
 		a2 := 2 * math.Pi * float64(i+1) / float64(steps)
-		segs = append(segs, segment{cx + rx*math.Cos(a1), cy + ry*math.Sin(a1),
-			cx + rx*math.Cos(a2), cy + ry*math.Sin(a2)})
+		segs = append(segs, segment{cx + float64(rx*math.Cos(a1)), cy + float64(ry*math.Sin(a1)),
+			cx + float64(rx*math.Cos(a2)), cy + float64(ry*math.Sin(a2))})
 	}
 	return segs
 }
@@ -108,8 +108,8 @@ func arc(cx, cy, r, a1, a2 float64, steps int) []segment {
 	for i := 0; i < steps; i++ {
 		t1 := a1 + (a2-a1)*float64(i)/float64(steps)
 		t2 := a1 + (a2-a1)*float64(i+1)/float64(steps)
-		segs = append(segs, segment{cx + r*math.Cos(t1), cy + r*math.Sin(t1),
-			cx + r*math.Cos(t2), cy + r*math.Sin(t2)})
+		segs = append(segs, segment{cx + float64(r*math.Cos(t1)), cy + float64(r*math.Sin(t1)),
+			cx + float64(r*math.Cos(t2)), cy + float64(r*math.Sin(t2))})
 	}
 	return segs
 }
@@ -129,18 +129,18 @@ func strokeDistance(segs []segment, x, y float64) float64 {
 func pointSegmentDistance(x, y float64, s segment) float64 {
 	vx, vy := s.x2-s.x1, s.y2-s.y1
 	wx, wy := x-s.x1, y-s.y1
-	l2 := vx*vx + vy*vy
+	l2 := float64(vx*vx) + float64(vy*vy)
 	t := 0.0
 	if l2 > 0 {
-		t = (wx*vx + wy*vy) / l2
+		t = (float64(wx*vx) + float64(wy*vy)) / l2
 		if t < 0 {
 			t = 0
 		} else if t > 1 {
 			t = 1
 		}
 	}
-	dx, dy := x-(s.x1+t*vx), y-(s.y1+t*vy)
-	return math.Sqrt(dx*dx + dy*dy)
+	dx, dy := x-(s.x1+float64(t*vx)), y-(s.y1+float64(t*vy))
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 func clamp01f(v float64) float64 {

@@ -28,7 +28,7 @@ func Stats(d *Dataset) TableStats {
 				selfLoops++
 			}
 		}
-		edges += float64(g.NumEdges()-selfLoops) / 2
+		edges += float64(float64(g.NumEdges()-selfLoops) / 2) // x/2 compiles to x*0.5
 	}
 	n := float64(len(d.Graphs))
 	return TableStats{

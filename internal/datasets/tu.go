@@ -25,7 +25,7 @@ func Enzymes(opt Options) *Dataset {
 	for i := 0; i < count; i++ {
 		c := i % classes
 		// Log-normalish size in [2,126] with mean near 32.6.
-		n := clampInt(int(math.Exp(3.28+0.55*rng.NormFloat64())), 2, 126)
+		n := clampInt(int(math.Exp(3.28+float64(0.55*rng.NormFloat64()))), 2, 126)
 		// Class-dependent density: average degree 3.2 .. 4.4.
 		deg := 3.2 + 1.2*float64(c)/float64(classes-1)
 		g := sparseRandom(rng, n, deg)
@@ -57,7 +57,7 @@ func DD(opt Options) *Dataset {
 	maxNodes := clampInt(int(5748*sizeScale), 126, 5748)
 	for i := 0; i < count; i++ {
 		c := i % classes
-		n := clampInt(int(math.Exp(5.35+0.62*rng.NormFloat64())*sizeScale+30), 30, maxNodes)
+		n := clampInt(int(float64(math.Exp(5.35+float64(0.62*rng.NormFloat64()))*sizeScale)+30), 30, maxNodes)
 		// Enzymes slightly denser: avg degree 5.4 vs 4.6.
 		deg := 4.6
 		if c == 0 {
@@ -144,7 +144,7 @@ func residueDistribution(rng *tensor.RNG, feat, class int) []float64 {
 	w := make([]float64, feat)
 	var total float64
 	for j := range w {
-		w[j] = 0.2 + rng.Float64()
+		w[j] = 0.2 + float64(rng.Float64())
 		// A class-specific band of residues is enriched.
 		if j%2 == class {
 			w[j] *= 1.6

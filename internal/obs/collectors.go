@@ -93,6 +93,8 @@ func RegisterTensorPoolMetrics(r *Registry) {
 		func() float64 { return float64(tensor.Pool().Discards) })
 	r.CounterFunc("gnnlab_tensor_pool_evictions_total", "Parked buffers dropped above their class's high-water mark of the last two GC cycles.",
 		func() float64 { return float64(tensor.Pool().Evictions) })
+	r.CounterFunc("gnnlab_tensor_pool_zeroed_bytes_total", "Bytes pooled tensor Gets cleared in recycled buffers.",
+		func() float64 { return float64(tensor.Pool().ZeroedBytes) })
 	r.GaugeFunc("gnnlab_tensor_pool_free_bytes", "Bytes parked on the pool's free lists.",
 		func() float64 { return float64(tensor.Pool().Bytes) })
 }

@@ -72,7 +72,8 @@ func TestProjectMetricsLint(t *testing.T) {
 	// The tensor pool's traffic, including the evictions of its retention rule.
 	requireFamilies(t, "process", reg,
 		"gnnlab_tensor_pool_hits_total", "gnnlab_tensor_pool_misses_total", "gnnlab_tensor_pool_releases_total",
-		"gnnlab_tensor_pool_discards_total", "gnnlab_tensor_pool_evictions_total", "gnnlab_tensor_pool_free_bytes")
+		"gnnlab_tensor_pool_discards_total", "gnnlab_tensor_pool_evictions_total", "gnnlab_tensor_pool_zeroed_bytes_total",
+		"gnnlab_tensor_pool_free_bytes")
 	// The coalescer's queue-wait, close-reason and utilisation families.
 	requireFamilies(t, "serve", sreg,
 		"gnnserve_queue_wait_seconds", "gnnserve_batch_close_total", "gnnserve_pool_utilization")

@@ -15,8 +15,8 @@ import (
 // Every tensor op in the original engine allocated a fresh backing slice, so
 // steady-state training and serving churned the heap exactly where the
 // paper's kernel-launch overhead sat. The pool turns that churn into
-// constant-space reuse: Get hands out a zeroed tensor whose buffer comes from
-// the free list of the smallest power-of-two class that fits (or, when that
+// constant-space reuse: Get hands out a tensor whose buffer comes from the
+// free list of the smallest power-of-two class that fits (or, when that
 // list is empty, of the next class up), and Release returns a buffer to the
 // list of its own class. A steady-state training or serving step whose
 // Gets are balanced by Releases performs zero heap allocations.
@@ -25,6 +25,12 @@ import (
 //
 //   - Get returns a zeroed tensor, exactly like New. Kernels may therefore
 //     accumulate into it without clearing first.
+//   - GetUninit returns a tensor whose contents are unspecified, for a
+//     kernel that writes every element before it reads one: it skips the
+//     clear, which on a recycled buffer is a pass over memory the kernel is
+//     about to overwrite anyway. Under SetPoolPoison it fills the buffer
+//     with the poison NaN instead, on a fresh buffer too, so a kernel that
+//     reads before it writes turns its results NaN in the tests.
 //   - Release must only be called by the owner of the tensor, after its last
 //     read. Releasing twice panics; reading after Release is undefined (the
 //     buffer may be handed to another Get). Tests enable poisoning
@@ -199,6 +205,7 @@ var (
 	poolReleases  atomic.Int64
 	poolDiscards  atomic.Int64
 	poolEvictions atomic.Int64
+	poolZeroed    atomic.Int64 // floats Get cleared in recycled buffers
 	poolFloats    atomic.Int64 // floats currently parked on free lists
 	poolCycles    atomic.Int64 // GC cycles the marks have rolled at
 
@@ -218,12 +225,31 @@ func classFor(n int) int {
 // class up, is free, and freshly allocated otherwise. The caller owns the
 // tensor and should Release it after its last read to keep the steady state
 // allocation-free.
-func Get(shape ...int) *Tensor {
+//
+//gnnvet:allow unreachable -- TestPoolGetReleaseReuse
+func Get(shape ...int) *Tensor { return get(shape, true) }
+
+// GetUninit is Get for a caller that writes every element before it reads
+// one: the contents are unspecified (the poison NaN under SetPoolPoison).
+func GetUninit(shape ...int) *Tensor { return get(shape, false) }
+
+// GetLike returns a pooled zero tensor with t's shape.
+func GetLike(t *Tensor) *Tensor { return get(t.shape, true) }
+
+// GetUninitLike returns a pooled tensor with t's shape and unspecified
+// contents (see GetUninit).
+func GetUninitLike(t *Tensor) *Tensor { return get(t.shape, false) }
+
+// get draws a tensor of shape from the pool, cleared when zeroed is set.
+func get(shape []int, zeroed bool) *Tensor {
 	n := checkShape(shape)
 	c := classFor(n)
 	if c > poolMaxBits {
 		poolMisses.Add(1)
 		t := &Tensor{Data: make([]float64, n)}
+		if !zeroed && poolPoison.Load() {
+			poison(t.Data)
+		}
 		t.setShape(shape)
 		return t
 	}
@@ -238,7 +264,10 @@ func Get(shape ...int) *Tensor {
 		poolFloats.Add(-int64(cap(t.Data)))
 		poolHits.Add(1)
 		t.Data = t.Data[:n]
-		zero(t.Data)
+		if zeroed {
+			zero(t.Data)
+			poolZeroed.Add(int64(n))
+		}
 		t.released = false
 	} else {
 		sc := &poolClasses[c]
@@ -252,12 +281,12 @@ func Get(shape ...int) *Tensor {
 		// reusable once released.
 		t = &Tensor{Data: make([]float64, n, 1<<c)}
 	}
+	if !zeroed && poolPoison.Load() {
+		poison(t.Data)
+	}
 	t.setShape(shape)
 	return t
 }
-
-// GetLike returns a pooled zero tensor with t's shape.
-func GetLike(t *Tensor) *Tensor { return Get(t.shape...) }
 
 // Release returns tensors from Get to the pool for reuse. nil entries are
 // skipped. The tensors (and any views sharing their storage) must not be
@@ -274,10 +303,7 @@ func Release(ts ...*Tensor) {
 		poolReleases.Add(1)
 		buf := t.Data[:cap(t.Data)]
 		if poolPoison.Load() {
-			p := math.Float64frombits(poolPoisonBits)
-			for i := range buf {
-				buf[i] = p
-			}
+			poison(buf)
 		}
 		c := bits.Len(uint(cap(t.Data))) - 1 // floor class: every buffer in free[c] has cap >= 2^c
 		if c < poolMinBits || c > poolMaxBits {
@@ -317,6 +343,14 @@ func zero(d []float64) {
 	}
 }
 
+// poison fills a slice with the poison NaN.
+func poison(d []float64) {
+	p := math.Float64frombits(poolPoisonBits)
+	for i := range d {
+		d[i] = p
+	}
+}
+
 // PoolStats is a snapshot of the buffer pool counters.
 type PoolStats struct {
 	Hits      int64 // Gets served from a free list
@@ -325,18 +359,22 @@ type PoolStats struct {
 	Discards  int64 // releases outside the pooled class range, left to the collector
 	Evictions int64 // parked buffers dropped above their class's recent high-water mark
 	Bytes     int64 // bytes currently parked on free lists
+	// ZeroedBytes counts the bytes Get cleared in recycled buffers; a fresh
+	// buffer comes cleared from the runtime and GetUninit clears nothing.
+	ZeroedBytes int64
 }
 
 // Pool returns a snapshot of the pool counters (exported to the obs layer as
 // tensor_pool_* metrics).
 func Pool() PoolStats {
 	return PoolStats{
-		Hits:      poolHits.Load(),
-		Misses:    poolMisses.Load(),
-		Releases:  poolReleases.Load(),
-		Discards:  poolDiscards.Load(),
-		Evictions: poolEvictions.Load(),
-		Bytes:     poolFloats.Load() * 8,
+		Hits:        poolHits.Load(),
+		Misses:      poolMisses.Load(),
+		Releases:    poolReleases.Load(),
+		Discards:    poolDiscards.Load(),
+		Evictions:   poolEvictions.Load(),
+		Bytes:       poolFloats.Load() * 8,
+		ZeroedBytes: poolZeroed.Load() * 8,
 	}
 }
 

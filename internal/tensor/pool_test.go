@@ -400,3 +400,75 @@ func TestPoolClockFollowsGC(t *testing.T) {
 		}
 	}
 }
+
+// TestGetUninitPoisons: under SetPoolPoison, GetUninit hands out the poison
+// NaN in every element, whether it allocates the buffer or recycles one
+// released while poisoning was off, so a kernel that reads a buffer before
+// writing it turns NaN in the tests. It clears nothing: ZeroedBytes moves
+// only for Get's recycled buffers.
+func TestGetUninitPoisons(t *testing.T) {
+	poolReset()
+	prev := SetPoolPoison(true)
+	defer SetPoolPoison(prev)
+	checkPoisoned := func(what string, x *Tensor) {
+		t.Helper()
+		for i, v := range x.Data {
+			if !IsPoolPoison(v) {
+				t.Fatalf("%s: element %d = %v, want the poison NaN", what, i, v)
+			}
+		}
+	}
+	before := Pool()
+	a := GetUninit(12, 10) // a miss: a fresh buffer
+	if p := Pool(); p.Misses-before.Misses != 1 {
+		t.Fatalf("first GetUninit: %d misses, want 1", p.Misses-before.Misses)
+	}
+	checkPoisoned("fresh buffer", a)
+	for i := range a.Data {
+		a.Data[i] = 1
+	}
+	SetPoolPoison(false)
+	Release(a) // parks the ones unpoisoned
+	SetPoolPoison(true)
+	b := GetUninitLike(New(120))
+	if p := Pool(); p.Hits-before.Hits != 1 {
+		t.Fatalf("second GetUninit: %d hits, want 1", p.Hits-before.Hits)
+	}
+	checkPoisoned("recycled buffer", b)
+	if p := Pool(); p.ZeroedBytes != before.ZeroedBytes {
+		t.Errorf("GetUninit cleared %d bytes, want 0", p.ZeroedBytes-before.ZeroedBytes)
+	}
+	Release(b)
+	c := Get(120) // a hit: cleared, poisoning or not
+	for i, v := range c.Data {
+		if v != 0 {
+			t.Fatalf("Get after GetUninit: element %d = %v, want 0", i, v)
+		}
+	}
+	if z := Pool().ZeroedBytes - before.ZeroedBytes; z != 120*8 {
+		t.Errorf("Get of a recycled 120-float buffer counted %d bytes zeroed, want %d", z, 120*8)
+	}
+	Release(c)
+}
+
+// TestPoolUninitZeroAllocSteadyState is TestPoolZeroAllocSteadyState for
+// GetUninit and GetUninitLike.
+func TestPoolUninitZeroAllocSteadyState(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	poolReset()
+	shape := []int{64, 32}
+	like := New(shape...)
+	Release(GetUninit(shape...))
+	allocs := testing.AllocsPerRun(100, func() {
+		x := GetUninit(shape...)
+		x.Data[0] = 1
+		y := GetUninitLike(like)
+		y.Data[0] = 1
+		Release(x, y)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state GetUninit/Release = %v allocs/op, want 0", allocs)
+	}
+}

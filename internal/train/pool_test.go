@@ -5,8 +5,10 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/ag"
 	"repro/internal/datasets"
 	"repro/internal/fw/pygeo"
+	"repro/internal/optim"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -53,5 +55,42 @@ func TestTrainGraphFoldSteadyState(t *testing.T) {
 	}
 	if alloc > epochAllocBound {
 		t.Errorf("warm epoch allocated %d bytes, bound %d", alloc, epochAllocBound)
+	}
+}
+
+// TestTrainStepZeroedBytes counts the bytes a steady-state GCN/PyG training
+// step on a 16-graph ENZYMES batch asks the pool to clear. Every op output,
+// workspace and backward scratch is drawn uninitialised, and a gradient's
+// first touch takes its scratch over, so the only clears left are the two
+// buffers a kernel adds into: the loss's gradient with respect to the
+// logits (graphs × classes) and the loss's one-float seed gradient.
+func TestTrainStepZeroedBytes(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no eviction between the steps
+	d := tinyEnzymes()
+	be := pygeo.New()
+	m := graphModel("GCN", be, d, 5)
+	adam := optim.NewAdam(m.Params(), 5e-3)
+	b := be.Batch(d.Graphs[:16], nil)
+	step := func() {
+		g := ag.New(nil)
+		loss := g.CrossEntropy(m.Forward(g, b, true, nil), b.Labels, nil)
+		adam.ZeroGrad()
+		g.Backward(loss)
+		adam.Step()
+		g.Finish()
+	}
+	tensor.DrainPool()
+	step() // warm: the first step's buffers come fresh from the runtime
+	before := tensor.Pool()
+	step()
+	after := tensor.Pool()
+	if misses := after.Misses - before.Misses; misses != 0 {
+		t.Fatalf("steady-state step missed the pool %d times", misses)
+	}
+	zeroed := after.ZeroedBytes - before.ZeroedBytes
+	want := int64(8 * (b.NumGraphs*d.NumClasses + 1))
+	t.Logf("%d bytes zeroed over %d pool hits", zeroed, after.Hits-before.Hits)
+	if zeroed != want {
+		t.Errorf("steady-state GCN/PyG step zeroed %d bytes, want %d (logits gradient and loss seed)", zeroed, want)
 	}
 }
